@@ -18,7 +18,8 @@ division fails loudly when the remainder is nonzero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, perm
+from functools import lru_cache
+from math import gcd, lcm, perm
 from typing import Iterable, Sequence, Union
 
 from . import kernel
@@ -53,11 +54,27 @@ def pochhammer(a: RationalLike, k: int) -> Fraction:
     """Shifted factorial (a)_k = a(a+1)...(a+k-1), with (a)_0 = 1."""
     if k < 0:
         raise InvalidParam(f"pochhammer needs k >= 0, got {k}")
+    if type(a) is int:
+        return _pochhammer_int(a, k)
     a = as_rational(a)
     out = Fraction(1)
     for i in range(k):
         out *= a + i
     return out
+
+
+def rising(a: int, k: int) -> int:
+    """Integer shifted factorial (a)_k for integer a and k >= 0."""
+    if a > 0:
+        return perm(a + k - 1, k)
+    if a + k > 0:
+        return 0   # the product passes through 0
+    return perm(-a, k) if k % 2 == 0 else -perm(-a, k)
+
+
+@lru_cache(maxsize=4096)
+def _pochhammer_int(a: int, k: int) -> Fraction:
+    return Fraction(rising(a, k))
 
 
 def _canonical(nums: list, den: int) -> tuple:
@@ -219,6 +236,12 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise InvalidParam("negative polynomial power")
+        if len(self.nums) <= 3:
+            # endpoint factors such as (x+1)^k and (x^2-1)^k recur everywhere
+            return _small_pow(self, k)
+        return self._pow(k)
+
+    def _pow(self, k: int) -> "Poly":
         out = Poly.one()
         base = self
         while k:
@@ -302,6 +325,10 @@ class Poly:
         """Exact value at a rational point (integer Horner, one reduction)."""
         if self.is_zero:
             return Fraction(0)
+        if x == 1:
+            return Fraction(sum(self.nums), self.den)
+        if x == -1:
+            return Fraction(sum(self.nums[::2]) - sum(self.nums[1::2]), self.den)
         x = as_rational(x)
         p, q = x.numerator, x.denominator
         acc, qq = 0, 1
@@ -355,8 +382,6 @@ X2_MINUS_1 = Poly([-1, 0, 1])
 ONE_MINUS_X = Poly([1, -1])
 
 
-def factorial_r(n: int) -> Fraction:
-    """n! as a Fraction (n >= 0)."""
-    if n < 0:
-        raise InvalidParam(f"factorial of negative {n}")
-    return Fraction(factorial(n))
+@lru_cache(maxsize=1024)
+def _small_pow(base: Poly, k: int) -> Poly:
+    return base._pow(k)

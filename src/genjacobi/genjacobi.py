@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial
 
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
-                      X_PLUS_1, as_rational, pochhammer)
+                      X_PLUS_1, as_rational, rising)
 from .jacobi import jacobi_poly
 
 
@@ -58,22 +58,22 @@ def _check_n(n: int, least: int, what: str) -> None:
 def coeff_q(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x+1)-block, defined for n >= 1."""
     _check_n(n, 1, "coeff_q")
-    return (pochhammer(alpha + beta + 2, n) * pochhammer(beta + 2, n - 1)
-            / (2 * factorial(n) * pochhammer(alpha + 1, n - 1)))
+    return Fraction(rising(alpha + beta + 2, n) * rising(beta + 2, n - 1),
+                    2 * factorial(n) * rising(alpha + 1, n - 1))
 
 
 def coeff_r(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x-1)-block, defined for n >= 1."""
     _check_n(n, 1, "coeff_r")
-    return (pochhammer(alpha + beta + 2, n) * pochhammer(alpha + 2, n - 1)
-            / (2 * factorial(n) * pochhammer(beta + 1, n - 1)))
+    return Fraction(rising(alpha + beta + 2, n) * rising(alpha + 2, n - 1),
+                    2 * factorial(n) * rising(beta + 1, n - 1))
 
 
 def coeff_s(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x^2-1)-block, defined for n >= 2."""
     _check_n(n, 2, "coeff_s")
-    return (pochhammer(alpha + beta + 2, n) * pochhammer(alpha + beta + 2, n + 1)
-            / (Fraction(4) * (alpha + 1) * (beta + 1) * factorial(n - 1) * factorial(n)))
+    return Fraction(rising(alpha + beta + 2, n) * rising(alpha + beta + 2, n + 1),
+                    4 * (alpha + 1) * (beta + 1) * factorial(n - 1) * factorial(n))
 
 
 def poly_Q(n: int, alpha: int, beta: int) -> Poly:
@@ -97,7 +97,7 @@ def poly_S(n: int, alpha: int, beta: int) -> Poly:
     return coeff_s(n, alpha, beta) * X2_MINUS_1 * jacobi_poly(n - 2, alpha + 2, beta + 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _gen_jacobi_cached(n: int, params: Params) -> Poly:
     base = jacobi_poly(n, params.alpha, params.beta)
     out = base

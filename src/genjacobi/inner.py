@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
+from operator import mul
 
 from .algebra import (InvalidParam, ONE_MINUS_X, Poly, X_MINUS_1, X_PLUS_1,
                       pochhammer)
@@ -23,13 +25,18 @@ from .operators import (apply_combined, apply_L2, apply_Lfull, apply_Lhat,
 
 def integrate(f: Poly) -> Fraction:
     """Integral of f over [-1, 1]: odd monomials drop, x^k gives 2/(k+1)."""
-    total = Fraction(0)
-    for k, c in enumerate(f.coeffs):
-        if k % 2 == 0 and c:
-            total += 2 * c / (k + 1)
-    return total
+    weights, den = _monomial_integrals(len(f.nums))
+    return Fraction(sum(map(mul, f.nums[::2], weights)), den * f.den)
 
 
+@lru_cache(maxsize=256)
+def _monomial_integrals(length: int) -> tuple:
+    """(w, L) with w[j] / L the integral of x^(2j), for every even 2j < length."""
+    den = lcm(*range(1, length + 1, 2))
+    return tuple(2 * den // (k + 1) for k in range(0, length, 2)), den
+
+
+@lru_cache(maxsize=256, typed=True)
 def h_norm(alpha: int, beta: int) -> Fraction:
     """Total mass of the weight (1-x)^alpha (1+x)^beta over [-1, 1].
 
@@ -47,6 +54,7 @@ def h_norm_integral(alpha: int, beta: int) -> Fraction:
     return integrate(weight_poly(alpha, beta))
 
 
+@lru_cache(maxsize=256, typed=True)
 def weight_poly(alpha: int, beta: int) -> Poly:
     """(1-x)^alpha (1+x)^beta as an explicit polynomial."""
     a = _nonneg_int("alpha", alpha)
@@ -54,9 +62,24 @@ def weight_poly(alpha: int, beta: int) -> Poly:
     return ONE_MINUS_X ** a * X_PLUS_1 ** b
 
 
+# moment vectors grow in blocks, so one (alpha, beta) keeps few of them
+_MOMENT_BLOCK = 16
+
+
 def weighted_integral(f: Poly, alpha: int, beta: int) -> Fraction:
     """Normalized weight integral of f: h_norm(1) = 1 by construction."""
-    return integrate(f * weight_poly(alpha, beta)) / h_norm(alpha, beta)
+    size = -(-len(f.nums) // _MOMENT_BLOCK) * _MOMENT_BLOCK
+    moments, den = _normalized_moments(alpha, beta, size)
+    return Fraction(sum(map(mul, f.nums, moments)), den * f.den)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _normalized_moments(alpha: int, beta: int, size: int) -> tuple:
+    """(m, D) with m[k] / D the weight integral of x^k over h_norm, k < size."""
+    w, h = weight_poly(alpha, beta), h_norm(alpha, beta)
+    moments = [integrate(Poly.monomial(k) * w) / h for k in range(size)]
+    den = lcm(*(m.denominator for m in moments))
+    return tuple(m.numerator * (den // m.denominator) for m in moments), den
 
 
 @dataclass(frozen=True)

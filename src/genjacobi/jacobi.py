@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 
 from .algebra import (InvalidParam, Poly, Rational, RationalLike, X_MINUS_1,
                       X_PLUS_1, X2_MINUS_1, as_rational, pochhammer)
@@ -48,19 +48,28 @@ def jacobi_poly(n: int, gamma: RationalLike, delta: RationalLike) -> Poly:
     return _jacobi_hyp(n, p.gamma, p.delta)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _jacobi_hyp(n: int, gamma: Fraction, delta: Fraction) -> Poly:
-    # sum_k (-n)_k (n+gamma+delta+1)_k / ((gamma+1)_k k!) * ((1-x)/2)^k,
-    # scaled by (gamma+1)_n / n!; the ratio of consecutive terms is rational
-    half_shift = Poly([Fraction(1, 2), Fraction(-1, 2)])  # (1-x)/2
-    acc = Poly.zero()
-    power = Poly.one()
-    c = Fraction(1)
+    # (gamma+1)_n / n! * sum_k (-n)_k (n+gamma+delta+1)_k / ((gamma+1)_k k!) ((1-x)/2)^k.
+    # Folding the prefactor in, term k is C(n,k) (n+gamma+delta+1)_k
+    # (gamma+k+1)_(n-k) / n! * ((x-1)/2)^k.  With gamma = g/q and delta = d/q
+    # both Pochhammer products run over integers and share the denominator
+    # q^n, so the sum is accumulated in integers over q^n n! 2^n.
+    q = lcm(gamma.denominator, delta.denominator)
+    g, d = int(gamma * q), int(delta * q)
+    s = n * q + g + d + q
+    suffix = [1] * (n + 1)          # suffix[k] = prod_{k <= i < n} (g + (i+1) q)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * (g + (i + 1) * q)
+    coeffs = []                     # coefficients in powers of (x-1)
+    prefix = 1                      # prod_{i < k} (s + i q)
     for k in range(n + 1):
-        acc = acc + c * power
-        c *= Fraction(k - n) * (n + gamma + delta + 1 + k) / ((gamma + 1 + k) * (k + 1))
-        power = power * half_shift
-    return acc * (pochhammer(gamma + 1, n) / factorial(n))
+        coeffs.append(comb(n, k) * prefix * suffix[k] << (n - k))
+        prefix *= s + k * q
+    for i in range(n):              # Taylor shift: powers of (x-1) -> powers of x
+        for j in range(n - 1, i - 1, -1):
+            coeffs[j] -= coeffs[j + 1]
+    return Poly._norm(coeffs, q ** n * factorial(n) << n)
 
 
 def jacobi_recurrence(n: int, gamma: RationalLike, delta: RationalLike) -> Poly:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, perm
 from typing import Callable, Sequence
 
@@ -283,6 +284,7 @@ def eigen_high(kind: str, n: int, alpha: int, beta: int) -> EigenValue:
     raise InvalidParam(f"kind must be 'side' or 'full', got {kind!r}")
 
 
+@lru_cache(maxsize=256, typed=True)
 def const_b(alpha: int, beta: int) -> Fraction:
     """Normalization (alpha+2)! * (beta+1)_(alpha+1) of a side operator."""
     a = _nonneg_int("alpha", alpha)
@@ -290,6 +292,7 @@ def const_b(alpha: int, beta: int) -> Fraction:
     return factorial(a + 2) * pochhammer(b + 1, a + 1)
 
 
+@lru_cache(maxsize=256, typed=True)
 def const_c(alpha: int, beta: int) -> Fraction:
     """Normalization (alpha+1)(beta+1)(alpha+beta+3)((alpha+beta+1)!)^2."""
     a = _nonneg_int("alpha", alpha)
@@ -301,7 +304,10 @@ def eigen_combined(n: int, params: Params) -> EigenValue:
     """Eigenvalue of the combined operator on gen_jacobi(n, params)."""
     a, b = params.alpha, params.beta
     value = eigen_lambda2(n, a, b).value
-    value += params.M / const_b(b, a) * eigen_high("side", n, b, a).value
-    value += params.N / const_b(a, b) * eigen_high("side", n, a, b).value
-    value += params.M * params.N / const_c(a, b) * eigen_high("full", n, a, b).value
+    if params.M:
+        value += params.M / const_b(b, a) * eigen_high("side", n, b, a).value
+    if params.N:
+        value += params.N / const_b(a, b) * eigen_high("side", n, a, b).value
+    if params.M and params.N:
+        value += params.M * params.N / const_c(a, b) * eigen_high("full", n, a, b).value
     return EigenValue(value)

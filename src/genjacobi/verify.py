@@ -418,7 +418,13 @@ def verify_orthogonality(nmax: int, params: Params) -> VerifyReport:
 def _thread_count(threads=None) -> int:
     if threads is None:
         env = os.environ.get("GENJACOBI_THREADS", "")
-        threads = int(env) if env.isdigit() and int(env) > 0 else 1
+        if not env:
+            threads = 1
+        elif env.isdecimal() and int(env) > 0:
+            threads = int(env)
+        else:
+            raise InvalidParam(
+                f"GENJACOBI_THREADS must be a positive integer, got {env!r}")
     return max(1, min(int(threads), os.cpu_count() or 1))
 
 
@@ -502,13 +508,10 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
         for a, b in ab_grid:
             report.extend(verify_duran(2 * b + 8, a, b).cases)
     elif name == "symmetry":
-        points = []
-        for idx, (a, b) in enumerate(ab_grid):
-            for jdx, M in enumerate(masses_m):
-                for kdx, N in enumerate(masses_n):
-                    child = _point_seed(seed, idx * 1000 + jdx * 10 + kdx)
-                    points.append((trials, 2 * a + 2 * b + 8,
-                                   Params(a, b, M, N), child))
+        grid_points = [(a, b, M, N) for a, b in ab_grid
+                       for M in masses_m for N in masses_n]
+        points = [(trials, 2 * a + 2 * b + 8, Params(a, b, M, N), _point_seed(seed, index))
+                  for index, (a, b, M, N) in enumerate(grid_points)]
         report.extend(_map_points(_symmetry_point, points, threads))
     elif name == "orthogonality":
         for a, b in ab_grid:

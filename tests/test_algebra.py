@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genjacobi.algebra import (InvalidParam, NotDivisible, Poly, as_rational,
+from genjacobi.algebra import (InvalidParam, NotDivisible, ONE_MINUS_X, Poly,
+                               X2_MINUS_1, X_MINUS_1, X_PLUS_1, as_rational,
                                format_rational, pochhammer)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10)
@@ -92,6 +93,27 @@ def test_pochhammer():
     assert pochhammer(-2, 4) == 0  # crosses zero
     with pytest.raises(InvalidParam):
         pochhammer(1, -1)
+
+
+def test_pochhammer_int_path_matches_generic_product():
+    for a in range(-5, 41):
+        for k in range(21):
+            got = pochhammer(a, k)
+            want = Fraction(1)
+            for i in range(k):
+                want *= Fraction(a + i)
+            assert type(got) is Fraction
+            assert got == want, (a, k)
+            assert pochhammer(Fraction(a), k) == want
+
+
+def test_cached_powers_match_repeated_multiplication():
+    for base in (X_PLUS_1, X_MINUS_1, ONE_MINUS_X, X2_MINUS_1,
+                 Poly([Fraction(1, 2), Fraction(-1, 2)]), Poly([1, 2, 3, 4])):
+        want = Poly.one()
+        for k in range(25):
+            assert base ** k == want, (base, k)
+            want = want * base
 
 
 def test_immutability_and_hash():

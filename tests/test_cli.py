@@ -1,13 +1,16 @@
 """Command-line interface: subcommands, formats, exit codes."""
 import csv
+import hashlib
 import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from genjacobi.cli import main, poly_latex, rational_flag
 from genjacobi.algebra import Poly
+from genjacobi.verify import _thread_count
 
 
 def run(capsys, *argv):
@@ -154,6 +157,39 @@ def test_verify_seed_changes_nothing_for_deterministic_suites(capsys):
     rec1, rec2 = json.loads(out1), json.loads(out2)
     assert rec1["cases"] == rec2["cases"]
     assert rec1["seed"] == 1 and rec2["seed"] == 2
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_report_bytes_are_pinned(capsys, monkeypatch, threads):
+    # sha256 of the report before the integer scalar layer; serial and
+    # parallel runs must both reproduce it byte for byte
+    monkeypatch.setenv("GENJACOBI_THREADS", threads)
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--nmax", "2",
+                       "--alpha-max", "1", "--beta-max", "1", "--bigm", "1",
+                       "--bign", "1", "--format", "json", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1865cc289c27d8cae23faf5c9fdfdb62f4c61020f83472d993d457df4ea61274")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "2x", " 2"])
+def test_verify_bad_threads_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("GENJACOBI_THREADS", value)
+    code, out, err = run(capsys, "verify", "--suite", "cor24", "--nmax", "1")
+    assert code == 2
+    assert out == ""
+    assert "GENJACOBI_THREADS must be a positive integer" in err
+
+
+def test_threads_env_unset_empty_and_clamped(monkeypatch):
+    monkeypatch.delenv("GENJACOBI_THREADS", raising=False)
+    assert _thread_count() == 1
+    monkeypatch.setenv("GENJACOBI_THREADS", "")
+    assert _thread_count() == 1
+    monkeypatch.setenv("GENJACOBI_THREADS", "1")
+    assert _thread_count() == 1
+    monkeypatch.setenv("GENJACOBI_THREADS", str(10 ** 6))
+    assert _thread_count() == (os.cpu_count() or 1)
 
 
 def test_gram_plain_diagonal(capsys):

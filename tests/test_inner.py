@@ -12,10 +12,11 @@ from genjacobi.inner import (BoundaryValues, InnerProductResult, bilinear_U,
                              boundary_closed_forms, boundary_values,
                              gram_matrix, h_norm, h_norm_integral,
                              inner_product, integrate, mass_constant_identity,
-                             symmetry_defect, weighted_integral)
+                             symmetry_defect, weight_poly, weighted_integral)
 from genjacobi.jacobi import jacobi_poly
 from genjacobi.operators import (apply_L2, apply_Lfull, apply_Lhat,
                                  apply_Ltilde, const_b, const_c)
+from genjacobi.verify import SplitMix64, random_poly
 
 F = Fraction
 
@@ -29,6 +30,44 @@ def test_integrate_monomials():
     assert integrate(Poly.monomial(2)) == F(2, 3)
     assert integrate(Poly.monomial(7)) == 0
     assert integrate(Poly([1, 2, 3])) == 4
+
+
+def _integrate_by_terms(f: Poly) -> Fraction:
+    total = F(0)
+    for k, c in enumerate(f.coeffs):
+        if k % 2 == 0 and c:
+            total += 2 * c / (k + 1)
+    return total
+
+
+def _oracle_polys():
+    rng = SplitMix64(20170406)
+    polys = [Poly.zero(), Poly.one(), Poly.monomial(60, F(-7, 3))]
+    for degmax in (0, 1, 5, 15, 16, 17, 31, 40, 60):
+        polys.extend(random_poly(rng, degmax) for _ in range(4))
+    return polys
+
+
+def test_integrate_matches_term_by_term_sum():
+    for f in _oracle_polys():
+        assert integrate(f) == _integrate_by_terms(f)
+
+
+def test_weighted_integral_matches_weight_product():
+    polys = _oracle_polys()
+    for a, b in product(range(9), range(9)):
+        for f in polys:
+            want = _integrate_by_terms(f * weight_poly(a, b)) / h_norm(a, b)
+            assert weighted_integral(f, a, b) == want, (a, b, f)
+
+
+@pytest.mark.parametrize("fn", [lambda a, b: weighted_integral(Poly.x(), a, b),
+                                h_norm, weight_poly, const_b, const_c])
+def test_memoized_scalars_still_reject_bad_exponents(fn):
+    fn(1, 0)   # a cached (1, 0) entry must not answer for True or 1.0
+    for a, b in ((True, 0), (0, -1), (1.0, 0), (F(1), 0)):
+        with pytest.raises(InvalidParam):
+            fn(a, b)
 
 
 def test_h_norm_anchors_and_integral_oracle():

@@ -212,6 +212,20 @@ def test_run_suite_parallel_matches_serial():
     assert serial.to_json() == parallel.to_json()
 
 
+def test_symmetry_child_seeds_distinct_on_wide_mass_grid(monkeypatch):
+    seen = []
+
+    def record_seed(point):
+        seen.append(point[3])
+        return []
+
+    monkeypatch.setattr(verify, "_symmetry_point", record_seed)
+    masses = tuple(F(k) for k in range(11))
+    run_suite("symmetry", alpha_max=1, beta_max=0, masses=masses, threads=1)
+    assert len(seen) == 2 * 11 * 11
+    assert len(set(seen)) == len(seen)
+
+
 def test_thm21_subsumes_cor24_point():
     # the (0,0) grid point of the general suite covers the classical
     # special case checked independently by cor24
