@@ -1,37 +1,42 @@
-"""Kernel backend selection.
+"""Integer vector kernels.
 
-The compiled kernel (genjacobi._ckernel, built from Cython) is preferred when
-importable; otherwise the pure-Python twin is used.  Set GENJACOBI_PURE=1 to
-force the pure kernel, e.g. to compare results or benchmark the two.
+These three functions are the hot path of every exact polynomial operation:
+coefficient vectors are plain lists of Python ints (numerators over a shared
+denominator, managed by the caller).  Callers reach them as attributes of
+this module (``kernel.conv(...)``), so a profiler can wrap them in place.
 """
-import os
+from math import gcd
 
-from . import _pykernel
-
-try:
-    from . import _ckernel
-except ImportError:
-    _ckernel = None
-
-BACKENDS = {"python": _pykernel}
-if _ckernel is not None:
-    BACKENDS["cython"] = _ckernel
+# the label benchmark records carry; records from different kernels do not compare
+BACKEND = "python"
 
 
-def use_backend(name: str) -> None:
-    """Rebind the kernel functions to the named backend ('python'/'cython')."""
-    global BACKEND, conv, add_scaled, vec_gcd
-    try:
-        mod = BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown kernel backend {name!r}; have {sorted(BACKENDS)}") from None
-    BACKEND = name
-    conv = mod.conv
-    add_scaled = mod.add_scaled
-    vec_gcd = mod.vec_gcd
+def conv(a, b):
+    """Convolution of two nonempty int lists: coefficients of the product."""
+    res = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                res[i + j] += x * y
+    return res
 
 
-if os.environ.get("GENJACOBI_PURE", "") not in ("", "0"):
-    use_backend("python")
-else:
-    use_backend("cython" if _ckernel is not None else "python")
+def add_scaled(a, sa, b, sb):
+    """Elementwise sa*a + sb*b, shorter list padded with zeros."""
+    la, lb = len(a), len(b)
+    if la < lb:
+        a, sa, la, b, sb, lb = b, sb, lb, a, sa, la
+    res = [x * sa for x in a]
+    for i in range(lb):
+        res[i] += b[i] * sb
+    return res
+
+
+def vec_gcd(a):
+    """gcd of all entries (nonnegative; 0 for an empty or all-zero list)."""
+    g = 0
+    for v in a:
+        g = gcd(g, v)
+        if g == 1:
+            return 1
+    return g

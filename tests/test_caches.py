@@ -8,12 +8,7 @@ import genjacobi
 def _lru_caches():
     found = {}
     for info in pkgutil.iter_modules(genjacobi.__path__):
-        if info.name == "__main__":   # importing it runs the CLI
-            continue
-        try:
-            module = importlib.import_module(f"genjacobi.{info.name}")
-        except ImportError:   # the optional compiled kernel
-            continue
+        module = importlib.import_module(f"genjacobi.{info.name}")
         for name, value in vars(module).items():
             if hasattr(value, "cache_info") and hasattr(value, "cache_parameters"):
                 found[f"{info.name}.{name}"] = value

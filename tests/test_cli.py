@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, formats, exit codes."""
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import genjacobi
 from genjacobi.cli import main, poly_latex, rational_flag
 from genjacobi.algebra import Poly
 from genjacobi.verify import _thread_count
@@ -234,3 +239,24 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_importing_main_module_runs_nothing(monkeypatch, capsys):
+    # argv that the CLI would reject with exit 2 if the import ran it
+    monkeypatch.setattr(sys, "argv", ["importer", "frobnicate"])
+    monkeypatch.delitem(sys.modules, "genjacobi.__main__", raising=False)
+    module = importlib.import_module("genjacobi.__main__")
+    assert callable(module.entry)
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(genjacobi.__file__).parents[1]))
+    env.pop("GENJACOBI_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "genjacobi", "verify", "--suite", "cor24", "--nmax", "0",
+         "--bigm", "1", "--bign", "1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout
