@@ -8,14 +8,14 @@ from .genjacobi import (Params, coeff_q, coeff_r, coeff_s, gen_jacobi, poly_Q,
                         poly_R, poly_S)
 from .inner import (InnerProductResult, boundary_values, gram_matrix, h_norm,
                     inner_product, symmetry_defect, weighted_integral)
-from .jacobi import jacobi_poly, jacobi_recurrence, verify_diff_identities
+from .jacobi import jacobi_poly, jacobi_recurrence
 from .operators import (DiffOperator, EigenValue, InconsistentExpansion,
                         apply_L2, apply_Lfull, apply_Lhat, apply_Ltilde,
                         apply_combined, apply_duran, apply_factorized,
                         const_b, const_c, eigen_combined, eigen_high,
                         eigen_lambda2, expand_operator)
 from .report import Case, VerifyReport
-from .verify import run_suite
+from .verify import run_suite, verify_diff_identities
 
 __version__ = "0.1.0"
 

@@ -15,9 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
-from .algebra import (InvalidParam, Poly, Rational, RationalLike, X_MINUS_1,
-                      X_PLUS_1, X2_MINUS_1, as_rational, pochhammer)
-from .report import Case, VerifyReport, params_str
+from .algebra import InvalidParam, Poly, RationalLike, as_rational, pochhammer
 
 
 @dataclass(frozen=True)
@@ -96,51 +94,3 @@ def leading_coeff(n: int, gamma: RationalLike, delta: RationalLike) -> Fraction:
     """Closed form for the x^n coefficient of jacobi_poly(n, gamma, delta)."""
     g, d = as_rational(gamma), as_rational(delta)
     return pochhammer(n + g + d + 1, n) / (Fraction(2) ** n * factorial(n))
-
-
-def verify_diff_identities(n: int, gamma: RationalLike, delta: RationalLike) -> VerifyReport:
-    """Check the four derivative/parameter-shift identities at one point.
-
-    Each identity is checked in cofactor form: the common weight factor
-    (x-1)^(gamma-1) (x+1)^(delta-1) is stripped from both sides first, so the
-    check stays inside exact polynomial arithmetic even for fractional
-    parameters.  Identities whose parameter constraint fails are recorded as
-    skipped with the violated constraint.
-    """
-    g, d = as_rational(gamma), as_rational(delta)
-    pstr = params_str(gamma=g, delta=d)
-    report = VerifyReport("diff-identities", grid={"n": str(n), **pstr})
-    P = jacobi_poly(n, g, d)
-    dP = P.derive()
-
-    # plain derivative: lowers the degree, raises both parameters
-    rhs = jacobi_poly(n - 1, g + 1, d + 1) if n >= 1 else Poly.zero()
-    res = dP - Fraction(n + g + d + 1, 2) * rhs
-    report.add(Case.check("derivative raises both parameters", pstr, n, res))
-
-    # derivative of the fully weighted polynomial: raises degree, lowers both
-    if g > 0 and d > 0:
-        lhs = g * X_PLUS_1 * P + d * X_MINUS_1 * P + X2_MINUS_1 * dP
-        res = lhs - 2 * (n + 1) * jacobi_poly(n + 1, g - 1, d - 1)
-        report.add(Case.check("weighted derivative, both endpoint factors", pstr, n, res))
-    else:
-        report.add(Case.skip("weighted derivative, both endpoint factors", pstr, n,
-                             "needs gamma > 0 and delta > 0"))
-
-    # derivative through the (x-1)^gamma factor alone
-    if g > 0:
-        lhs = g * P + X_MINUS_1 * dP
-        res = lhs - (n + g) * jacobi_poly(n, g - 1, d + 1)
-        report.add(Case.check("weighted derivative, x=1 factor", pstr, n, res))
-    else:
-        report.add(Case.skip("weighted derivative, x=1 factor", pstr, n, "needs gamma > 0"))
-
-    # derivative through the (x+1)^delta factor alone
-    if d > 0:
-        lhs = d * P + X_PLUS_1 * dP
-        res = lhs - (n + d) * jacobi_poly(n, g + 1, d - 1)
-        report.add(Case.check("weighted derivative, x=-1 factor", pstr, n, res))
-    else:
-        report.add(Case.skip("weighted derivative, x=-1 factor", pstr, n, "needs delta > 0"))
-
-    return report

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
-from typing import Callable, Sequence
 
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
                       X_PLUS_1, as_rational, pochhammer)
@@ -182,20 +181,19 @@ def apply_factorized(kind: str, y: Poly, alpha: int, beta: int) -> Poly:
     """
     a = _nonneg_int("alpha", alpha)
     b = _nonneg_int("beta", beta)
-    if kind == "A":
-        upper = b + 1
-    elif kind == "B":
-        upper = a + 1
-    elif kind == "C":
-        upper = a + b + 2
-    else:
+    # kind -> (highest shift index, pole at x = -1, pole at x = +1)
+    kinds = {"A": (b + 1, True, False),
+             "B": (a + 1, False, True),
+             "C": (a + b + 2, True, True)}
+    if kind not in kinds:
         raise InvalidParam(f"kind must be one of {FACTORIZED_KINDS}, got {kind!r}")
+    upper, pole_minus, pole_plus = kinds[kind]
     out = y
     for j in range(upper, -1, -1):
         term = apply_L2(out, a, b) + j * (a + b + 1 - j) * out
-        if kind in ("A", "C"):
+        if pole_minus:
             term = term + 2 * (b + 1) * (out / X_PLUS_1)
-        if kind in ("B", "C"):
+        if pole_plus:
             term = term - 2 * (a + 1) * (out / X_MINUS_1)
         out = term
     return out
@@ -226,23 +224,16 @@ def expand_operator(kind: str, params: Params) -> DiffOperator:
     suite checks against the direct application paths.
     """
     a, b = params.alpha, params.beta
-    if kind == "L2":
-        op: Callable[[Poly], Poly] = lambda y: apply_L2(y, a, b)
-        order = 2
-    elif kind == "Ltilde":
-        op = lambda y: apply_Ltilde(y, a, b)
-        order = 2 * b + 4
-    elif kind == "Lhat":
-        op = lambda y: apply_Lhat(y, a, b)
-        order = 2 * a + 4
-    elif kind == "Lfull":
-        op = lambda y: apply_Lfull(y, a, b)
-        order = 2 * a + 2 * b + 6
-    elif kind == "Combined":
-        op = lambda y: apply_combined(y, params)
-        order = 2 * a + 2 * b + 6
-    else:
+    kinds = {   # kind -> (operator, nominal order)
+        "L2": (lambda y: apply_L2(y, a, b), 2),
+        "Ltilde": (lambda y: apply_Ltilde(y, a, b), 2 * b + 4),
+        "Lhat": (lambda y: apply_Lhat(y, a, b), 2 * a + 4),
+        "Lfull": (lambda y: apply_Lfull(y, a, b), 2 * a + 2 * b + 6),
+        "Combined": (lambda y: apply_combined(y, params), 2 * a + 2 * b + 6),
+    }
+    if kind not in kinds:
         raise InvalidParam(f"kind must be one of {OPERATOR_KINDS}, got {kind!r}")
+    op, order = kinds[kind]
 
     if not op(Poly.one()).is_zero:
         raise InconsistentExpansion(f"{kind} does not annihilate constants")

@@ -50,6 +50,13 @@ class Case:
         return cls(label, dict(params), n, render_value(residual), bool(zero))
 
     @classmethod
+    def holds(cls, label: str, params: Mapping[str, str], n: Optional[int],
+              ok: bool, witness: ResidualLike) -> "Case":
+        """Record a predicate; it passes iff ok.  A passing case renders
+        residual 0, a failing one the offending quantity (witness)."""
+        return cls(label, dict(params), n, "0" if ok else render_value(witness), bool(ok))
+
+    @classmethod
     def skip(cls, label: str, params: Mapping[str, str], n: Optional[int],
              reason: str) -> "Case":
         """Record a case whose precondition is unmet."""
@@ -167,10 +174,6 @@ class VerifyReport:
         return "\n".join(lines)
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.to_json()
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "latex":
-            return self.to_latex()
-        return self.to_plain()
+        """The report in one format; any format not named is plain text."""
+        renderers = {"json": self.to_json, "csv": self.to_csv, "latex": self.to_latex}
+        return renderers.get(fmt, self.to_plain)()

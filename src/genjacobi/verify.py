@@ -19,10 +19,15 @@ orthogonality) are stable CLI-facing names:
 - orthogonality: Gram off-diagonals, diagonal positivity, eigenvalue
   monotonicity, and the eigenvalue-gap orthogonality chain.
 
+verify_diff_identities checks the classical Jacobi derivative identities at
+one point; it is a library call, not a suite of the grid runner.
+
 Randomized suites draw from a splitmix64 stream (documented in the README)
-so runs are reproducible from (grid, seed) alone.  run_suite() iterates a
-suite over a parameter grid, optionally in parallel processes; case order
-is deterministic regardless of parallelism.
+so runs are reproducible from (grid, seed) alone.  run_suite() looks a suite
+up in one table that maps its name to its grid points, each a (worker,
+args) pair, and runs every suite's points the same way: serially, or fanned
+out to a process pool under GENJACOBI_THREADS.  Case order follows point
+order, so it is deterministic regardless of parallelism.
 """
 from __future__ import annotations
 
@@ -30,6 +35,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
                       X_PLUS_1, as_rational, pochhammer)
@@ -45,8 +51,6 @@ from .operators import (apply_combined, apply_duran, apply_factorized,
                         eigen_lambda2, expand_operator)
 from .report import Case, VerifyReport, params_str
 
-SUITE_NAMES = ("thm21", "prop22", "prop23", "cor24", "cor25", "duran",
-               "symmetry", "orthogonality")
 DEFAULT_NMAX = 12
 DEFAULT_ALPHA_MAX = 3
 DEFAULT_BETA_MAX = 3
@@ -94,6 +98,56 @@ def random_poly(rng: SplitMix64, degmax: int) -> Poly:
 def _point_seed(seed: int, index: int) -> int:
     """Independent child seed per grid point, stable across run orders."""
     return SplitMix64((seed ^ (index * 0x9E3779B97F4A7C15)) & _MASK64).next_u64()
+
+
+# ---------------- classical Jacobi derivative identities ----------------
+
+def verify_diff_identities(n: int, gamma: RationalLike, delta: RationalLike) -> VerifyReport:
+    """Check the four derivative/parameter-shift identities at one point.
+
+    Each identity is checked in cofactor form: the common weight factor
+    (x-1)^(gamma-1) (x+1)^(delta-1) is stripped from both sides first, so the
+    check stays inside exact polynomial arithmetic even for fractional
+    parameters.  Identities whose parameter constraint fails are recorded as
+    skipped with the violated constraint.
+    """
+    g, d = as_rational(gamma), as_rational(delta)
+    pstr = params_str(gamma=g, delta=d)
+    report = VerifyReport("diff-identities", grid={"n": str(n), **pstr})
+    P = jacobi_poly(n, g, d)
+    dP = P.derive()
+
+    # plain derivative: lowers the degree, raises both parameters
+    rhs = jacobi_poly(n - 1, g + 1, d + 1) if n >= 1 else Poly.zero()
+    res = dP - Fraction(n + g + d + 1, 2) * rhs
+    report.add(Case.check("derivative raises both parameters", pstr, n, res))
+
+    # derivative of the fully weighted polynomial: raises degree, lowers both
+    if g > 0 and d > 0:
+        lhs = g * X_PLUS_1 * P + d * X_MINUS_1 * P + X2_MINUS_1 * dP
+        res = lhs - 2 * (n + 1) * jacobi_poly(n + 1, g - 1, d - 1)
+        report.add(Case.check("weighted derivative, both endpoint factors", pstr, n, res))
+    else:
+        report.add(Case.skip("weighted derivative, both endpoint factors", pstr, n,
+                             "needs gamma > 0 and delta > 0"))
+
+    # derivative through the (x-1)^gamma factor alone
+    if g > 0:
+        lhs = g * P + X_MINUS_1 * dP
+        res = lhs - (n + g) * jacobi_poly(n, g - 1, d + 1)
+        report.add(Case.check("weighted derivative, x=1 factor", pstr, n, res))
+    else:
+        report.add(Case.skip("weighted derivative, x=1 factor", pstr, n, "needs gamma > 0"))
+
+    # derivative through the (x+1)^delta factor alone
+    if d > 0:
+        lhs = d * P + X_PLUS_1 * dP
+        res = lhs - (n + d) * jacobi_poly(n, g + 1, d - 1)
+        report.add(Case.check("weighted derivative, x=-1 factor", pstr, n, res))
+    else:
+        report.add(Case.skip("weighted derivative, x=-1 factor", pstr, n, "needs delta > 0"))
+
+    return report
 
 
 # ---------------- combined eigen-equation suite ----------------
@@ -398,14 +452,13 @@ def verify_orthogonality(nmax: int, params: Params) -> VerifyReport:
         for j in range(i + 1, nmax + 1):
             report.add(Case.check(f"gram entry ({i},{j})", pstr, None, gram[i][j]))
     for i in range(nmax + 1):
-        ok = gram[i][i] > 0
-        report.add(Case.check("gram diagonal entry positive", pstr, i,
-                              Fraction(0) if ok else 1 - gram[i][i]))
+        report.add(Case.holds("gram diagonal entry positive", pstr, i,
+                              gram[i][i] > 0, gram[i][i]))
     lams = [eigen_combined(n, params).value for n in range(nmax + 6)]
     for n in range(nmax + 5):
-        ok = lams[n + 1] > lams[n]
-        report.add(Case.check("combined eigenvalue strictly increasing", pstr, n,
-                              Fraction(0) if ok else 1 + lams[n] - lams[n + 1]))
+        gap = lams[n + 1] - lams[n]
+        report.add(Case.holds("combined eigenvalue strictly increasing", pstr, n,
+                              gap > 0, gap))
     for i in range(nmax + 1):
         for j in range(i + 1, nmax + 1):
             report.add(Case.check(f"eigen-gap times gram entry ({i},{j})", pstr, None,
@@ -438,16 +491,57 @@ def _symmetry_point(args) -> list:
     return verify_symmetry(trials, degmax, params, seed).cases
 
 
-def _map_points(worker, points, threads: int) -> list:
+class _Grid(NamedTuple):
+    """The parameter grid of one run_suite call."""
+
+    nmax: int
+    seed: int
+    trials: int
+    ab: list            # (alpha, beta) pairs
+    masses: list        # (M, N) pairs
+
+    @property
+    def params(self) -> list:
+        return [Params(a, b, M, N) for a, b in self.ab for M, N in self.masses]
+
+
+# Suite name -> the grid points of that suite, each a (worker, args) pair
+# that runs as worker(*args).  Workers are looked up when the points are
+# built, not here, so a rebound module attribute takes effect.
+# _thm21_point and _symmetry_point take their point as one tuple.
+_SUITES = {
+    "thm21": lambda g: (
+        [(_thm21_point, ((g.nmax, p),)) for p in g.params]
+        + [(_expansion_cases, (a, b)) for a, b in g.ab]),
+    "prop22": lambda g: [(verify_prop22, (g.nmax, a, b)) for a, b in g.ab],
+    "prop23": lambda g: [(verify_prop23, (g.nmax, a, b)) for a, b in g.ab],
+    "cor24": lambda g: [(verify_cor24, (min(g.nmax, 10), M, N)) for M, N in g.masses],
+    "cor25": lambda g: [(verify_cor25, (min(g.nmax, 10), a, b)) for a, b in g.ab],
+    "duran": lambda g: [(verify_duran, (2 * b + 8, a, b)) for a, b in g.ab],
+    "symmetry": lambda g: [
+        (_symmetry_point, ((g.trials, 2 * p.alpha + 2 * p.beta + 8, p,
+                            _point_seed(g.seed, index)),))
+        for index, p in enumerate(g.params)],
+    "orthogonality": lambda g: [(verify_orthogonality, (min(g.nmax, 10), p))
+                                for p in g.params],
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
+def _run_point(point) -> list:
+    """The cases of one (worker, args) point; runs in a pool worker too."""
+    worker, args = point
+    out = worker(*args)
+    return out.cases if isinstance(out, VerifyReport) else out
+
+
+def _map_points(points, threads: int) -> list:
     if threads > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(worker, points))
+            chunks = list(ex.map(_run_point, points))
     else:
-        chunks = [worker(p) for p in points]
-    cases = []
-    for chunk in chunks:
-        cases.extend(chunk)
-    return cases
+        chunks = map(_run_point, points)
+    return [case for chunk in chunks for case in chunk]
 
 
 def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
@@ -458,6 +552,11 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
               trials: int = DEFAULT_TRIALS, threads=None) -> VerifyReport:
     """Run one suite (or 'all') over the parameter grid, merged into a
     single report.  Deterministic given the grid and seed.
+
+    Every suite is one entry of the suite table: its grid points run
+    through the same path, serially or fanned out to a process pool of
+    `threads` workers (default GENJACOBI_THREADS), one pool per suite.
+    'all' runs each suite in turn through this function.
 
     masses is the default grid for both point masses; masses_m / masses_n
     override one axis (the CLI uses this to pin --bigm / --bign).
@@ -478,45 +577,13 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
                                    masses_n=masses_n, seed=seed,
                                    trials=trials, threads=threads))
         return merged
-    if name not in SUITE_NAMES:
+    if name not in _SUITES:
         raise InvalidParam(f"unknown suite {name!r}; choose from "
                            f"{SUITE_NAMES + ('all',)}")
 
+    g = _Grid(nmax, seed, trials,
+              ab=[(a, b) for a in range(alpha_max + 1) for b in range(beta_max + 1)],
+              masses=[(M, N) for M in masses_m for N in masses_n])
     report = VerifyReport(name, grid=grid, seed=seed)
-    ab_grid = [(a, b) for a in range(alpha_max + 1) for b in range(beta_max + 1)]
-
-    if name == "thm21":
-        points = [(nmax, Params(a, b, M, N))
-                  for a, b in ab_grid for M in masses_m for N in masses_n]
-        report.extend(_map_points(_thm21_point, points, threads))
-        for a, b in ab_grid:
-            report.extend(_expansion_cases(a, b))
-    elif name == "prop22":
-        for a, b in ab_grid:
-            report.extend(verify_prop22(nmax, a, b).cases)
-    elif name == "prop23":
-        for a, b in ab_grid:
-            report.extend(verify_prop23(nmax, a, b).cases)
-    elif name == "cor24":
-        for M in masses_m:
-            for N in masses_n:
-                report.extend(verify_cor24(min(nmax, 10), M, N).cases)
-    elif name == "cor25":
-        for a, b in ab_grid:
-            report.extend(verify_cor25(min(nmax, 10), a, b).cases)
-    elif name == "duran":
-        for a, b in ab_grid:
-            report.extend(verify_duran(2 * b + 8, a, b).cases)
-    elif name == "symmetry":
-        grid_points = [(a, b, M, N) for a, b in ab_grid
-                       for M in masses_m for N in masses_n]
-        points = [(trials, 2 * a + 2 * b + 8, Params(a, b, M, N), _point_seed(seed, index))
-                  for index, (a, b, M, N) in enumerate(grid_points)]
-        report.extend(_map_points(_symmetry_point, points, threads))
-    elif name == "orthogonality":
-        for a, b in ab_grid:
-            for M in masses_m:
-                for N in masses_n:
-                    report.extend(
-                        verify_orthogonality(min(nmax, 10), Params(a, b, M, N)).cases)
+    report.extend(_map_points(_SUITES[name](g), threads))
     return report

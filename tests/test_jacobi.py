@@ -6,7 +6,8 @@ import pytest
 
 from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1, pochhammer
 from genjacobi.jacobi import (JacobiParams, jacobi_poly, jacobi_recurrence,
-                              leading_coeff, verify_diff_identities)
+                              leading_coeff)
+from genjacobi.verify import verify_diff_identities
 
 GRID = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1, 2),
         Fraction(7, 3)]

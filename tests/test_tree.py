@@ -1,4 +1,5 @@
 """Repository hygiene that the code itself cannot see."""
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+MATH_LAYER = ("kernel", "algebra", "jacobi", "genjacobi", "operators", "inner")
 
 
 def _git(*args):
@@ -22,3 +24,26 @@ def test_no_tracked_file_is_ignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def _imported_modules(path: Path) -> set:
+    """Absolute names of the modules a genjacobi source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "genjacobi" if node.level else ""
+            if node.module:
+                base = f"{base}.{node.module}" if base else node.module
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_math_layer_does_not_import_the_runner_layer():
+    # the math modules produce polynomials and rationals; cases and
+    # reports are built on top of them, never below
+    for module in MATH_LAYER:
+        imported = _imported_modules(ROOT / "src" / "genjacobi" / f"{module}.py")
+        assert not imported & {"genjacobi.report", "genjacobi.verify"}, module

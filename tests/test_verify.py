@@ -107,6 +107,34 @@ def test_orthogonality_passes():
     assert any(l.startswith("gram entry") for l in labels)
 
 
+def test_failing_orthogonality_predicates_carry_the_offending_value(monkeypatch):
+    real_gram, real_eigen = verify.gram_matrix, verify.eigen_combined
+
+    def bad_gram(nmax, params):
+        gram = [list(row) for row in real_gram(nmax, params)]
+        gram[2][2] = F(-3, 5)
+        return gram
+
+    def bad_eigen(n, params):
+        ev = real_eigen(n, params)
+        return EigenValue(value=real_eigen(3, params).value - 7) if n == 4 else ev
+
+    monkeypatch.setattr(verify, "gram_matrix", bad_gram)
+    monkeypatch.setattr(verify, "eigen_combined", bad_eigen)
+    pr = Params(0, 0, 1, 1)
+    rep = verify_orthogonality(5, pr)
+    failing = {(c.label, c.n): c for c in rep.cases if not c.passed}
+    diag = failing.pop(("gram diagonal entry positive", 2))
+    assert diag.residual == "-3/5"
+    rise = failing.pop(("combined eigenvalue strictly increasing", 3))
+    assert rise.residual == "-7"
+    assert not failing
+    for c in rep.cases:
+        if c.passed and c.label in ("gram diagonal entry positive",
+                                    "combined eigenvalue strictly increasing"):
+            assert c.residual == "0"
+
+
 def test_run_suite_each_name_reduced_grid():
     for name in SUITE_NAMES:
         rep = run_suite(name, nmax=3, alpha_max=1, beta_max=1,
@@ -202,14 +230,13 @@ def test_report_plain_summary_line():
 
 
 def test_run_suite_parallel_matches_serial():
-    kwargs = dict(nmax=3, alpha_max=1, beta_max=0, masses=(F(1),),
+    # two masses, so every suite, cor24 included, has more than one point
+    kwargs = dict(nmax=3, alpha_max=1, beta_max=0, masses=(F(0), F(1)),
                   seed=3, trials=2)
-    serial = run_suite("symmetry", threads=1, **kwargs)
-    parallel = run_suite("symmetry", threads=4, **kwargs)
-    assert serial.to_json() == parallel.to_json()
-    serial = run_suite("thm21", threads=1, **kwargs)
-    parallel = run_suite("thm21", threads=4, **kwargs)
-    assert serial.to_json() == parallel.to_json()
+    for name in SUITE_NAMES + ("all",):
+        serial = run_suite(name, threads=1, **kwargs)
+        parallel = run_suite(name, threads=4, **kwargs)
+        assert serial.to_json() == parallel.to_json(), name
 
 
 def test_symmetry_child_seeds_distinct_on_wide_mass_grid(monkeypatch):
