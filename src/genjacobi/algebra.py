@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, perm
+from math import gcd, lcm, perm, prod
 from typing import Iterable, Sequence, Union
 
 from . import kernel
@@ -50,31 +50,18 @@ def as_rational(value: RationalLike) -> Fraction:
     raise InvalidParam(f"not an exact rational: {value!r} (floats are not accepted)")
 
 
+@lru_cache(maxsize=4096, typed=True)
 def pochhammer(a: RationalLike, k: int) -> Fraction:
-    """Shifted factorial (a)_k = a(a+1)...(a+k-1), with (a)_0 = 1."""
+    """Shifted factorial (a)_k = a(a+1)...(a+k-1), with (a)_0 = 1.
+
+    For a = p/q this is (p)(p+q)...(p+(k-1)q) / q^k, one integer product.
+    The cache is typed, so a float argument is never served an int's entry.
+    """
     if k < 0:
         raise InvalidParam(f"pochhammer needs k >= 0, got {k}")
-    if type(a) is int:
-        return _pochhammer_int(a, k)
     a = as_rational(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
-
-
-def rising(a: int, k: int) -> int:
-    """Integer shifted factorial (a)_k for integer a and k >= 0."""
-    if a > 0:
-        return perm(a + k - 1, k)
-    if a + k > 0:
-        return 0   # the product passes through 0
-    return perm(-a, k) if k % 2 == 0 else -perm(-a, k)
-
-
-@lru_cache(maxsize=4096)
-def _pochhammer_int(a: int, k: int) -> Fraction:
-    return Fraction(rising(a, k))
+    p, q = a.numerator, a.denominator
+    return Fraction(prod(range(p, p + k * q, q)), q ** k)
 
 
 def _canonical(nums: list, den: int) -> tuple:
@@ -278,48 +265,35 @@ class Poly:
         return Poly._raw(nums, self.den)
 
     def exact_div(self, d: "Poly") -> "Poly":
-        """Quotient q with self == q * d exactly; NotDivisible otherwise."""
+        """Quotient q with self == q * d exactly; NotDivisible otherwise.
+
+        Integer synthetic division: the dividend's numerators are scaled by
+        lead**m (lead = the divisor's leading numerator, m = the number of
+        quotient terms), so every step r[i] // lead is exact.
+        """
         if d.is_zero:
             raise ZeroDivisionError("division of Poly by zero polynomial")
         if self.is_zero:
             return Poly.zero()
         if self.degree < d.degree:
             raise NotDivisible(f"degree {self.degree} < divisor degree {d.degree}")
-        if d.den == 1 and d.nums[-1] == 1:
-            return self._div_monic_int(d)
-        return self._div_general(d)
-
-    def _div_monic_int(self, d: "Poly") -> "Poly":
-        # all-integer synthetic division by a monic divisor
-        r = list(self.nums)
         dn = d.nums
         dd = len(dn) - 1
+        lead = dn[-1]
+        scale = lead ** (len(self.nums) - dd)
+        r = [n * scale for n in self.nums]
         q = [0] * (len(r) - dd)
         for i in range(len(r) - 1, dd - 1, -1):
             c = r[i]
             if c:
+                c //= lead
                 q[i - dd] = c
                 for j in range(dd + 1):
                     r[i - dd + j] -= c * dn[j]
         if any(r[:dd]):
-            raise NotDivisible(f"remainder {Poly._norm(r[:dd], self.den)!r} dividing by {d!r}")
-        return Poly._norm(q, self.den)
-
-    def _div_general(self, d: "Poly") -> "Poly":
-        r = list(self.coeffs)
-        dc = d.coeffs
-        dd = len(dc) - 1
-        lead = dc[-1]
-        q = [Fraction(0)] * (len(r) - dd)
-        for i in range(len(r) - 1, dd - 1, -1):
-            c = r[i] / lead
-            if c:
-                q[i - dd] = c
-                for j in range(dd + 1):
-                    r[i - dd + j] -= c * dc[j]
-        if any(r[:dd]):
-            raise NotDivisible(f"remainder {Poly(r[:dd])!r} dividing by {d!r}")
-        return Poly(q)
+            raise NotDivisible(
+                f"remainder {Poly._norm(r[:dd], scale * self.den)!r} dividing by {d!r}")
+        return Poly._norm([c * d.den for c in q], scale * self.den)
 
     def eval(self, x: RationalLike) -> Fraction:
         """Exact value at a rational point (integer Horner, one reduction)."""

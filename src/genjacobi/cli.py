@@ -26,8 +26,8 @@ from .inner import gram_matrix
 from .jacobi import jacobi_poly
 from .operators import OPERATOR_KINDS, expand_operator
 from .report import params_str
-from .verify import (DEFAULT_ALPHA_MAX, DEFAULT_BETA_MAX, DEFAULT_NMAX,
-                     DEFAULT_SEED, SUITE_NAMES, run_suite)
+from .verify import (DEFAULT_ALPHA_MAX, DEFAULT_BETA_MAX, DEFAULT_MASSES,
+                     DEFAULT_NMAX, DEFAULT_SEED, SUITE_NAMES, run_suite)
 
 FORMATS = ("plain", "json", "csv", "latex")
 
@@ -230,15 +230,11 @@ def main(argv=None) -> int:
             print(cmd_gram(args.nmax, params, args.format))
             return 0
         # verify
-        if args.nmax < 0:
-            raise InvalidParam(f"--nmax must be >= 0, got {args.nmax}")
-        if args.alpha_max < 0 or args.beta_max < 0:
-            raise InvalidParam("--alpha-max and --beta-max must be >= 0")
         report = run_suite(
             args.suite, nmax=args.nmax, alpha_max=args.alpha_max,
             beta_max=args.beta_max, seed=args.seed,
-            masses_m=None if args.bigm is None else (args.bigm,),
-            masses_n=None if args.bign is None else (args.bign,))
+            masses_m=DEFAULT_MASSES if args.bigm is None else (args.bigm,),
+            masses_n=DEFAULT_MASSES if args.bign is None else (args.bign,))
         print(report.render(args.format))
         return 0 if report.all_pass else 1
     except (InvalidParam, NotDivisible) as exc:

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
-                      X_PLUS_1, as_rational, rising)
+                      X_PLUS_1, as_rational)
 from .jacobi import jacobi_poly
 
 
@@ -48,6 +48,11 @@ class Params:
     def swapped(self) -> "Params":
         """Mirror parameters under x -> -x: swap alpha/beta and M/N."""
         return Params(self.beta, self.alpha, self.N, self.M)
+
+
+def rising(a: int, k: int) -> int:
+    """Integer shifted factorial (a)_k = a(a+1)...(a+k-1) for k >= 0."""
+    return prod(range(a, a + k))
 
 
 def _check_n(n: int, least: int, what: str) -> None:

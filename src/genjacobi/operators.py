@@ -82,19 +82,15 @@ def _nonneg_int(name: str, value) -> int:
     return value
 
 
-def _pencil(y: Poly, gamma, delta) -> Poly:
-    """(x^2-1)y'' + [gamma-delta+(gamma+delta+2)x]y' for rational parameters."""
-    g, d = as_rational(gamma), as_rational(delta)
-    return X2_MINUS_1 * y.derive(2) + Poly([g - d, g + d + 2]) * y.derive(1)
-
-
 def apply_L2(y: Poly, alpha: RationalLike, beta: RationalLike) -> Poly:
-    """Second-order Jacobi operator in expanded pencil form.
+    """Second-order Jacobi operator in expanded pencil form,
+    (x^2-1)y'' + [alpha-beta+(alpha+beta+2)x]y'.
 
     Parameters may be any exact rationals; the pencil needs no endpoint
     powers, so nothing restricts them to integers here.
     """
-    return _pencil(y, alpha, beta)
+    a, b = as_rational(alpha), as_rational(beta)
+    return X2_MINUS_1 * y.derive(2) + Poly([a - b, a + b + 2]) * y.derive(1)
 
 
 def apply_L2_conjugated(y: Poly, alpha: int, beta: int) -> Poly:
@@ -211,8 +207,8 @@ def apply_duran(y: Poly, alpha: int, beta: int) -> Poly:
     b = _nonneg_int("beta", beta)
     out = y
     for j in range(b + 1):
-        out = _pencil(out, a, b + 1) + (a + 1 + j) * (b + 1 - j) * out
-    return _pencil(out, a, -1)
+        out = apply_L2(out, a, b + 1) + (a + 1 + j) * (b + 1 - j) * out
+    return apply_L2(out, a, -1)
 
 
 def expand_operator(kind: str, params: Params) -> DiffOperator:

@@ -386,18 +386,20 @@ def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
 def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
                          n: int) -> list:
     a, b = params.alpha, params.beta
+    l2, lt = apply_L2(f, a, b), apply_Ltilde(f, a, b)
+    lh, lf = apply_Lhat(f, a, b), apply_Lfull(f, a, b)
     cases = [Case.check("combined operator symmetry defect", pstr, n,
                         symmetry_defect(f, g, params))]
 
-    res = weighted_integral(apply_L2(f, a, b) * g, a, b) - bilinear_U(f, g, a, b)
+    res = weighted_integral(l2 * g, a, b) - bilinear_U(f, g, a, b)
     cases.append(Case.check("second-order form pairing", pstr, n, res))
 
-    res = (weighted_integral(apply_Ltilde(f, a, b) * g, a, b)
+    res = (weighted_integral(lt * g, a, b)
            - bilinear_Vt(f, g, a, b)
            - 2 * (b + 1) * const_b(b, a) * f.derive().eval(-1) * g.eval(-1))
     cases.append(Case.check("mass(-1) form pairing", pstr, n, res))
 
-    res = (weighted_integral(apply_Lhat(f, a, b) * g, a, b)
+    res = (weighted_integral(lh * g, a, b)
            - bilinear_V(f, g, a, b)
            + 2 * (a + 1) * const_b(a, b) * f.derive().eval(1) * g.eval(1))
     cases.append(Case.check("mass(+1) form pairing", pstr, n, res))
@@ -406,12 +408,10 @@ def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
                 * (X_MINUS_1 ** (a + 1) * f).derive(a + 2).eval(-1) * g.eval(-1))
     corr_pos = (const_c(a, b) / const_b(b, a) * 2 * pochhammer(a + 1, b + 2)
                 * (X_PLUS_1 ** (b + 1) * f).derive(b + 2).eval(1) * g.eval(1))
-    res = (weighted_integral(apply_Lfull(f, a, b) * g, a, b)
+    res = (weighted_integral(lf * g, a, b)
            - bilinear_W(f, g, a, b) - corr_neg + corr_pos)
     cases.append(Case.check("two-mass form pairing", pstr, n, res))
 
-    lt, lh, lf = (apply_Ltilde(f, a, b), apply_Lhat(f, a, b), apply_Lfull(f, a, b))
-    l2 = apply_L2(f, a, b)
     got = BoundaryValues(l2.eval(-1), l2.eval(1), lt.eval(-1), lt.eval(1),
                          lh.eval(-1), lh.eval(1), lf.eval(-1), lf.eval(1))
     want = boundary_closed_forms(f, a, b)
@@ -547,7 +547,7 @@ def _map_points(points, threads: int) -> list:
 def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
               alpha_max: int = DEFAULT_ALPHA_MAX,
               beta_max: int = DEFAULT_BETA_MAX,
-              masses=DEFAULT_MASSES, masses_m=None, masses_n=None,
+              masses_m=DEFAULT_MASSES, masses_n=DEFAULT_MASSES,
               seed: int = DEFAULT_SEED,
               trials: int = DEFAULT_TRIALS, threads=None) -> VerifyReport:
     """Run one suite (or 'all') over the parameter grid, merged into a
@@ -558,11 +558,19 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
     `threads` workers (default GENJACOBI_THREADS), one pool per suite.
     'all' runs each suite in turn through this function.
 
-    masses is the default grid for both point masses; masses_m / masses_n
-    override one axis (the CLI uses this to pin --bigm / --bign).
+    masses_m / masses_n are the grids of the masses at x = -1 and x = +1.
+    A grid that would check nothing (a negative bound, no trials, an empty
+    mass axis) raises InvalidParam.
     """
-    masses_m = tuple(as_rational(m) for m in (masses if masses_m is None else masses_m))
-    masses_n = tuple(as_rational(m) for m in (masses if masses_n is None else masses_n))
+    masses_m = tuple(as_rational(m) for m in masses_m)
+    masses_n = tuple(as_rational(m) for m in masses_n)
+    for key, bound in (("nmax", nmax), ("alpha_max", alpha_max), ("beta_max", beta_max)):
+        if bound < 0:
+            raise InvalidParam(f"{key} must be >= 0, got {bound}")
+    if trials < 1:
+        raise InvalidParam(f"trials must be >= 1, got {trials}")
+    if not masses_m or not masses_n:
+        raise InvalidParam("each mass axis needs at least one mass")
     grid = {"nmax": str(nmax), "alpha_max": str(alpha_max),
             "beta_max": str(beta_max),
             "masses_m": ",".join(str(m) for m in masses_m),

@@ -74,9 +74,11 @@ def test_exact_div_and_failure():
         Poly([1]).exact_div(x)
     with pytest.raises(ZeroDivisionError):
         x.exact_div(Poly())
-    # non-monic, fractional divisor takes the general path
-    d = Poly([Fraction(2, 3), 5])
-    assert (num * d) / d == num
+    # non-monic and rational divisors divide in integers as well
+    for d in (Poly([Fraction(2, 3), 5]), Poly([1, 2]), Poly([1, Fraction(3, 7)])):
+        assert (num * d) / d == num
+        with pytest.raises(NotDivisible):
+            (num * d + 1).exact_div(d)
 
 
 def test_as_rational_rejects_floats():
@@ -105,6 +107,14 @@ def test_pochhammer_int_path_matches_generic_product():
             assert type(got) is Fraction
             assert got == want, (a, k)
             assert pochhammer(Fraction(a), k) == want
+    for q in range(2, 6):
+        for p in range(-11, 12):
+            a = Fraction(p, q)
+            for k in range(9):
+                want = Fraction(1)
+                for i in range(k):
+                    want *= a + i
+                assert pochhammer(a, k) == want, (a, k)
 
 
 def test_cached_powers_match_repeated_multiplication():

@@ -18,6 +18,6 @@ def _lru_caches():
 def test_every_lru_cache_has_a_finite_maxsize():
     caches = _lru_caches()
     assert {"jacobi._jacobi_hyp", "genjacobi._gen_jacobi_cached",
-            "algebra._pochhammer_int", "inner._normalized_moments"} <= set(caches)
+            "algebra.pochhammer", "inner._normalized_moments"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name

@@ -78,6 +78,14 @@ def test_poly_bad_alpha_exits_2(capsys):
     assert "alpha" in err
 
 
+@pytest.mark.parametrize("flag", ["--nmax", "--alpha-max", "--beta-max"])
+def test_verify_negative_grid_bound_exits_2(capsys, flag):
+    code, out, err = run(capsys, "verify", "--suite", "cor24", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert flag.lstrip("-").replace("-", "_") in err
+
+
 def test_rational_flag_parsing():
     assert rational_flag("1/3") == Fraction(1, 3)
     assert rational_flag("2") == 2

@@ -138,14 +138,15 @@ def test_failing_orthogonality_predicates_carry_the_offending_value(monkeypatch)
 def test_run_suite_each_name_reduced_grid():
     for name in SUITE_NAMES:
         rep = run_suite(name, nmax=3, alpha_max=1, beta_max=1,
-                        masses=(F(0), F(1)), seed=0, trials=1)
+                        masses_m=(F(0), F(1)), masses_n=(F(0), F(1)),
+                        seed=0, trials=1)
         assert rep.suite == name
         assert rep.all_pass, f"{name}: {rep.to_plain()}"
 
 
 def test_run_suite_all_merges():
     rep = run_suite("all", nmax=2, alpha_max=0, beta_max=0,
-                    masses=(F(1),), seed=0, trials=1)
+                    masses_m=(F(1),), masses_n=(F(1),), seed=0, trials=1)
     assert rep.suite == "all"
     assert rep.all_pass
     prefixes = {c.label.split(":")[0] for c in rep.cases}
@@ -155,6 +156,21 @@ def test_run_suite_all_merges():
 def test_run_suite_rejects_unknown_name():
     with pytest.raises(InvalidParam):
         run_suite("everything")
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("thm21", dict(nmax=-1)),
+    ("thm21", dict(alpha_max=-1)),
+    ("thm21", dict(beta_max=-1)),
+    ("symmetry", dict(trials=0)),
+    ("symmetry", dict(trials=-3)),
+    ("thm21", dict(masses_m=())),
+    ("thm21", dict(masses_n=())),
+    ("all", dict(nmax=-1)),
+])
+def test_run_suite_rejects_grids_that_check_nothing(name, grid):
+    with pytest.raises(InvalidParam):
+        run_suite(name, threads=1, **grid)
 
 
 def test_run_suite_mass_axis_pinning():
@@ -198,7 +214,7 @@ def test_corrupted_block_is_caught(monkeypatch):
 
 def test_report_json_shape():
     rep = run_suite("cor24", nmax=2, alpha_max=0, beta_max=0,
-                    masses=(F(1),), seed=5, trials=1)
+                    masses_m=(F(1),), masses_n=(F(1),), seed=5, trials=1)
     data = json.loads(rep.to_json())
     assert data["suite"] == "cor24"
     assert data["seed"] == 5
@@ -231,8 +247,8 @@ def test_report_plain_summary_line():
 
 def test_run_suite_parallel_matches_serial():
     # two masses, so every suite, cor24 included, has more than one point
-    kwargs = dict(nmax=3, alpha_max=1, beta_max=0, masses=(F(0), F(1)),
-                  seed=3, trials=2)
+    kwargs = dict(nmax=3, alpha_max=1, beta_max=0, masses_m=(F(0), F(1)),
+                  masses_n=(F(0), F(1)), seed=3, trials=2)
     for name in SUITE_NAMES + ("all",):
         serial = run_suite(name, threads=1, **kwargs)
         parallel = run_suite(name, threads=4, **kwargs)
@@ -248,7 +264,8 @@ def test_symmetry_child_seeds_distinct_on_wide_mass_grid(monkeypatch):
 
     monkeypatch.setattr(verify, "_symmetry_point", record_seed)
     masses = tuple(F(k) for k in range(11))
-    run_suite("symmetry", alpha_max=1, beta_max=0, masses=masses, threads=1)
+    run_suite("symmetry", alpha_max=1, beta_max=0, masses_m=masses, masses_n=masses,
+              threads=1)
     assert len(seen) == 2 * 11 * 11
     assert len(set(seen)) == len(seen)
 
