@@ -13,6 +13,12 @@ differentiate again, then strip a known endpoint factor by exact division.
 The division is exact for every polynomial input; a failure raises
 NotDivisible and signals a genuine bug, not a rounding issue.
 
+For integer alpha and beta every one of them maps x^k to an integer
+polynomial of degree <= k.  So each is also kept as a cached upper-triangular
+integer matrix, probed column by column from the functions above: the
+combined operator is applied as one matrix-vector product, and its expansion
+is solved from the same columns.
+
 Also provided: factorized forms (products of shifted second-order factors),
 an alternative product form for the order-(2*beta+4) operator, expansion of
 any operator into explicit coefficient polynomials per derivative order, and
@@ -23,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, perm
+from math import comb, factorial, lcm
+from operator import add, sub
 
+from . import kernel
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
                       X_PLUS_1, as_rational, pochhammer)
 from .genjacobi import Params
@@ -145,17 +153,100 @@ def apply_combined(y: Poly, params: Params) -> Poly:
     """Full operator of the generalized Jacobi equation.
 
     Second-order part plus the three mass operators, each scaled by its
-    mass over the matching normalization constant.
+    mass over the matching normalization constant.  Applied as one integer
+    matrix-vector product with the cached matrix of the operator.
     """
+    if y.is_zero:
+        return y
+    den, columns = _combined_matrix(params, _block(len(y.nums)))
+    return Poly._norm(_matvec(columns, y.nums), den * y.den)
+
+
+# ---------------- operators as integer triangular matrices ----------------
+#
+# For integer alpha and beta each elementary operator maps x^k to an integer
+# polynomial of degree <= k, so on polynomials of degree < dim it is an
+# upper-triangular integer matrix whose column k holds the image of x^k.
+# Matrices grow in blocks of _COLUMN_BLOCK columns, each block extending the
+# cached smaller one, so one operator keeps few of them.
+
+_COLUMN_BLOCK = 16
+
+# kind -> the apply_* function that defines it and probes its columns; the
+# function is looked up by name at probe time, so a rebound module
+# attribute takes effect
+_ELEMENTARY = {"L2": "apply_L2", "Ltilde": "apply_Ltilde",
+               "Lhat": "apply_Lhat", "Lfull": "apply_Lfull"}
+
+
+def _block(size: int) -> int:
+    """size rounded up to a whole number of blocks, at least one."""
+    return max(1, -(-size // _COLUMN_BLOCK)) * _COLUMN_BLOCK
+
+
+@lru_cache(maxsize=32)
+def _columns(kind: str, alpha: int, beta: int, dim: int) -> tuple:
+    """Integer coefficient vectors of the images of x^0 .. x^(dim-1).
+
+    dim is a multiple of _COLUMN_BLOCK.  A column that is not an integer
+    vector of degree <= k raises InconsistentExpansion: it would break the
+    triangular structure everything built on the columns relies on.
+    """
+    start = dim - _COLUMN_BLOCK
+    columns = list(_columns(kind, alpha, beta, start)) if start else []
+    apply = globals()[_ELEMENTARY[kind]]
+    for k in range(start, dim):
+        image = apply(Poly.monomial(k), alpha, beta)
+        if image.den != 1 or image.degree > k:
+            raise InconsistentExpansion(
+                f"{kind}: image {image} of x^{k} is not an integer polynomial "
+                f"of degree <= {k}")
+        columns.append(image.nums)
+    return tuple(columns)
+
+
+@lru_cache(maxsize=8)
+def _combined_matrix(params: Params, dim: int) -> tuple:
+    """(den, columns): the combined operator on x^0 .. x^(dim-1) as integer
+    columns over one denominator; dim is a multiple of _COLUMN_BLOCK."""
     a, b = params.alpha, params.beta
-    out = apply_L2(y, a, b)
+    scales = [("L2", Fraction(1))]
     if params.M:
-        out = out + (params.M / const_b(b, a)) * apply_Ltilde(y, a, b)
+        scales.append(("Ltilde", params.M / const_b(b, a)))
     if params.N:
-        out = out + (params.N / const_b(a, b)) * apply_Lhat(y, a, b)
+        scales.append(("Lhat", params.N / const_b(a, b)))
     if params.M and params.N:
-        out = out + (params.M * params.N / const_c(a, b)) * apply_Lfull(y, a, b)
+        scales.append(("Lfull", params.M * params.N / const_c(a, b)))
+    den = lcm(*(s.denominator for _, s in scales))
+    parts = [(_columns(kind, a, b, dim), s.numerator * (den // s.denominator))
+             for kind, s in scales]
+    start = dim - _COLUMN_BLOCK
+    columns = list(_combined_matrix(params, start)[1]) if start else []
+    for k in range(start, dim):
+        column = []
+        for kind_columns, weight in parts:
+            column = kernel.add_scaled(column, 1, kind_columns[k], weight)
+        columns.append(tuple(column))
+    return den, tuple(columns)
+
+
+def _matvec(columns: tuple, nums: tuple) -> list:
+    """Integer vector sum(nums[k] * columns[k]); columns[k] has at most
+    k + 1 entries, so the result has len(nums) entries."""
+    out = [0] * len(nums)
+    for c, column in zip(nums, columns):
+        if c:
+            out[:len(column)] = map(add, out, map(c.__mul__, column))
     return out
+
+
+def _image(kind: str, y: Poly, alpha: int, beta: int) -> Poly:
+    """y under the elementary operator `kind`, through its cached columns;
+    equal to the apply_* function of that kind."""
+    if y.is_zero:
+        return y
+    columns = _columns(kind, alpha, beta, _block(len(y.nums)))
+    return Poly._norm(_matvec(columns, y.nums), y.den)
 
 
 def apply_factorized(kind: str, y: Poly, alpha: int, beta: int) -> Poly:
@@ -212,39 +303,40 @@ def apply_duran(y: Poly, alpha: int, beta: int) -> Poly:
 
 
 def expand_operator(kind: str, params: Params) -> DiffOperator:
-    """Recover explicit coefficient polynomials by monomial probing.
+    """Recover explicit coefficient polynomials from the operator matrix.
 
-    Applies the chosen operator to x^k for k = 1 .. nominal order and solves
-    the triangular system  L[x^k] = sum_i coeff_i(x) * k!/(k-i)! * x^(k-i).
-    The result reproduces the operator on every polynomial, which the test
-    suite checks against the direct application paths.
+    With L = sum_i c_i(x) d^i/dx^i and L[x^k] = col_k / den, the integer
+    vectors e_i = i! * den * c_i solve the triangular system
+    e_k = col_k - sum_{i<k} C(k, i) * e_i * x^(k-i) for k = 1 .. nominal
+    order.  The result reproduces the operator on every polynomial, which
+    the test suite checks against the direct application paths.
     """
     a, b = params.alpha, params.beta
-    kinds = {   # kind -> (operator, nominal order)
-        "L2": (lambda y: apply_L2(y, a, b), 2),
-        "Ltilde": (lambda y: apply_Ltilde(y, a, b), 2 * b + 4),
-        "Lhat": (lambda y: apply_Lhat(y, a, b), 2 * a + 4),
-        "Lfull": (lambda y: apply_Lfull(y, a, b), 2 * a + 2 * b + 6),
-        "Combined": (lambda y: apply_combined(y, params), 2 * a + 2 * b + 6),
-    }
-    if kind not in kinds:
+    orders = {"L2": 2, "Ltilde": 2 * b + 4, "Lhat": 2 * a + 4,
+              "Lfull": 2 * a + 2 * b + 6, "Combined": 2 * a + 2 * b + 6}
+    if kind not in orders:
         raise InvalidParam(f"kind must be one of {OPERATOR_KINDS}, got {kind!r}")
-    op, order = kinds[kind]
+    order = orders[kind]
+    dim = _block(order + 1)
+    if kind == "Combined":
+        den, columns = _combined_matrix(params, dim)
+    else:
+        den, columns = 1, _columns(kind, a, b, dim)
 
-    if not op(Poly.one()).is_zero:
+    if any(columns[0]):
         raise InconsistentExpansion(f"{kind} does not annihilate constants")
-    coeffs: list = []
+    solved = [()]                   # solved[i] = e_i; e_0 is unused
+    terms = []
     for k in range(1, order + 1):
-        rhs = op(Poly.monomial(k))
+        e_k = list(columns[k]) + [0] * (k + 1 - len(columns[k]))
         for i in range(1, k):
-            rhs = rhs - coeffs[i - 1] * Poly.monomial(k - i, perm(k, i))
-        e_k = rhs * Fraction(1, factorial(k))
-        if e_k.degree > k:
-            raise InconsistentExpansion(
-                f"{kind}: coefficient at order {k} has degree {e_k.degree}")
-        coeffs.append(e_k)
-    terms = tuple((i + 1, c) for i, c in enumerate(coeffs) if not c.is_zero)
-    return DiffOperator(terms)
+            # e_i has i + 1 entries and lands on x^(k-i) .. x^k
+            e_k[k - i:] = map(sub, e_k[k - i:], map(comb(k, i).__mul__, solved[i]))
+        solved.append(e_k)
+        c_k = Poly._norm(list(e_k), factorial(k) * den)
+        if not c_k.is_zero:
+            terms.append((k, c_k))
+    return DiffOperator(tuple(terms))
 
 
 # ---------------- eigenvalues and constants ----------------

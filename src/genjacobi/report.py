@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import Poly, format_rational
@@ -76,6 +76,39 @@ class Case:
         return rec
 
 
+def _json_scalar(value) -> str:
+    """JSON text of None, a bool or an int, as json.dumps writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return int.__repr__(value)
+
+
+def _json_strings(mapping: Mapping[str, str], depth: int) -> str:
+    """A str -> str mapping as json.dumps(..., indent=2) lays it out when
+    it opens `depth` spaces in."""
+    if not mapping:
+        return "{}"
+    sep = "\n" + " " * (depth + 2)
+    body = ("," + sep).join(f"{_json_str(k)}: {_json_str(v)}" for k, v in mapping.items())
+    return f"{{{sep}{body}\n{' ' * depth}}}"
+
+
+def _case_json(case: Case) -> str:
+    """One case of a report's "cases" list, as to_json lays it out."""
+    text = (f'    {{\n      "label": {_json_str(case.label)},\n'
+            f'      "params": {_json_strings(case.params, 6)},\n'
+            f'      "n": {_json_scalar(case.n)},\n'
+            f'      "residual": {_json_str(case.residual)},\n')
+    if case.skipped:
+        return (f'{text}      "pass": null,\n      "skipped": true,\n'
+                f'      "reason": {_json_str(case.reason)}\n    }}')
+    return f'{text}      "pass": {_json_scalar(case.passed)}\n    }}'
+
+
 def params_str(**kwargs) -> dict:
     """Render a parameter mapping with exact rational strings."""
     out = {}
@@ -129,7 +162,19 @@ class VerifyReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_record(), indent=2)
+        """json.dumps(self.to_record(), indent=2), byte for byte.
+
+        Written directly, one case at a time, with the C string encoder:
+        json.dumps with an indent runs the pure-Python encoder, which took
+        most of the rendering time of a large report.
+        """
+        cases = ",\n".join(map(_case_json, self.cases))
+        cases = f"[\n{cases}\n  ]" if cases else "[]"
+        return (f'{{\n  "suite": {_json_str(self.suite)},\n'
+                f'  "grid": {_json_strings(self.grid, 2)},\n'
+                f'  "seed": {_json_scalar(self.seed)},\n'
+                f'  "cases": {cases},\n'
+                f'  "all_pass": {_json_scalar(self.all_pass)}\n}}')
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -45,7 +45,7 @@ from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
                     mass_constant_identity, symmetry_defect,
                     weighted_integral)
 from .jacobi import jacobi_poly
-from .operators import (apply_combined, apply_duran, apply_factorized,
+from .operators import (_image, apply_combined, apply_duran, apply_factorized,
                         apply_L2, apply_Lfull, apply_Lhat, apply_Ltilde,
                         const_b, const_c, eigen_combined, eigen_high,
                         eigen_lambda2, expand_operator)
@@ -386,8 +386,7 @@ def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
 def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
                          n: int) -> list:
     a, b = params.alpha, params.beta
-    l2, lt = apply_L2(f, a, b), apply_Ltilde(f, a, b)
-    lh, lf = apply_Lhat(f, a, b), apply_Lfull(f, a, b)
+    l2, lt, lh, lf = (_image(kind, f, a, b) for kind in ("L2", "Ltilde", "Lhat", "Lfull"))
     cases = [Case.check("combined operator symmetry defect", pstr, n,
                         symmetry_defect(f, g, params))]
 

@@ -1,0 +1,161 @@
+"""Mutation guard: every deliberately wrong formula must be caught.
+
+A grid of zero residuals is evidence only if a wrong formula would have
+left a nonzero one.  Each mutant below rebinds one function by name in
+every genjacobi module that holds it, with all memo caches cleared, and
+runs every suite serially on a tiny grid.  A mutant is killed when at
+least one suite fails or raises.  The tiny grid has alpha != beta points,
+because several mutants are invisible at alpha = beta.
+"""
+import contextlib
+import sys
+from fractions import Fraction
+
+from test_caches import _lru_caches
+
+from genjacobi import cli, genjacobi, inner, jacobi, operators
+from genjacobi.algebra import X2_MINUS_1, X_MINUS_1, X_PLUS_1, pochhammer
+from genjacobi.operators import EigenValue
+from genjacobi.verify import SUITE_NAMES, run_suite
+
+TINY = dict(nmax=2, alpha_max=1, beta_max=1, masses_m=(1,), masses_n=(1,), threads=1)
+TINY_ARGS = ["--nmax", "2", "--alpha-max", "1", "--beta-max", "1",
+             "--bigm", "1", "--bign", "1"]
+
+
+def _lfull_matched(orig):
+    def mutant(y, alpha, beta):
+        a, b = alpha, beta
+        inner_ = (X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1) * y).derive(a + b + 3)
+        middle = X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1) * inner_
+        return X2_MINUS_1 * middle.derive(a + b + 3)
+    return mutant
+
+
+def _eigen_without_mn(orig):
+    def mutant(n, params):
+        a, b = params.alpha, params.beta
+        mn = (params.M * params.N / operators.const_c(a, b)
+              * operators.eigen_high("full", n, a, b).value)
+        return EigenValue(orig(n, params).value - mn)
+    return mutant
+
+
+def _side_eigen_shifted(orig):
+    def mutant(kind, n, alpha, beta):
+        if kind == "side":
+            return EigenValue(pochhammer(n, alpha + 1) * pochhammer(n + beta, alpha + 1))
+        return orig(kind, n, alpha, beta)
+    return mutant
+
+
+def _combined_swapped(orig):
+    def mutant(y, params):
+        a, b = params.alpha, params.beta
+        return (operators.apply_L2(y, a, b)
+                + params.M / operators.const_b(a, b) * operators.apply_Ltilde(y, a, b)
+                + params.N / operators.const_b(b, a) * operators.apply_Lhat(y, a, b)
+                + params.M * params.N / operators.const_c(a, b)
+                * operators.apply_Lfull(y, a, b))
+    return mutant
+
+
+def _inner_without_n(orig):
+    def mutant(f, g, params):
+        r = orig(f, g, params)
+        return type(r)(r.integral_part, r.mass_neg1, Fraction(0))
+    return mutant
+
+
+def _moments_shifted(orig):
+    def mutant(alpha, beta, size):
+        moments, den = orig(alpha, beta, size + 1)
+        return moments[1:], den
+    return mutant
+
+
+def _jacobi_scaled_at_one(orig):
+    def mutant(n, gamma, delta):
+        return orig(n, gamma, delta) * (2 if n == 1 else 1)
+    return mutant
+
+
+# name -> (module that defines the function, attribute, factory(original))
+MUTANTS = {
+    "apply_Lfull with matched exponents": (operators, "apply_Lfull", _lfull_matched),
+    "apply_L2 with alpha and beta swapped":
+        (operators, "apply_L2", lambda f: lambda y, a, b: f(y, b, a)),
+    "const_b off by one": (operators, "const_b", lambda f: lambda a, b: f(a, b) + 1),
+    "const_c off by one": (operators, "const_c", lambda f: lambda a, b: f(a, b) + 1),
+    "coeff_q doubled": (genjacobi, "coeff_q", lambda f: lambda n, a, b: 2 * f(n, a, b)),
+    "coeff_r doubled": (genjacobi, "coeff_r", lambda f: lambda n, a, b: 2 * f(n, a, b)),
+    "coeff_s doubled": (genjacobi, "coeff_s", lambda f: lambda n, a, b: 2 * f(n, a, b)),
+    "eigen_combined without the M*N term": (operators, "eigen_combined", _eigen_without_mn),
+    "eigen_high side with alpha+1 for alpha+2":
+        (operators, "eigen_high", _side_eigen_shifted),
+    "apply_combined with M and N normalizations swapped":
+        (operators, "apply_combined", _combined_swapped),
+    "inner_product without the N mass": (inner, "inner_product", _inner_without_n),
+    "h_norm doubled": (inner, "h_norm", lambda f: lambda a, b: 2 * f(a, b)),
+    "jacobi_poly doubled at degree 1": (jacobi, "jacobi_poly", _jacobi_scaled_at_one),
+    "moment vector shifted by one": (inner, "_normalized_moments", _moments_shifted),
+}
+
+
+def _clear_caches():
+    for cache in _lru_caches().values():
+        cache.cache_clear()
+
+
+@contextlib.contextmanager
+def mutated(name):
+    """Rebind one function in every module that holds it; caches cleared
+    on entry and on exit, so no mutated value outlives the block."""
+    module, attr, factory = MUTANTS[name]
+    original = getattr(module, attr)
+    mutant = factory(original)
+    holders = [m for key, m in sorted(sys.modules.items())
+               if m is not None and key.split(".")[0] == "genjacobi"
+               and vars(m).get(attr) is original]
+    _clear_caches()
+    for m in holders:
+        setattr(m, attr, mutant)
+    try:
+        yield
+    finally:
+        for m in holders:
+            setattr(m, attr, original)
+        _clear_caches()
+
+
+def _outcome(suite):
+    """'F' if the suite fails, 'E' if it raises, '.' if it passes."""
+    try:
+        return "." if run_suite(suite, **TINY).all_pass else "F"
+    except Exception:    # a raise is a kill as much as a failure
+        return "E"
+
+
+def test_every_mutant_is_killed():
+    matrix = {}
+    for name in MUTANTS:
+        with mutated(name):
+            matrix[name] = "".join(_outcome(s) for s in SUITE_NAMES)
+    survivors = [name for name, row in matrix.items() if set(row) == {"."}]
+    width = max(map(len, matrix))
+    table = "\n".join([f"{'':{width}}  " + " ".join(s[:5].ljust(5) for s in SUITE_NAMES)]
+                      + [f"{name:{width}}  " + " ".join(c.ljust(5) for c in row)
+                         for name, row in matrix.items()])
+    assert not survivors, f"surviving mutants {survivors}; kill matrix:\n{table}"
+
+
+def test_unmutated_tiny_grid_passes():
+    # the kills above mean something only if the same grid passes unmutated
+    assert all(_outcome(s) == "." for s in SUITE_NAMES)
+
+
+def test_cli_exits_1_under_a_mutant(capsys):
+    with mutated("h_norm doubled"):
+        code = cli.main(["verify", "--suite", "symmetry", *TINY_ARGS])
+    capsys.readouterr()
+    assert code == 1

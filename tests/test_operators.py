@@ -1,6 +1,7 @@
 """Differential operators: elementary, factorized, and expanded forms."""
 from fractions import Fraction
 from itertools import product
+from math import factorial, perm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1, X2_MINUS_1
 from genjacobi.genjacobi import Params, gen_jacobi, poly_Q, poly_R, poly_S
 from genjacobi.jacobi import jacobi_poly
+from genjacobi import operators
 from genjacobi.operators import (DiffOperator, EigenValue, InconsistentExpansion,
                                  apply_L2, apply_L2_conjugated, apply_Lfull,
                                  apply_Lhat, apply_Ltilde, apply_combined,
                                  apply_duran, apply_factorized, const_b, const_c,
                                  eigen_combined, eigen_high, eigen_lambda2,
-                                 expand_operator)
+                                 expand_operator, _columns, _combined_matrix, _image)
+from genjacobi.verify import SplitMix64
 
 F = Fraction
 
@@ -253,3 +256,109 @@ def test_eigenvalue_wraps_exact_rationals():
     assert ev.value == F(7, 3)
     with pytest.raises(InvalidParam):
         EigenValue(value=0.5)
+
+
+# ---------------- the cached integer matrices ----------------
+
+ELEMENTARY = {"L2": apply_L2, "Ltilde": apply_Ltilde, "Lhat": apply_Lhat,
+              "Lfull": apply_Lfull}
+# degrees on both sides of the first two block edges
+EDGE_DEGREES = (0, 15, 16, 17, 31, 32, 33)
+
+
+def poly_of_degree(rng, degree):
+    coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(degree)]
+    return Poly(coeffs + [Fraction(rng.randint(1, 20), rng.randint(1, 10))])
+
+
+def combined_four_terms(y, params):
+    """The combined operator as the sum of its four scaled elementary
+    images: the direct path the matrix replaced, kept as an oracle."""
+    a, b = params.alpha, params.beta
+    out = apply_L2(y, a, b)
+    if params.M:
+        out = out + (params.M / const_b(b, a)) * apply_Ltilde(y, a, b)
+    if params.N:
+        out = out + (params.N / const_b(a, b)) * apply_Lhat(y, a, b)
+    if params.M and params.N:
+        out = out + (params.M * params.N / const_c(a, b)) * apply_Lfull(y, a, b)
+    return out
+
+
+def probe_solve(op, order):
+    """Coefficient polynomials by monomial probing in Poly arithmetic:
+    L[x^k] = sum_i c_i * k!/(k-i)! * x^(k-i), solved for c_k in turn."""
+    coeffs = []
+    for k in range(1, order + 1):
+        rhs = op(Poly.monomial(k))
+        for i in range(1, k):
+            rhs = rhs - coeffs[i - 1] * Poly.monomial(k - i, perm(k, i))
+        coeffs.append(rhs * Fraction(1, factorial(k)))
+    return tuple((i + 1, c) for i, c in enumerate(coeffs) if not c.is_zero)
+
+
+@pytest.fixture
+def cold_matrices():
+    _columns.cache_clear()
+    _combined_matrix.cache_clear()
+    yield
+    _columns.cache_clear()
+    _combined_matrix.cache_clear()
+
+
+def test_columns_match_direct_application_across_block_edges():
+    rng = SplitMix64(2024)
+    ys = [poly_of_degree(rng, d) for d in EDGE_DEGREES]
+    for a, b in product(range(5), range(5)):
+        for kind, direct in ELEMENTARY.items():
+            for y in ys:
+                assert _image(kind, y, a, b) == direct(y, a, b), (kind, a, b, y.degree)
+
+
+def test_combined_matrix_matches_the_four_term_sum():
+    rng = SplitMix64(7)
+    ys = [poly_of_degree(rng, d) for d in EDGE_DEGREES] + [Poly.zero()]
+    for a, b in product(range(4), range(4)):
+        for M, N in ((0, 0), (F(1, 3), 0), (0, 2), (F(1, 3), 2), (1, F(5, 7))):
+            pr = Params(a, b, M, N)
+            for y in ys:
+                assert apply_combined(y, pr) == combined_four_terms(y, pr), (pr, y.degree)
+
+
+def test_expand_operator_matches_a_poly_probe_solve():
+    for a, b in product(range(4), range(4)):
+        pr = Params(a, b, F(1, 3), 2)
+        ops = {kind: (lambda y, f=f: f(y, a, b)) for kind, f in ELEMENTARY.items()}
+        ops["Combined"] = lambda y: combined_four_terms(y, pr)
+        orders = {"L2": 2, "Ltilde": 2 * b + 4, "Lhat": 2 * a + 4,
+                  "Lfull": 2 * a + 2 * b + 6, "Combined": 2 * a + 2 * b + 6}
+        for kind, op in ops.items():
+            assert expand_operator(kind, pr).terms == probe_solve(op, orders[kind]), (kind, a, b)
+
+
+def test_matrices_do_not_depend_on_how_they_grew(cold_matrices):
+    pr = Params(2, 1, F(1, 3), 2)
+
+    def matrices(dim):
+        return [_columns(kind, 2, 1, dim) for kind in ELEMENTARY] + [_combined_matrix(pr, dim)[1]]
+
+    small = matrices(16)
+    _columns.cache_clear()
+    _combined_matrix.cache_clear()
+    large = matrices(32)
+    assert [m[:16] for m in large] == small
+    _columns.cache_clear()
+    _combined_matrix.cache_clear()
+    assert matrices(16) == small
+
+
+@pytest.mark.parametrize("broken", [
+    lambda y, a, b: y * F(1, 2),        # not an integer vector
+    lambda y, a, b: y * Poly.x(),       # degree k + 1
+])
+def test_columns_reject_a_non_triangular_operator(monkeypatch, cold_matrices, broken):
+    monkeypatch.setattr(operators, "apply_L2", broken)
+    with pytest.raises(InconsistentExpansion):
+        expand_operator("L2", Params(1, 0))
+    with pytest.raises(InconsistentExpansion):
+        apply_combined(Poly.x(), Params(1, 0))

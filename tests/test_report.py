@@ -1,0 +1,39 @@
+"""The direct JSON writer is byte-identical to json.dumps(indent=2)."""
+import json
+from fractions import Fraction
+
+import pytest
+
+from genjacobi.algebra import Poly
+from genjacobi.report import Case, VerifyReport
+from genjacobi.verify import run_suite
+
+
+def dumped(report):
+    return json.dumps(report.to_record(), indent=2)
+
+
+@pytest.mark.parametrize("report", [
+    VerifyReport("empty"),
+    VerifyReport("no cases", grid={"nmax": "3"}, seed=5),
+    VerifyReport("mixed", grid={"a": "1", "b": "2/3"}, seed=0, cases=[
+        Case.check("exact zero", {"alpha": "1", "M": "1/3"}, 2, Fraction(0)),
+        Case.check("nonzero polynomial", {"alpha": "0"}, 0, Poly([1, Fraction(-2, 3)])),
+        Case.skip("precondition unmet", {"beta": "0"}, 1, "needs n >= 2"),
+        Case.holds("predicate", {}, None, False, Fraction(-1, 7)),
+        Case.check("no params, no n", {}, None, 0),
+    ]),
+    VerifyReport("non-ascii \u00e9", grid={"\u03b1": "\u00bd"}, cases=[
+        Case.check("\u03b1-\u03b2 \u2013 \"quoted\"\\path\n", {"\u03bc": "1"}, 3, 1),
+        Case.skip("\u2264 skipped", {}, None, "\u00e9\t"),
+    ]),
+])
+def test_to_json_matches_json_dumps(report):
+    assert report.to_json() == dumped(report)
+
+
+def test_to_json_matches_json_dumps_on_a_merged_suite_run():
+    report = run_suite("all", nmax=2, alpha_max=1, beta_max=1,
+                       masses_m=(0, 1), masses_n=(Fraction(1, 3),), threads=1)
+    assert any(c.skipped for c in report.cases)
+    assert report.to_json() == dumped(report)
