@@ -6,8 +6,8 @@ from .algebra import (InvalidParam, NotDivisible, Poly, Rational, as_rational,
                       format_rational, pochhammer)
 from .genjacobi import (Params, coeff_q, coeff_r, coeff_s, gen_jacobi, poly_Q,
                         poly_R, poly_S)
-from .inner import (InnerProductResult, boundary_values, gram_matrix, h_norm,
-                    inner_product, symmetry_defect, weighted_integral)
+from .inner import (boundary_values, gram_matrix, h_norm, inner_product,
+                    symmetry_defect, weighted_integral)
 from .jacobi import jacobi_poly, jacobi_recurrence
 from .operators import (DiffOperator, EigenValue, InconsistentExpansion,
                         apply_L2, apply_Lfull, apply_Lhat, apply_Ltilde,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Case", "DiffOperator", "EigenValue", "InconsistentExpansion",
-    "InnerProductResult", "InvalidParam", "NotDivisible", "Params", "Poly",
+    "InvalidParam", "NotDivisible", "Params", "Poly",
     "Rational", "VerifyReport", "apply_L2", "apply_Lfull", "apply_Lhat",
     "apply_Ltilde", "apply_combined", "apply_duran", "apply_factorized",
     "as_rational", "boundary_values", "coeff_q", "coeff_r", "coeff_s",

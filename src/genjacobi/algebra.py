@@ -187,7 +187,7 @@ class Poly:
             return self
         g = gcd(self.den, other.den)
         den = self.den // g * other.den
-        nums = kernel.add_scaled(list(self.nums), other.den // g, list(other.nums), self.den // g)
+        nums = kernel.add_scaled(self.nums, other.den // g, other.nums, self.den // g)
         return Poly._norm(nums, den)
 
     __radd__ = __add__
@@ -209,7 +209,7 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
                 return Poly.zero()
-            nums = kernel.conv(list(self.nums), list(other.nums))
+            nums = kernel.conv(self.nums, other.nums)
             return Poly._norm(nums, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             s = as_rational(other)

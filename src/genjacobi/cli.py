@@ -10,7 +10,8 @@ Subcommands:
 All formats (plain, json, csv, latex) render every number as an exact
 rational "p/q" (or "p"); decimals are rejected on input and never produced
 on output.  Exit codes: 0 success / all identities pass, 1 verification
-failure, 2 usage or validation error.
+failure or an operator that fails its own structural check (an
+InconsistentExpansion), 2 usage or validation error.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .algebra import InvalidParam, NotDivisible, Poly, format_rational
 from .genjacobi import Params, gen_jacobi, poly_Q, poly_R, poly_S
 from .inner import gram_matrix
 from .jacobi import jacobi_poly
-from .operators import OPERATOR_KINDS, expand_operator
+from .operators import OPERATOR_KINDS, InconsistentExpansion, expand_operator
 from .report import params_str
 from .verify import (DEFAULT_ALPHA_MAX, DEFAULT_BETA_MAX, DEFAULT_MASSES,
                      DEFAULT_NMAX, DEFAULT_SEED, SUITE_NAMES, run_suite)
@@ -240,6 +241,9 @@ def main(argv=None) -> int:
     except (InvalidParam, NotDivisible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InconsistentExpansion as exc:    # an operator failed its own check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

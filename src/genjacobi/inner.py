@@ -3,8 +3,8 @@
 Every integral here is a polynomial integral over [-1, 1], computed by
 binomial expansion and exact monomial integration; there is no quadrature
 and no tolerance.  The module provides the normalized Jacobi weight
-integral, the mass-augmented scalar product split into its three parts, the
-four symmetric bilinear forms that mirror the operators under that scalar
+integral, the mass-augmented scalar product (a plain Fraction), the four
+symmetric bilinear forms that mirror the operators under that scalar
 product, closed-form boundary values of the operators, the symmetry defect
 of the combined operator, and Gram matrices of the generalized polynomials.
 """
@@ -82,26 +82,11 @@ def _normalized_moments(alpha: int, beta: int, size: int) -> tuple:
     return tuple(m.numerator * (den // m.denominator) for m in moments), den
 
 
-@dataclass(frozen=True)
-class InnerProductResult:
-    """Scalar product split into weight integral and the two mass terms."""
-
-    integral_part: Fraction
-    mass_neg1: Fraction
-    mass_pos1: Fraction
-
-    @property
-    def total(self) -> Fraction:
-        return self.integral_part + self.mass_neg1 + self.mass_pos1
-
-
-def inner_product(f: Poly, g: Poly, params: Params) -> InnerProductResult:
+def inner_product(f: Poly, g: Poly, params: Params) -> Fraction:
     """Weighted product of f and g plus M f(-1)g(-1) and N f(1)g(1)."""
-    return InnerProductResult(
-        weighted_integral(f * g, params.alpha, params.beta),
-        params.M * f.eval(-1) * g.eval(-1),
-        params.N * f.eval(1) * g.eval(1),
-    )
+    return (weighted_integral(f * g, params.alpha, params.beta)
+            + params.M * f.eval(-1) * g.eval(-1)
+            + params.N * f.eval(1) * g.eval(1))
 
 
 # ---------------- symmetric bilinear forms ----------------
@@ -223,8 +208,8 @@ def mass_constant_identity(alpha: int, beta: int) -> tuple:
 
 def symmetry_defect(f: Poly, g: Poly, params: Params) -> Fraction:
     """(Lf, g) - (f, Lg) under the mass-augmented product; must be 0."""
-    lhs = inner_product(apply_combined(f, params), g, params).total
-    rhs = inner_product(f, apply_combined(g, params), params).total
+    lhs = inner_product(apply_combined(f, params), g, params)
+    rhs = inner_product(f, apply_combined(g, params), params)
     return lhs - rhs
 
 
@@ -241,6 +226,6 @@ def gram_matrix(nmax: int, params: Params) -> list:
             if j < i:
                 row.append(out[j][i])
             else:
-                row.append(inner_product(f, g, params).total)
+                row.append(inner_product(f, g, params))
         out.append(row)
     return out

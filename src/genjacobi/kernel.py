@@ -1,9 +1,11 @@
 """Integer vector kernels.
 
 These three functions are the hot path of every exact polynomial operation:
-coefficient vectors are plain lists of Python ints (numerators over a shared
-denominator, managed by the caller).  Callers reach them as attributes of
-this module (``kernel.conv(...)``), so a profiler can wrap them in place.
+coefficient vectors are sequences of Python ints (numerators over a shared
+denominator, managed by the caller).  The kernels only read their inputs and
+return new lists, so callers pass the tuples a polynomial holds as they are.
+Callers reach them as attributes of this module (``kernel.conv(...)``), so a
+profiler can wrap them in place.
 """
 from math import gcd
 
@@ -12,7 +14,7 @@ BACKEND = "python"
 
 
 def conv(a, b):
-    """Convolution of two nonempty int lists: coefficients of the product."""
+    """Convolution of two nonempty int sequences: coefficients of the product."""
     res = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -22,7 +24,7 @@ def conv(a, b):
 
 
 def add_scaled(a, sa, b, sb):
-    """Elementwise sa*a + sb*b, shorter list padded with zeros."""
+    """Elementwise sa*a + sb*b, the shorter sequence padded with zeros."""
     la, lb = len(a), len(b)
     if la < lb:
         a, sa, la, b, sb, lb = b, sb, lb, a, sa, la

@@ -32,7 +32,8 @@ def render_value(value: ResidualLike) -> str:
 
 @dataclass(frozen=True)
 class Case:
-    """One checked identity instance."""
+    """One checked identity instance.  params is held as given, not copied:
+    a suite builds one mapping per grid point and never changes it."""
 
     label: str
     params: Mapping[str, str]
@@ -47,20 +48,20 @@ class Case:
               residual: ResidualLike) -> "Case":
         """Record a computed residual; it passes iff exactly zero."""
         zero = residual.is_zero if isinstance(residual, Poly) else residual == 0
-        return cls(label, dict(params), n, render_value(residual), bool(zero))
+        return cls(label, params, n, render_value(residual), bool(zero))
 
     @classmethod
     def holds(cls, label: str, params: Mapping[str, str], n: Optional[int],
               ok: bool, witness: ResidualLike) -> "Case":
         """Record a predicate; it passes iff ok.  A passing case renders
         residual 0, a failing one the offending quantity (witness)."""
-        return cls(label, dict(params), n, "0" if ok else render_value(witness), bool(ok))
+        return cls(label, params, n, "0" if ok else render_value(witness), bool(ok))
 
     @classmethod
     def skip(cls, label: str, params: Mapping[str, str], n: Optional[int],
              reason: str) -> "Case":
         """Record a case whose precondition is unmet."""
-        return cls(label, dict(params), n, "", False, True, reason)
+        return cls(label, params, n, "", False, True, reason)
 
     def as_record(self) -> dict:
         rec = {

@@ -152,7 +152,8 @@ def verify_diff_identities(n: int, gamma: RationalLike, delta: RationalLike) -> 
 
 # ---------------- combined eigen-equation suite ----------------
 
-def _eigen_cases(nmax: int, params: Params) -> list:
+def _thm21_point(nmax: int, params: Params) -> list:
+    """Combined eigen-equation cases of one grid point (the tracer counts this name)."""
     pstr = params_str(alpha=params.alpha, beta=params.beta, M=params.M, N=params.N)
     cases = []
     for n in range(nmax + 1):
@@ -185,7 +186,7 @@ def _expansion_cases(alpha: int, beta: int) -> list:
 def verify_theorem21(nmax: int, params: Params) -> VerifyReport:
     """Combined eigen-equation for n <= nmax, plus expansion checks."""
     report = VerifyReport("thm21", grid={"nmax": str(nmax)})
-    report.extend(_eigen_cases(nmax, params))
+    report.extend(_thm21_point(nmax, params))
     report.extend(_expansion_cases(params.alpha, params.beta))
     return report
 
@@ -387,33 +388,26 @@ def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
                          n: int) -> list:
     a, b = params.alpha, params.beta
     l2, lt, lh, lf = (_image(kind, f, a, b) for kind in ("L2", "Ltilde", "Lhat", "Lfull"))
+    want = boundary_closed_forms(f, a, b)
+    g_neg, g_pos = g.eval(-1), g.eval(1)
     cases = [Case.check("combined operator symmetry defect", pstr, n,
                         symmetry_defect(f, g, params))]
-
-    res = weighted_integral(l2 * g, a, b) - bilinear_U(f, g, a, b)
-    cases.append(Case.check("second-order form pairing", pstr, n, res))
-
-    res = (weighted_integral(lt * g, a, b)
-           - bilinear_Vt(f, g, a, b)
-           - 2 * (b + 1) * const_b(b, a) * f.derive().eval(-1) * g.eval(-1))
-    cases.append(Case.check("mass(-1) form pairing", pstr, n, res))
-
-    res = (weighted_integral(lh * g, a, b)
-           - bilinear_V(f, g, a, b)
-           + 2 * (a + 1) * const_b(a, b) * f.derive().eval(1) * g.eval(1))
-    cases.append(Case.check("mass(+1) form pairing", pstr, n, res))
-
-    corr_neg = (const_c(a, b) / const_b(a, b) * 2 * pochhammer(b + 1, a + 2)
-                * (X_MINUS_1 ** (a + 1) * f).derive(a + 2).eval(-1) * g.eval(-1))
-    corr_pos = (const_c(a, b) / const_b(b, a) * 2 * pochhammer(a + 1, b + 2)
-                * (X_PLUS_1 ** (b + 1) * f).derive(b + 2).eval(1) * g.eval(1))
-    res = (weighted_integral(lf * g, a, b)
-           - bilinear_W(f, g, a, b) - corr_neg + corr_pos)
-    cases.append(Case.check("two-mass form pairing", pstr, n, res))
+    # (label, image of f, its symmetric form, boundary term); the boundary
+    # terms are endpoint values of the lower-order operators, in closed form
+    pairings = (
+        ("second-order form pairing", l2, bilinear_U, 0),
+        ("mass(-1) form pairing", lt, bilinear_Vt, -const_b(b, a) * want.l2_neg1 * g_neg),
+        ("mass(+1) form pairing", lh, bilinear_V, -const_b(a, b) * want.l2_pos1 * g_pos),
+        ("two-mass form pairing", lf, bilinear_W,
+         -const_c(a, b) * (want.lhat_neg1 * g_neg / const_b(a, b)
+                           + want.ltilde_pos1 * g_pos / const_b(b, a))),
+    )
+    for label, image, form, boundary in pairings:
+        res = weighted_integral(image * g, a, b) - form(f, g, a, b) - boundary
+        cases.append(Case.check(label, pstr, n, res))
 
     got = BoundaryValues(l2.eval(-1), l2.eval(1), lt.eval(-1), lt.eval(1),
                          lh.eval(-1), lh.eval(1), lf.eval(-1), lf.eval(1))
-    want = boundary_closed_forms(f, a, b)
     defect = sum((gv - wv) ** 2 for gv, wv in zip(astuple(got), astuple(want)))
     cases.append(Case.check("boundary closed forms (8 values)", pstr, n, defect))
     return cases
@@ -480,13 +474,8 @@ def _thread_count(threads=None) -> int:
     return max(1, min(int(threads), os.cpu_count() or 1))
 
 
-def _thm21_point(args) -> list:
-    nmax, params = args
-    return _eigen_cases(nmax, params)
-
-
-def _symmetry_point(args) -> list:
-    trials, degmax, params, seed = args
+def _symmetry_point(trials: int, degmax: int, params: Params, seed: int) -> list:
+    """The cases of one symmetry grid point, under the name the tracer counts."""
     return verify_symmetry(trials, degmax, params, seed).cases
 
 
@@ -507,10 +496,9 @@ class _Grid(NamedTuple):
 # Suite name -> the grid points of that suite, each a (worker, args) pair
 # that runs as worker(*args).  Workers are looked up when the points are
 # built, not here, so a rebound module attribute takes effect.
-# _thm21_point and _symmetry_point take their point as one tuple.
 _SUITES = {
     "thm21": lambda g: (
-        [(_thm21_point, ((g.nmax, p),)) for p in g.params]
+        [(_thm21_point, (g.nmax, p)) for p in g.params]
         + [(_expansion_cases, (a, b)) for a, b in g.ab]),
     "prop22": lambda g: [(verify_prop22, (g.nmax, a, b)) for a, b in g.ab],
     "prop23": lambda g: [(verify_prop23, (g.nmax, a, b)) for a, b in g.ab],
@@ -518,8 +506,8 @@ _SUITES = {
     "cor25": lambda g: [(verify_cor25, (min(g.nmax, 10), a, b)) for a, b in g.ab],
     "duran": lambda g: [(verify_duran, (2 * b + 8, a, b)) for a, b in g.ab],
     "symmetry": lambda g: [
-        (_symmetry_point, ((g.trials, 2 * p.alpha + 2 * p.beta + 8, p,
-                            _point_seed(g.seed, index)),))
+        (_symmetry_point, (g.trials, 2 * p.alpha + 2 * p.beta + 8, p,
+                           _point_seed(g.seed, index)))
         for index, p in enumerate(g.params)],
     "orthogonality": lambda g: [(verify_orthogonality, (min(g.nmax, 10), p))
                                 for p in g.params],

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import genjacobi
+from genjacobi import operators
 from genjacobi.cli import main, poly_latex, rational_flag
 from genjacobi.algebra import Poly
 from genjacobi.verify import _thread_count
@@ -138,6 +139,26 @@ def test_operator_table_bad_kind_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["operator-table", "--kind", "L3"])
     assert exc.value.code == 2
+
+
+def test_inconsistent_operator_exits_1_with_an_error(capsys, monkeypatch):
+    # an operator whose columns are not integer vectors fails its own
+    # structural check: exit 1 with a message, not a traceback
+    caches = (operators._columns, operators._combined_matrix)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.delenv("GENJACOBI_THREADS", raising=False)
+    monkeypatch.setattr(operators, "apply_L2", lambda y, a, b: y * Fraction(1, 2))
+    try:
+        code, _, err = run(capsys, "verify", "--suite", "thm21", "--nmax", "2",
+                           "--alpha-max", "1", "--beta-max", "1", "--bigm", "1",
+                           "--bign", "1")
+        assert code == 1 and err.startswith("error:")
+        code, _, err = run(capsys, "operator-table", "--kind", "L2")
+        assert code == 1 and err.startswith("error:")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_verify_suite_exit_zero(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1
 from genjacobi.genjacobi import Params, gen_jacobi
-from genjacobi.inner import (BoundaryValues, InnerProductResult, bilinear_U,
+from genjacobi.inner import (BoundaryValues, bilinear_U,
                              bilinear_V, bilinear_Vt, bilinear_W,
                              boundary_closed_forms, boundary_values,
                              gram_matrix, h_norm, h_norm_integral,
@@ -97,19 +97,21 @@ def test_inner_product_split_and_total():
     pr = Params(0, 0, F(1, 3), 2)
     one = Poly([1])
     r = inner_product(one, one, pr)
-    assert isinstance(r, InnerProductResult)
-    assert r.integral_part == 1
-    assert r.mass_neg1 == F(1, 3)
-    assert r.mass_pos1 == 2
-    assert r.total == 1 + F(1, 3) + 2
-    r = inner_product(Poly.x(), one, pr)
-    assert r.total == 0 - F(1, 3) + 2
+    assert isinstance(r, Fraction)
+    assert r == 1 + F(1, 3) + 2
+    # each part on its own, through zero masses
+    assert inner_product(one, one, Params(0, 0)) == 1
+    assert inner_product(one, one, Params(0, 0, F(1, 3), 0)) == 1 + F(1, 3)
+    assert inner_product(one, one, Params(0, 0, 0, 2)) == 1 + 2
+    assert inner_product(Poly.x(), one, pr) == 0 - F(1, 3) + 2
+    assert inner_product(Poly.x(), one, Params(0, 0, F(1, 3), 0)) == -F(1, 3)
+    assert inner_product(Poly.x(), one, Params(0, 0, 0, 2)) == 2
 
 
 def test_inner_product_symmetric():
     pr = Params(1, 2, 1, F(1, 2))
     f, g = Poly([1, -2, 0, 3]), Poly([F(1, 3), 4])
-    assert inner_product(f, g, pr).total == inner_product(g, f, pr).total
+    assert inner_product(f, g, pr) == inner_product(g, f, pr)
 
 
 def test_bilinear_U_anchors():

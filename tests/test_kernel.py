@@ -18,3 +18,19 @@ def test_vec_gcd_basic():
     assert kernel.vec_gcd([0, 0]) == 0
     assert kernel.vec_gcd([-4, 6]) == 2
     assert kernel.vec_gcd([3, 5]) == 1
+
+
+def test_kernels_read_tuples_and_return_new_lists():
+    # Poly hands its coefficient tuples to the kernels without copying them
+    for a, b in (((1, 2, 3), (4, 5)), ((4, 5), (1, 2, 3))):
+        la, lb = list(a), list(b)
+        from_lists = [kernel.conv(la, lb), kernel.add_scaled(la, 2, lb, -1),
+                      kernel.add_scaled(la, 1, lb, 1)]
+        from_tuples = [kernel.conv(a, b), kernel.add_scaled(a, 2, b, -1),
+                       kernel.add_scaled(a, 1, b, 1)]
+        assert from_tuples == from_lists
+        for res in from_lists + from_tuples:
+            assert type(res) is list and res is not la and res is not lb
+        assert (la, lb) == (list(a), list(b))
+    assert kernel.conv((1, 2, 3), (4, 5)) == [4, 13, 22, 15]
+    assert kernel.add_scaled((4, 5), 2, (1, 2, 3), -1) == [7, 8, -3]

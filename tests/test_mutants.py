@@ -8,8 +8,8 @@ least one suite fails or raises.  The tiny grid has alpha != beta points,
 because several mutants are invisible at alpha = beta.
 """
 import contextlib
+import dataclasses
 import sys
-from fractions import Fraction
 
 from test_caches import _lru_caches
 
@@ -61,9 +61,15 @@ def _combined_swapped(orig):
 
 
 def _inner_without_n(orig):
-    def mutant(f, g, params):
-        r = orig(f, g, params)
-        return type(r)(r.integral_part, r.mass_neg1, Fraction(0))
+    def mutant(f, g, p):
+        return orig(f, g, genjacobi.Params(p.alpha, p.beta, p.M, 0))
+    return mutant
+
+
+def _ltilde_pos1_doubled(orig):
+    def mutant(f, alpha, beta):
+        r = orig(f, alpha, beta)
+        return dataclasses.replace(r, ltilde_pos1=2 * r.ltilde_pos1)
     return mutant
 
 
@@ -96,6 +102,8 @@ MUTANTS = {
     "apply_combined with M and N normalizations swapped":
         (operators, "apply_combined", _combined_swapped),
     "inner_product without the N mass": (inner, "inner_product", _inner_without_n),
+    "boundary_closed_forms with ltilde_pos1 doubled":
+        (inner, "boundary_closed_forms", _ltilde_pos1_doubled),
     "h_norm doubled": (inner, "h_norm", lambda f: lambda a, b: 2 * f(a, b)),
     "jacobi_poly doubled at degree 1": (jacobi, "jacobi_poly", _jacobi_scaled_at_one),
     "moment vector shifted by one": (inner, "_normalized_moments", _moments_shifted),

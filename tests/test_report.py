@@ -1,4 +1,5 @@
-"""The direct JSON writer is byte-identical to json.dumps(indent=2)."""
+"""Cases hold their params; the direct JSON writer is byte-identical to
+json.dumps(indent=2)."""
 import json
 from fractions import Fraction
 
@@ -37,3 +38,21 @@ def test_to_json_matches_json_dumps_on_a_merged_suite_run():
                        masses_m=(0, 1), masses_n=(Fraction(1, 3),), threads=1)
     assert any(c.skipped for c in report.cases)
     assert report.to_json() == dumped(report)
+
+
+def test_cases_hold_the_given_params_and_records_are_fresh():
+    pstr = {"alpha": "1", "M": "1/3"}
+    cases = [Case.check("checked", pstr, 0, 0), Case.holds("held", pstr, 1, True, 1),
+             Case.skip("skipped", pstr, 2, "needs n >= 3")]
+    assert all(c.params is pstr for c in cases)
+    report = VerifyReport("contract", grid={"nmax": "2"}, cases=cases)
+    before = report.to_json()
+    record = cases[0].as_record()
+    record["params"]["alpha"] = "9"
+    full = report.to_record()
+    full["grid"]["nmax"] = "9"
+    for rec in full["cases"]:
+        rec["params"]["M"] = "9"
+    assert pstr == {"alpha": "1", "M": "1/3"}
+    assert report.grid == {"nmax": "2"}
+    assert report.to_json() == before

@@ -1,8 +1,10 @@
 """Verification suites: pass on correct builds, fail on corrupted ones."""
 import csv
+import importlib.util
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -258,8 +260,8 @@ def test_run_suite_parallel_matches_serial():
 def test_symmetry_child_seeds_distinct_on_wide_mass_grid(monkeypatch):
     seen = []
 
-    def record_seed(point):
-        seen.append(point[3])
+    def record_seed(trials, degmax, params, seed):
+        seen.append(seed)
         return []
 
     monkeypatch.setattr(verify, "_symmetry_point", record_seed)
@@ -268,6 +270,24 @@ def test_symmetry_child_seeds_distinct_on_wide_mass_grid(monkeypatch):
               threads=1)
     assert len(seen) == 2 * 11 * 11
     assert len(set(seen)) == len(seen)
+
+
+def test_tracer_point_workers_are_the_suite_workers():
+    # perfbench/tracer.py counts the points of each suite by rebinding the
+    # worker it names; a point routed around that worker would count zero
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    named = {suite: (module, attr) for module, attr, suite in tracer.POINT_WORKERS}
+    assert set(named) == set(SUITE_NAMES)
+    grid = verify._Grid(2, 0, 1, ab=[(a, b) for a in range(2) for b in range(2)],
+                        masses=[(F(1), F(1))])
+    for name in SUITE_NAMES:
+        module, attr = named[name]
+        assert module == "verify", name
+        workers = [worker for worker, _ in verify._SUITES[name](grid)]
+        assert getattr(verify, attr) in workers, name
 
 
 def test_thm21_subsumes_cor24_point():
