@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm, prod
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from . import kernel
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
-                      X_PLUS_1, as_rational)
+from .algebra import (InvalidParam, Poly, X2_MINUS_1, X_MINUS_1, X_PLUS_1,
+                      as_rational)
 from .jacobi import jacobi_poly
 
 

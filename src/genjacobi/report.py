@@ -147,12 +147,6 @@ class VerifyReport:
     def extend(self, cases: Sequence[Case]) -> None:
         self.cases.extend(cases)
 
-    def merge(self, other: "VerifyReport") -> None:
-        """Absorb another suite's cases, prefixing labels with its name."""
-        for c in other.cases:
-            self.cases.append(Case(f"{other.suite}: {c.label}", c.params, c.n,
-                                   c.residual, c.passed, c.skipped, c.reason))
-
     def to_record(self) -> dict:
         return {
             "suite": self.suite,

@@ -23,10 +23,10 @@ verify_diff_identities checks the classical Jacobi derivative identities at
 one point; it is a library call, not a suite of the grid runner.
 
 Randomized suites draw from a splitmix64 stream (documented in the README)
-so runs are reproducible from (grid, seed) alone.  run_suite() looks a suite
-up in one table that maps its name to its grid points, each a (worker,
-args) pair, and runs every suite's points the same way: serially, or fanned
-out to a process pool under GENJACOBI_THREADS.  Case order follows point
+so runs are reproducible from (grid, seed) alone.  run_suite() looks each
+suite up in one table that maps its name to its grid points, each a (worker,
+args) pair, and runs the points of all its suites as one list: serially, or
+in one process pool under GENJACOBI_THREADS.  Case order follows point
 order, so it is deterministic regardless of parallelism.
 """
 from __future__ import annotations
@@ -462,16 +462,20 @@ def verify_orthogonality(nmax: int, params: Params) -> VerifyReport:
 # ---------------- grid runners ----------------
 
 def _thread_count(threads=None) -> int:
+    """`threads`, else GENJACOBI_THREADS, else 1, clamped to the CPU count;
+    anything but a positive integer raises InvalidParam."""
+    name = "threads"
     if threads is None:
-        env = os.environ.get("GENJACOBI_THREADS", "")
-        if not env:
-            threads = 1
-        elif env.isdecimal() and int(env) > 0:
-            threads = int(env)
-        else:
-            raise InvalidParam(
-                f"GENJACOBI_THREADS must be a positive integer, got {env!r}")
-    return max(1, min(int(threads), os.cpu_count() or 1))
+        name, threads = "GENJACOBI_THREADS", os.environ.get("GENJACOBI_THREADS") or "1"
+    count = threads
+    if isinstance(threads, str):
+        try:
+            count = int(threads) if threads.isdecimal() else 0
+        except ValueError:      # more digits than int() will parse
+            count = 0
+    if type(count) is not int or count < 1:
+        raise InvalidParam(f"{name} must be a positive integer, got {threads!r}")
+    return min(count, os.cpu_count() or 1)
 
 
 def _symmetry_point(trials: int, degmax: int, params: Params, seed: int) -> list:
@@ -516,10 +520,14 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_point(point) -> list:
-    """The cases of one (worker, args) point; runs in a pool worker too."""
-    worker, args = point
+    """The cases of one (label prefix, worker, args) point; runs in a pool too."""
+    prefix, worker, args = point
     out = worker(*args)
-    return out.cases if isinstance(out, VerifyReport) else out
+    cases = out.cases if isinstance(out, VerifyReport) else out
+    if prefix:
+        cases = [Case(prefix + c.label, c.params, c.n, c.residual, c.passed,
+                      c.skipped, c.reason) for c in cases]
+    return cases
 
 
 def _map_points(points, threads: int) -> list:
@@ -540,14 +548,14 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
     """Run one suite (or 'all') over the parameter grid, merged into a
     single report.  Deterministic given the grid and seed.
 
-    Every suite is one entry of the suite table: its grid points run
-    through the same path, serially or fanned out to a process pool of
-    `threads` workers (default GENJACOBI_THREADS), one pool per suite.
-    'all' runs each suite in turn through this function.
+    The grid points of the suite (of every suite in SUITE_NAMES order for
+    'all', labels prefixed "<suite>: ") run as one list, serially or in one
+    process pool of `threads` workers (default GENJACOBI_THREADS).
 
     masses_m / masses_n are the grids of the masses at x = -1 and x = +1.
     A grid that would check nothing (a negative bound, no trials, an empty
-    mass axis) raises InvalidParam.
+    mass axis) or a `threads` that is not a positive integer raises
+    InvalidParam.
     """
     masses_m = tuple(as_rational(m) for m in masses_m)
     masses_n = tuple(as_rational(m) for m in masses_n)
@@ -563,22 +571,15 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
             "masses_m": ",".join(str(m) for m in masses_m),
             "masses_n": ",".join(str(m) for m in masses_n)}
     threads = _thread_count(threads)
-
-    if name == "all":
-        merged = VerifyReport("all", grid=grid, seed=seed)
-        for sub in SUITE_NAMES:
-            merged.merge(run_suite(sub, nmax=nmax, alpha_max=alpha_max,
-                                   beta_max=beta_max, masses_m=masses_m,
-                                   masses_n=masses_n, seed=seed,
-                                   trials=trials, threads=threads))
-        return merged
-    if name not in _SUITES:
+    if name != "all" and name not in _SUITES:
         raise InvalidParam(f"unknown suite {name!r}; choose from "
                            f"{SUITE_NAMES + ('all',)}")
 
     g = _Grid(nmax, seed, trials,
               ab=[(a, b) for a in range(alpha_max + 1) for b in range(beta_max + 1)],
               masses=[(M, N) for M in masses_m for N in masses_n])
-    report = VerifyReport(name, grid=grid, seed=seed)
-    report.extend(_map_points(_SUITES[name](g), threads))
-    return report
+    subs = SUITE_NAMES if name == "all" else (name,)
+    points = [(f"{sub}: " if name == "all" else "", worker, args)
+              for sub in subs for worker, args in _SUITES[sub](g)]
+    return VerifyReport(name, grid=grid, seed=seed,
+                        cases=_map_points(points, threads))

@@ -206,7 +206,8 @@ def test_verify_report_bytes_are_pinned(capsys, monkeypatch, threads):
         "1865cc289c27d8cae23faf5c9fdfdb62f4c61020f83472d993d457df4ea61274")
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "2x", " 2"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "2x", " 2",
+                                   pytest.param("9" * 5000, id="5000-digits")])
 def test_verify_bad_threads_env_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("GENJACOBI_THREADS", value)
     code, out, err = run(capsys, "verify", "--suite", "cor24", "--nmax", "1")

@@ -47,3 +47,23 @@ def test_math_layer_does_not_import_the_runner_layer():
     for module in MATH_LAYER:
         imported = _imported_modules(ROOT / "src" / "genjacobi" / f"{module}.py")
         assert not imported & {"genjacobi.report", "genjacobi.verify"}, module
+
+
+def test_every_imported_name_is_read():
+    # an import no code reads is dead weight; a re-export counts as a
+    # read when __all__ lists it
+    for path in sorted((ROOT / "src" / "genjacobi").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                read.update(ast.literal_eval(node.value))
+        unread = bound - read
+        assert not unread, path.name

@@ -3,6 +3,8 @@ import csv
 import importlib.util
 import io
 import json
+import os
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -153,6 +155,42 @@ def test_run_suite_all_merges():
     assert rep.all_pass
     prefixes = {c.label.split(":")[0] for c in rep.cases}
     assert set(SUITE_NAMES) <= prefixes
+    expected = []
+    for sub in SUITE_NAMES:
+        own = run_suite(sub, nmax=2, alpha_max=0, beta_max=0,
+                        masses_m=(F(1),), masses_n=(F(1),), seed=0, trials=1)
+        expected += [replace(c, label=f"{sub}: {c.label}") for c in own.cases]
+    assert rep.cases == expected
+
+
+def test_run_suite_all_opens_one_pool(monkeypatch):
+    opened = []
+
+    class CountingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # two (alpha, beta) pairs and two masses: every suite has several points
+    rep = run_suite("all", nmax=1, alpha_max=1, beta_max=0,
+                    masses_m=(F(0), F(1)), masses_n=(F(1),), seed=0, trials=1, threads=2)
+    assert rep.all_pass
+    assert opened == [2]
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True, "2x"])
+def test_run_suite_rejects_a_bad_thread_count(threads):
+    with pytest.raises(InvalidParam, match="threads must be a positive integer"):
+        run_suite("cor24", nmax=1, alpha_max=0, beta_max=0, threads=threads)
 
 
 def test_run_suite_rejects_unknown_name():
