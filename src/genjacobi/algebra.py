@@ -36,6 +36,13 @@ class InvalidParam(ValueError):
     """A parameter is outside the domain of the requested operation."""
 
 
+def nonneg_int(name: str, value) -> int:
+    """value, if it is a nonnegative int (not a bool); else InvalidParam."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InvalidParam(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to Fraction.
 
@@ -349,7 +356,6 @@ def format_rational(value: RationalLike) -> str:
 
 
 # handy fixed polynomials
-X = Poly.x()
 X_PLUS_1 = Poly([1, 1])
 X_MINUS_1 = Poly([-1, 1])
 X2_MINUS_1 = Poly([-1, 0, 1])

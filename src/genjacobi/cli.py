@@ -10,8 +10,9 @@ Subcommands:
 All formats (plain, json, csv, latex) render every number as an exact
 rational "p/q" (or "p"); decimals are rejected on input and never produced
 on output.  Exit codes: 0 success / all identities pass, 1 verification
-failure or an operator that fails its own structural check (an
-InconsistentExpansion), 2 usage or validation error.
+failure or an exact-arithmetic failure (an ArithmeticError such as
+NotDivisible or InconsistentExpansion, which means a bug), 2 usage or
+validation error.
 """
 from __future__ import annotations
 
@@ -21,11 +22,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import InvalidParam, NotDivisible, Poly, format_rational
+from .algebra import InvalidParam, Poly, format_rational
 from .genjacobi import Params, gen_jacobi, poly_Q, poly_R, poly_S
 from .inner import gram_matrix
 from .jacobi import jacobi_poly
-from .operators import OPERATOR_KINDS, InconsistentExpansion, expand_operator
+from .operators import OPERATOR_KINDS, expand_operator
 from .report import params_str
 from .verify import (DEFAULT_ALPHA_MAX, DEFAULT_BETA_MAX, DEFAULT_MASSES,
                      DEFAULT_NMAX, DEFAULT_SEED, SUITE_NAMES, run_suite)
@@ -238,12 +239,10 @@ def main(argv=None) -> int:
             masses_n=DEFAULT_MASSES if args.bign is None else (args.bign,))
         print(report.render(args.format))
         return 0 if report.all_pass else 1
-    except (InvalidParam, NotDivisible) as exc:
+    except (InvalidParam, ArithmeticError) as exc:
+        # bad input is a usage error; exact arithmetic that fails is a bug
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InconsistentExpansion as exc:    # an operator failed its own check
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidParam) else 1
 
 
 def entry() -> None:

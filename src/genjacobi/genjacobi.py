@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .algebra import (InvalidParam, Poly, X2_MINUS_1, X_MINUS_1, X_PLUS_1,
-                      as_rational)
+                      as_rational, nonneg_int)
 from .jacobi import jacobi_poly
 
 
@@ -33,12 +33,8 @@ class Params:
     N: Fraction = Fraction(0)
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidParam(f"{name} must be a nonnegative integer, got {value!r}")
-            if value < 0:
-                raise InvalidParam(f"{name} must be a nonnegative integer, got {value}")
+        nonneg_int("alpha", self.alpha)
+        nonneg_int("beta", self.beta)
         for name in ("M", "N"):
             value = as_rational(getattr(self, name))
             if value < 0:

@@ -17,10 +17,10 @@ from math import factorial, lcm
 from operator import mul
 
 from .algebra import (InvalidParam, ONE_MINUS_X, Poly, X_MINUS_1, X_PLUS_1,
-                      pochhammer)
+                      nonneg_int, pochhammer)
 from .genjacobi import Params, gen_jacobi
 from .operators import (apply_combined, apply_L2, apply_Lfull, apply_Lhat,
-                        apply_Ltilde, const_b, const_c, _nonneg_int)
+                        apply_Ltilde, const_b, const_c)
 
 
 def integrate(f: Poly) -> Fraction:
@@ -44,8 +44,8 @@ def h_norm(alpha: int, beta: int) -> Fraction:
     direct integral of the expanded weight is kept as a test oracle in
     h_norm_integral.
     """
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     return Fraction(2 ** (a + b + 1) * factorial(a) * factorial(b), factorial(a + b + 1))
 
 
@@ -57,8 +57,8 @@ def h_norm_integral(alpha: int, beta: int) -> Fraction:
 @lru_cache(maxsize=256, typed=True)
 def weight_poly(alpha: int, beta: int) -> Poly:
     """(1-x)^alpha (1+x)^beta as an explicit polynomial."""
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     return ONE_MINUS_X ** a * X_PLUS_1 ** b
 
 
@@ -100,8 +100,8 @@ def bilinear_U(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
 
 def bilinear_Vt(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the mass operator at x = -1."""
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     df = (X_PLUS_1 ** (b + 1) * f).derive(b + 2)
     dg = (X_PLUS_1 ** (b + 1) * g).derive(b + 2)
     return integrate(df * dg * ONE_MINUS_X ** (a + b + 2)) / h_norm(a, b)
@@ -109,8 +109,8 @@ def bilinear_Vt(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
 
 def bilinear_V(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the mass operator at x = +1."""
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     df = (X_MINUS_1 ** (a + 1) * f).derive(a + 2)
     dg = (X_MINUS_1 ** (a + 1) * g).derive(a + 2)
     return integrate(df * dg * X_PLUS_1 ** (a + b + 2)) / h_norm(a, b)
@@ -118,8 +118,8 @@ def bilinear_V(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
 
 def bilinear_W(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the two-mass operator."""
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     vf = X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1)
     df = (vf * f).derive(a + b + 3)
     dg = (vf * g).derive(a + b + 3)
@@ -150,8 +150,8 @@ def boundary_closed_forms(f: Poly, alpha: int, beta: int) -> BoundaryValues:
     weighted-derivative value at the opposite endpoint; the two-mass
     operator vanishes at both.
     """
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     df = f.derive()
     return BoundaryValues(
         l2_neg1=-2 * (b + 1) * df.eval(-1),
@@ -197,8 +197,8 @@ def mass_constant_identity(alpha: int, beta: int) -> tuple:
     Returns (direct, via_pos1_normalization, via_neg1_normalization); all
     three must be equal.
     """
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     direct = (Fraction(2 ** (a + b + 2)) * factorial(a + 1) * factorial(b + 1)
               * factorial(a + b + 3) / h_norm(a, b))
     via_pos = const_c(a, b) / const_b(a, b) * 2 * pochhammer(b + 1, a + 2) * factorial(a + 2)

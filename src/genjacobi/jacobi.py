@@ -10,7 +10,6 @@ exact for any rational parameter > -1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
@@ -18,20 +17,17 @@ from math import comb, factorial, lcm
 from .algebra import InvalidParam, Poly, RationalLike, as_rational, pochhammer
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Validated exponent pair for the weight (1-x)^gamma (1+x)^delta."""
-
-    gamma: Fraction
-    delta: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", as_rational(self.gamma))
-        object.__setattr__(self, "delta", as_rational(self.delta))
-        if self.gamma <= -1:
-            raise InvalidParam(f"gamma must exceed -1, got {self.gamma}")
-        if self.delta <= -1:
-            raise InvalidParam(f"delta must exceed -1, got {self.delta}")
+def _checked(n: int, gamma: RationalLike, delta: RationalLike) -> tuple:
+    """(gamma, delta) as Fractions for the weight (1-x)^gamma (1+x)^delta;
+    InvalidParam unless n >= 0 and both exponents exceed -1."""
+    if n < 0:
+        raise InvalidParam(f"polynomial index must be >= 0, got {n}")
+    g, d = as_rational(gamma), as_rational(delta)
+    if g <= -1:
+        raise InvalidParam(f"gamma must exceed -1, got {g}")
+    if d <= -1:
+        raise InvalidParam(f"delta must exceed -1, got {d}")
+    return g, d
 
 
 def jacobi_poly(n: int, gamma: RationalLike, delta: RationalLike) -> Poly:
@@ -40,10 +36,7 @@ def jacobi_poly(n: int, gamma: RationalLike, delta: RationalLike) -> Poly:
     Evaluates the terminating hypergeometric sum exactly.  The leading
     coefficient is (n+gamma+delta+1)_n / (2^n n!).
     """
-    if n < 0:
-        raise InvalidParam(f"polynomial index must be >= 0, got {n}")
-    p = JacobiParams(as_rational(gamma), as_rational(delta))
-    return _jacobi_hyp(n, p.gamma, p.delta)
+    return _jacobi_hyp(n, *_checked(n, gamma, delta))
 
 
 @lru_cache(maxsize=8192)
@@ -72,10 +65,7 @@ def _jacobi_hyp(n: int, gamma: Fraction, delta: Fraction) -> Poly:
 
 def jacobi_recurrence(n: int, gamma: RationalLike, delta: RationalLike) -> Poly:
     """Same polynomial via the three-term recurrence (independent oracle)."""
-    if n < 0:
-        raise InvalidParam(f"polynomial index must be >= 0, got {n}")
-    p = JacobiParams(as_rational(gamma), as_rational(delta))
-    g, d = p.gamma, p.delta
+    g, d = _checked(n, gamma, delta)
     prev = Poly.one()
     if n == 0:
         return prev

@@ -34,7 +34,7 @@ from operator import add, sub
 
 from . import kernel
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
-                      X_PLUS_1, as_rational, pochhammer)
+                      X_PLUS_1, as_rational, nonneg_int, pochhammer)
 from .genjacobi import Params
 
 FACTORIZED_KINDS = ("A", "B", "C")
@@ -84,12 +84,6 @@ class DiffOperator:
         return out
 
 
-def _nonneg_int(name: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise InvalidParam(f"{name} must be a nonnegative integer, got {value!r}")
-    return value
-
-
 def apply_L2(y: Poly, alpha: RationalLike, beta: RationalLike) -> Poly:
     """Second-order Jacobi operator in expanded pencil form,
     (x^2-1)y'' + [alpha-beta+(alpha+beta+2)x]y'.
@@ -107,16 +101,16 @@ def apply_L2_conjugated(y: Poly, alpha: int, beta: int) -> Poly:
     Computes (x-1)^(-alpha) (x+1)^(-beta) * d/dx[(x-1)^(alpha+1)
     (x+1)^(beta+1) y'] with exact division; integer parameters only.
     """
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     inner = (X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1) * y.derive()).derive()
     return inner / (X_MINUS_1 ** a * X_PLUS_1 ** b)
 
 
 def apply_Ltilde(y: Poly, alpha: int, beta: int) -> Poly:
     """Order-(2*beta+4) operator for the point mass at x = -1."""
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     inner = (X_PLUS_1 ** (b + 1) * y).derive(b + 2)
     outer = (X_MINUS_1 ** (a + b + 2) * inner).derive(b + 2)
     if a:
@@ -126,8 +120,8 @@ def apply_Ltilde(y: Poly, alpha: int, beta: int) -> Poly:
 
 def apply_Lhat(y: Poly, alpha: int, beta: int) -> Poly:
     """Order-(2*alpha+4) operator for the point mass at x = +1."""
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     inner = (X_MINUS_1 ** (a + 1) * y).derive(a + 2)
     outer = (X_PLUS_1 ** (a + b + 2) * inner).derive(a + 2)
     if b:
@@ -142,8 +136,8 @@ def apply_Lfull(y: Poly, alpha: int, beta: int) -> Poly:
     one: (x-1)^(beta+1) (x+1)^(alpha+1).  That swap is deliberate and
     load-bearing; with matched exponents the eigen-equations fail.
     """
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     inner = (X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1) * y).derive(a + b + 3)
     middle = X_MINUS_1 ** (b + 1) * X_PLUS_1 ** (a + 1) * inner
     return X2_MINUS_1 * middle.derive(a + b + 3)
@@ -158,7 +152,7 @@ def apply_combined(y: Poly, params: Params) -> Poly:
     """
     if y.is_zero:
         return y
-    den, columns = _combined_matrix(params, _block(len(y.nums)))
+    den, columns = _combined_matrix(params, len(y.nums))
     return Poly._norm(_matvec(columns, y.nums), den * y.den)
 
 
@@ -167,10 +161,8 @@ def apply_combined(y: Poly, params: Params) -> Poly:
 # For integer alpha and beta each elementary operator maps x^k to an integer
 # polynomial of degree <= k, so on polynomials of degree < dim it is an
 # upper-triangular integer matrix whose column k holds the image of x^k.
-# Matrices grow in blocks of _COLUMN_BLOCK columns, each block extending the
-# cached smaller one, so one operator keeps few of them.
-
-_COLUMN_BLOCK = 16
+# Each operator keeps one cached column list, extended in place to the dim
+# asked for.
 
 # kind -> the apply_* function that defines it and probes its columns; the
 # function is looked up by name at probe time, so a rebound module
@@ -179,36 +171,37 @@ _ELEMENTARY = {"L2": "apply_L2", "Ltilde": "apply_Ltilde",
                "Lhat": "apply_Lhat", "Lfull": "apply_Lfull"}
 
 
-def _block(size: int) -> int:
-    """size rounded up to a whole number of blocks, at least one."""
-    return max(1, -(-size // _COLUMN_BLOCK)) * _COLUMN_BLOCK
-
-
 @lru_cache(maxsize=32)
-def _columns(kind: str, alpha: int, beta: int, dim: int) -> tuple:
-    """Integer coefficient vectors of the images of x^0 .. x^(dim-1).
+def _column_list(kind: str, alpha: int, beta: int) -> list:
+    """The probed columns of one elementary operator; _columns extends it."""
+    return []
 
-    dim is a multiple of _COLUMN_BLOCK.  A column that is not an integer
-    vector of degree <= k raises InconsistentExpansion: it would break the
-    triangular structure everything built on the columns relies on.
+
+def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
+    """Integer coefficient vectors of the images of x^0, x^1, ..., probed up
+    to at least x^(dim-1).
+
+    A column that is not an integer vector of degree <= k raises
+    InconsistentExpansion: it would break the triangular structure
+    everything built on the columns relies on.
     """
-    start = dim - _COLUMN_BLOCK
-    columns = list(_columns(kind, alpha, beta, start)) if start else []
+    columns = _column_list(kind, alpha, beta)
     apply = globals()[_ELEMENTARY[kind]]
-    for k in range(start, dim):
+    for k in range(len(columns), dim):
         image = apply(Poly.monomial(k), alpha, beta)
         if image.den != 1 or image.degree > k:
             raise InconsistentExpansion(
                 f"{kind}: image {image} of x^{k} is not an integer polynomial "
                 f"of degree <= {k}")
         columns.append(image.nums)
-    return tuple(columns)
+    return columns
 
 
 @lru_cache(maxsize=8)
-def _combined_matrix(params: Params, dim: int) -> tuple:
-    """(den, columns): the combined operator on x^0 .. x^(dim-1) as integer
-    columns over one denominator; dim is a multiple of _COLUMN_BLOCK."""
+def _combined_entry(params: Params) -> tuple:
+    """(den, weights, columns) of the combined operator: its integer columns
+    over one denominator, as a list _combined_matrix extends, and the
+    integer weight of each elementary kind in it."""
     a, b = params.alpha, params.beta
     scales = [("L2", Fraction(1))]
     if params.M:
@@ -218,19 +211,26 @@ def _combined_matrix(params: Params, dim: int) -> tuple:
     if params.M and params.N:
         scales.append(("Lfull", params.M * params.N / const_c(a, b)))
     den = lcm(*(s.denominator for _, s in scales))
-    parts = [(_columns(kind, a, b, dim), s.numerator * (den // s.denominator))
-             for kind, s in scales]
-    start = dim - _COLUMN_BLOCK
-    columns = list(_combined_matrix(params, start)[1]) if start else []
-    for k in range(start, dim):
-        column = []
-        for kind_columns, weight in parts:
-            column = kernel.add_scaled(column, 1, kind_columns[k], weight)
-        columns.append(tuple(column))
-    return den, tuple(columns)
+    weights = tuple((kind, s.numerator * (den // s.denominator)) for kind, s in scales)
+    return den, weights, []
 
 
-def _matvec(columns: tuple, nums: tuple) -> list:
+def _combined_matrix(params: Params, dim: int) -> tuple:
+    """(den, columns): the combined operator as integer columns over one
+    denominator, built up to at least x^(dim-1)."""
+    den, weights, columns = _combined_entry(params)
+    if len(columns) < dim:
+        parts = [(_columns(kind, params.alpha, params.beta, dim), weight)
+                 for kind, weight in weights]
+        for k in range(len(columns), dim):
+            column = []
+            for kind_columns, weight in parts:
+                column = kernel.add_scaled(column, 1, kind_columns[k], weight)
+            columns.append(tuple(column))
+    return den, columns
+
+
+def _matvec(columns: list, nums: tuple) -> list:
     """Integer vector sum(nums[k] * columns[k]); columns[k] has at most
     k + 1 entries, so the result has len(nums) entries."""
     out = [0] * len(nums)
@@ -245,7 +245,7 @@ def _image(kind: str, y: Poly, alpha: int, beta: int) -> Poly:
     equal to the apply_* function of that kind."""
     if y.is_zero:
         return y
-    columns = _columns(kind, alpha, beta, _block(len(y.nums)))
+    columns = _columns(kind, alpha, beta, len(y.nums))
     return Poly._norm(_matvec(columns, y.nums), y.den)
 
 
@@ -266,8 +266,8 @@ def apply_factorized(kind: str, y: Poly, alpha: int, beta: int) -> Poly:
     pole terms, and this order is the one under which the eigen-equations
     telescope.
     """
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     # kind -> (highest shift index, pole at x = -1, pole at x = +1)
     kinds = {"A": (b + 1, True, False),
              "B": (a + 1, False, True),
@@ -294,8 +294,8 @@ def apply_duran(y: Poly, alpha: int, beta: int) -> Poly:
     -1.  Everything is polynomial; no division occurs.  The shifted factors
     commute with one another, so only the final factor's position matters.
     """
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     out = y
     for j in range(b + 1):
         out = apply_L2(out, a, b + 1) + (a + 1 + j) * (b + 1 - j) * out
@@ -317,11 +317,10 @@ def expand_operator(kind: str, params: Params) -> DiffOperator:
     if kind not in orders:
         raise InvalidParam(f"kind must be one of {OPERATOR_KINDS}, got {kind!r}")
     order = orders[kind]
-    dim = _block(order + 1)
     if kind == "Combined":
-        den, columns = _combined_matrix(params, dim)
+        den, columns = _combined_matrix(params, order + 1)
     else:
-        den, columns = 1, _columns(kind, a, b, dim)
+        den, columns = 1, _columns(kind, a, b, order + 1)
 
     if any(columns[0]):
         raise InconsistentExpansion(f"{kind} does not annihilate constants")
@@ -354,8 +353,8 @@ def eigen_high(kind: str, n: int, alpha: int, beta: int) -> EigenValue:
     the mirror operator paired with poly_Q pass swapped parameters.  kind
     "full" is the order-(2*alpha+2*beta+6) operator paired with poly_S.
     """
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     if kind == "side":
         return EigenValue(pochhammer(n, a + 2) * pochhammer(n + b, a + 2))
     if kind == "full":
@@ -366,16 +365,16 @@ def eigen_high(kind: str, n: int, alpha: int, beta: int) -> EigenValue:
 @lru_cache(maxsize=256, typed=True)
 def const_b(alpha: int, beta: int) -> Fraction:
     """Normalization (alpha+2)! * (beta+1)_(alpha+1) of a side operator."""
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     return factorial(a + 2) * pochhammer(b + 1, a + 1)
 
 
 @lru_cache(maxsize=256, typed=True)
 def const_c(alpha: int, beta: int) -> Fraction:
     """Normalization (alpha+1)(beta+1)(alpha+beta+3)((alpha+beta+1)!)^2."""
-    a = _nonneg_int("alpha", alpha)
-    b = _nonneg_int("beta", beta)
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
     return Fraction((a + 1) * (b + 1) * (a + b + 3)) * factorial(a + b + 1) ** 2
 
 

@@ -32,6 +32,7 @@ order, so it is deterministic regardless of parallelism.
 from __future__ import annotations
 
 import os
+import reprlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple
 from fractions import Fraction
@@ -474,7 +475,8 @@ def _thread_count(threads=None) -> int:
         except ValueError:      # more digits than int() will parse
             count = 0
     if type(count) is not int or count < 1:
-        raise InvalidParam(f"{name} must be a positive integer, got {threads!r}")
+        raise InvalidParam(f"{name} must be a positive integer, "
+                           f"got {reprlib.repr(threads)}")
     return min(count, os.cpu_count() or 1)
 
 

@@ -17,6 +17,7 @@ from genjacobi import operators
 from genjacobi.cli import main, poly_latex, rational_flag
 from genjacobi.algebra import Poly
 from genjacobi.verify import _thread_count
+from test_mutants import TINY_ARGS, mutated
 
 
 def run(capsys, *argv):
@@ -144,7 +145,7 @@ def test_operator_table_bad_kind_exits_2(capsys):
 def test_inconsistent_operator_exits_1_with_an_error(capsys, monkeypatch):
     # an operator whose columns are not integer vectors fails its own
     # structural check: exit 1 with a message, not a traceback
-    caches = (operators._columns, operators._combined_matrix)
+    caches = (operators._column_list, operators._combined_entry)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.delenv("GENJACOBI_THREADS", raising=False)
@@ -159,6 +160,16 @@ def test_inconsistent_operator_exits_1_with_an_error(capsys, monkeypatch):
     finally:
         for cache in caches:
             cache.cache_clear()
+
+
+def test_exact_arithmetic_failure_exits_1(capsys, monkeypatch):
+    # a wrong formula that leaves a remainder in an exact division is a
+    # bug in the program, not a usage error
+    monkeypatch.delenv("GENJACOBI_THREADS", raising=False)
+    with mutated("apply_L2 with alpha and beta swapped"):
+        code, out, err = run(capsys, "verify", "--suite", "prop23", *TINY_ARGS)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: remainder")
 
 
 def test_verify_suite_exit_zero(capsys):
@@ -214,6 +225,7 @@ def test_verify_bad_threads_env_exits_2(capsys, monkeypatch, value):
     assert code == 2
     assert out == ""
     assert "GENJACOBI_THREADS must be a positive integer" in err
+    assert len(err) < 200
 
 
 def test_threads_env_unset_empty_and_clamped(monkeypatch):

@@ -5,8 +5,7 @@ from math import factorial
 import pytest
 
 from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1, pochhammer
-from genjacobi.jacobi import (JacobiParams, jacobi_poly, jacobi_recurrence,
-                              leading_coeff)
+from genjacobi.jacobi import jacobi_poly, jacobi_recurrence, leading_coeff
 from genjacobi.verify import verify_diff_identities
 
 GRID = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1, 2),
@@ -60,7 +59,7 @@ def test_parameter_validation():
     with pytest.raises(InvalidParam):
         jacobi_poly(-1, 0, 0)
     with pytest.raises(InvalidParam):
-        JacobiParams(Fraction(-5, 4), 0)
+        jacobi_recurrence(2, Fraction(-5, 4), 0)
 
 
 def test_diff_identities_all_pass_on_grid():

@@ -15,7 +15,8 @@ from genjacobi.operators import (DiffOperator, EigenValue, InconsistentExpansion
                                  apply_Lhat, apply_Ltilde, apply_combined,
                                  apply_duran, apply_factorized, const_b, const_c,
                                  eigen_combined, eigen_high, eigen_lambda2,
-                                 expand_operator, _columns, _combined_matrix, _image)
+                                 expand_operator, _column_list, _columns,
+                                 _combined_entry, _combined_matrix, _image)
 from genjacobi.verify import SplitMix64
 
 F = Fraction
@@ -262,7 +263,7 @@ def test_eigenvalue_wraps_exact_rationals():
 
 ELEMENTARY = {"L2": apply_L2, "Ltilde": apply_Ltilde, "Lhat": apply_Lhat,
               "Lfull": apply_Lfull}
-# degrees on both sides of the first two block edges
+# increasing degrees, so most of them extend the cached column lists
 EDGE_DEGREES = (0, 15, 16, 17, 31, 32, 33)
 
 
@@ -299,11 +300,11 @@ def probe_solve(op, order):
 
 @pytest.fixture
 def cold_matrices():
-    _columns.cache_clear()
-    _combined_matrix.cache_clear()
+    _column_list.cache_clear()
+    _combined_entry.cache_clear()
     yield
-    _columns.cache_clear()
-    _combined_matrix.cache_clear()
+    _column_list.cache_clear()
+    _combined_entry.cache_clear()
 
 
 def test_columns_match_direct_application_across_block_edges():
@@ -336,20 +337,32 @@ def test_expand_operator_matches_a_poly_probe_solve():
             assert expand_operator(kind, pr).terms == probe_solve(op, orders[kind]), (kind, a, b)
 
 
-def test_matrices_do_not_depend_on_how_they_grew(cold_matrices):
+def test_one_column_list_per_operator_whatever_the_growth(cold_matrices):
     pr = Params(2, 1, F(1, 3), 2)
 
     def matrices(dim):
-        return [_columns(kind, 2, 1, dim) for kind in ELEMENTARY] + [_combined_matrix(pr, dim)[1]]
+        return ([list(_columns(kind, 2, 1, dim)) for kind in ELEMENTARY]
+                + [list(_combined_matrix(pr, dim)[1])])
 
-    small = matrices(16)
-    _columns.cache_clear()
-    _combined_matrix.cache_clear()
-    large = matrices(32)
-    assert [m[:16] for m in large] == small
-    _columns.cache_clear()
-    _combined_matrix.cache_clear()
-    assert matrices(16) == small
+    for dim in (16, 33, 20):
+        grown = matrices(dim)
+    assert _column_list.cache_info().currsize == len(ELEMENTARY)
+    assert _combined_entry.cache_info().currsize == 1
+    _column_list.cache_clear()
+    _combined_entry.cache_clear()
+    assert grown == matrices(33)
+
+
+def test_expand_operator_probes_only_order_plus_one_columns(monkeypatch, cold_matrices):
+    calls = []
+
+    def counting(y, a, b, apply=operators.apply_L2):
+        calls.append(y)
+        return apply(y, a, b)
+
+    monkeypatch.setattr(operators, "apply_L2", counting)
+    expand_operator("L2", Params(1, 0))
+    assert calls == [Poly.monomial(k) for k in range(3)]
 
 
 @pytest.mark.parametrize("broken", [

@@ -49,6 +49,17 @@ def test_math_layer_does_not_import_the_runner_layer():
         assert not imported & {"genjacobi.report", "genjacobi.verify"}, module
 
 
+def test_math_layer_imports_no_private_name_from_a_sibling():
+    # a helper two math modules share is public in the module that owns it
+    for module in MATH_LAYER:
+        path = ROOT / "src" / "genjacobi" / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   for alias in node.names if alias.name.startswith("_")]
+        assert not private, (module, private)
+
+
 def test_every_imported_name_is_read():
     # an import no code reads is dead weight; a re-export counts as a
     # read when __all__ lists it
