@@ -36,7 +36,7 @@ import reprlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
                       X_PLUS_1, as_rational, pochhammer)
@@ -123,32 +123,62 @@ def verify_diff_identities(n: int, gamma: RationalLike, delta: RationalLike) -> 
     res = dP - Fraction(n + g + d + 1, 2) * rhs
     report.add(Case.check("derivative raises both parameters", pstr, n, res))
 
-    # derivative of the fully weighted polynomial: raises degree, lowers both
-    if g > 0 and d > 0:
-        lhs = g * X_PLUS_1 * P + d * X_MINUS_1 * P + X2_MINUS_1 * dP
-        res = lhs - 2 * (n + 1) * jacobi_poly(n + 1, g - 1, d - 1)
-        report.add(Case.check("weighted derivative, both endpoint factors", pstr, n, res))
-    else:
-        report.add(Case.skip("weighted derivative, both endpoint factors", pstr, n,
-                             "needs gamma > 0 and delta > 0"))
-
-    # derivative through the (x-1)^gamma factor alone
-    if g > 0:
-        lhs = g * P + X_MINUS_1 * dP
-        res = lhs - (n + g) * jacobi_poly(n, g - 1, d + 1)
-        report.add(Case.check("weighted derivative, x=1 factor", pstr, n, res))
-    else:
-        report.add(Case.skip("weighted derivative, x=1 factor", pstr, n, "needs gamma > 0"))
-
-    # derivative through the (x+1)^delta factor alone
-    if d > 0:
-        lhs = d * P + X_PLUS_1 * dP
-        res = lhs - (n + d) * jacobi_poly(n, g + 1, d - 1)
-        report.add(Case.check("weighted derivative, x=-1 factor", pstr, n, res))
-    else:
-        report.add(Case.skip("weighted derivative, x=-1 factor", pstr, n, "needs delta > 0"))
-
+    # (label, precondition, reason it fails, residual): the derivative of the
+    # fully weighted polynomial (raises the degree, lowers both parameters),
+    # then through the (x-1)^gamma and the (x+1)^delta factor alone
+    weighted = (
+        ("weighted derivative, both endpoint factors", g > 0 and d > 0,
+         "needs gamma > 0 and delta > 0",
+         lambda: (g * X_PLUS_1 * P + d * X_MINUS_1 * P + X2_MINUS_1 * dP
+                  - 2 * (n + 1) * jacobi_poly(n + 1, g - 1, d - 1))),
+        ("weighted derivative, x=1 factor", g > 0, "needs gamma > 0",
+         lambda: g * P + X_MINUS_1 * dP - (n + g) * jacobi_poly(n, g - 1, d + 1)),
+        ("weighted derivative, x=-1 factor", d > 0, "needs delta > 0",
+         lambda: d * P + X_PLUS_1 * dP - (n + d) * jacobi_poly(n, g + 1, d - 1)),
+    )
+    for label, holds, reason, residual in weighted:
+        report.add(Case.check(label, pstr, n, residual()) if holds
+                   else Case.skip(label, pstr, n, reason))
     return report
+
+
+# ---------------- the table of Proposition 2.2 ----------------
+
+class _Block(NamedTuple):
+    """One row of Proposition 2.2: an elementary operator, the block it has
+    as eigenfunctions and their eigenvalue; and its factorized form
+    (Proposition 2.3), which acts on multiples of the block's endpoint factor."""
+
+    name: str               # the operator, as case labels name it
+    kind: str               # its kind in expand_operator and _image
+    poly: Callable          # poly(n, alpha, beta): the P, Q, R or S block
+    apply: Callable         # apply(y, alpha, beta)
+    eigen: Callable         # eigen(n): the eigenvalue on the block of degree n
+    order: int
+    factorized: str = ""    # the apply_factorized kind
+    factor: Poly = Poly.one()
+    where: str = ""         # the factor, as case labels name the block
+
+    def minus_eigen(self, n: int, a: int, b: int) -> Callable:
+        """y -> apply(y) - eigen(n) y, zero on the block of degree n."""
+        lam = self.eigen(n)
+        return lambda y: self.apply(y, a, b) - lam * y
+
+
+def _prop22_table(a: int, b: int) -> tuple:
+    """The rows P, Q, R, S at (alpha, beta) = (a, b).  Built per call, so a
+    rebound module attribute takes effect."""
+    return (
+        _Block("second-order", "L2", jacobi_poly, apply_L2,
+               lambda n: eigen_lambda2(n, a, b).value, 2),
+        _Block("mass(-1)", "Ltilde", poly_Q, apply_Ltilde,
+               lambda n: eigen_high("side", n, b, a).value, 2 * b + 4, "A", X_PLUS_1, "x+1"),
+        _Block("mass(+1)", "Lhat", poly_R, apply_Lhat,
+               lambda n: eigen_high("side", n, a, b).value, 2 * a + 4, "B", X_MINUS_1, "x-1"),
+        _Block("two-mass", "Lfull", poly_S, apply_Lfull,
+               lambda n: eigen_high("full", n, a, b).value, 2 * a + 2 * b + 6,
+               "C", X2_MINUS_1, "both-endpoint"),
+    )
 
 
 # ---------------- combined eigen-equation suite ----------------
@@ -165,22 +195,17 @@ def _thm21_point(nmax: int, params: Params) -> list:
 
 
 def _expansion_cases(alpha: int, beta: int) -> list:
+    """Each elementary operator has its order, with top coefficient
+    (x^2-1)^(order/2)."""
     pstr = params_str(alpha=alpha, beta=beta)
     probe = Params(alpha, beta)
     cases = []
-    targets = (
-        ("L2", "second-order operator", 2, X2_MINUS_1),
-        ("Ltilde", "mass(-1) operator", 2 * beta + 4, X2_MINUS_1 ** (beta + 2)),
-        ("Lhat", "mass(+1) operator", 2 * alpha + 4, X2_MINUS_1 ** (alpha + 2)),
-        ("Lfull", "two-mass operator", 2 * alpha + 2 * beta + 6,
-         X2_MINUS_1 ** (alpha + beta + 3)),
-    )
-    for kind, name, order, top in targets:
-        op = expand_operator(kind, probe)
-        cases.append(Case.check(f"effective order of {name}", pstr, None,
-                                Fraction(op.effective_order - order)))
-        cases.append(Case.check(f"top coefficient of {name}", pstr, None,
-                                op.terms[-1][1] - top))
+    for row in _prop22_table(alpha, beta):
+        op = expand_operator(row.kind, probe)
+        cases.append(Case.check(f"effective order of {row.name} operator", pstr, None,
+                                Fraction(op.effective_order - row.order)))
+        cases.append(Case.check(f"top coefficient of {row.name} operator", pstr, None,
+                                op.terms[-1][1] - X2_MINUS_1 ** (row.order // 2)))
     return cases
 
 
@@ -194,49 +219,37 @@ def verify_theorem21(nmax: int, params: Params) -> VerifyReport:
 
 # ---------------- elementary eigen-equations suite ----------------
 
+# the chain identities behind the two-mass eigen-equation; they relate
+# repeated derivatives of weighted blocks across parameter shifts
+_CHAINS = ("raised-weight derivative chain",
+           "swapped-weight derivative chain, second-derivative form",
+           "swapped-weight derivative chain, raised-parameter form")
+
+
 def verify_prop22(nmax: int, alpha: int, beta: int) -> VerifyReport:
     """Eigen-equations of the four blocks and the derivative chains."""
     a, b = alpha, beta
     pstr = params_str(alpha=a, beta=b)
     report = VerifyReport("prop22", grid={"nmax": str(nmax), **pstr})
+    table = _prop22_table(a, b)
     for n in range(nmax + 1):
-        P = jacobi_poly(n, a, b)
-        res = apply_L2(P, a, b) - eigen_lambda2(n, a, b).value * P
-        report.add(Case.check("second-order eigen-equation", pstr, n, res))
-
-        Q = poly_Q(n, a, b)
-        res = apply_Ltilde(Q, a, b) - eigen_high("side", n, b, a).value * Q
-        report.add(Case.check("mass(-1) eigen-equation", pstr, n, res))
-
-        R = poly_R(n, a, b)
-        res = apply_Lhat(R, a, b) - eigen_high("side", n, a, b).value * R
-        report.add(Case.check("mass(+1) eigen-equation", pstr, n, res))
-
-        S = poly_S(n, a, b)
-        res = apply_Lfull(S, a, b) - eigen_high("full", n, a, b).value * S
-        report.add(Case.check("two-mass eigen-equation", pstr, n, res))
-
-        # chain identities behind the two-mass eigen-equation; they relate
-        # repeated derivatives of weighted blocks across parameter shifts
-        if n >= 2:
-            lhs = (X_MINUS_1 ** (a + 2) * X_PLUS_1 ** (b + 2)
-                   * jacobi_poly(n - 2, a + 2, b + 2)).derive(a + b + 3)
-            rhs = 2 * pochhammer(n - 1, a + b + 3) * jacobi_poly(n - 1, b + 1, a + 1)
-            report.add(Case.check("raised-weight derivative chain", pstr, n, lhs - rhs))
-
-            lhs = (X_MINUS_1 ** (b + 1) * X_PLUS_1 ** (a + 1)
+        for row in table:
+            res = row.minus_eigen(n, a, b)(row.poly(n, a, b))
+            report.add(Case.check(f"{row.name} eigen-equation", pstr, n, res))
+        if n < 2:
+            report.extend(Case.skip(label, pstr, n, "needs n >= 2") for label in _CHAINS)
+            continue
+        raised = (X_MINUS_1 ** (a + 2) * X_PLUS_1 ** (b + 2)
+                  * jacobi_poly(n - 2, a + 2, b + 2)).derive(a + b + 3)
+        swapped = (X_MINUS_1 ** (b + 1) * X_PLUS_1 ** (a + 1)
                    * jacobi_poly(n - 1, b + 1, a + 1)).derive(a + b + 3)
-            mid = 2 * pochhammer(n, a + b + 1) * jacobi_poly(n, a, b).derive(2)
-            rhs = Fraction(1, 2) * pochhammer(n, a + b + 3) * jacobi_poly(n - 2, a + 2, b + 2)
-            report.add(Case.check("swapped-weight derivative chain, second-derivative form",
-                                  pstr, n, lhs - mid))
-            report.add(Case.check("swapped-weight derivative chain, raised-parameter form",
-                                  pstr, n, mid - rhs))
-        else:
-            for label in ("raised-weight derivative chain",
-                          "swapped-weight derivative chain, second-derivative form",
-                          "swapped-weight derivative chain, raised-parameter form"):
-                report.add(Case.skip(label, pstr, n, "needs n >= 2"))
+        mid = 2 * pochhammer(n, a + b + 1) * jacobi_poly(n, a, b).derive(2)
+        residuals = (
+            raised - 2 * pochhammer(n - 1, a + b + 3) * jacobi_poly(n - 1, b + 1, a + 1),
+            swapped - mid,
+            mid - Fraction(1, 2) * pochhammer(n, a + b + 3) * jacobi_poly(n - 2, a + 2, b + 2))
+        for label, res in zip(_CHAINS, residuals):
+            report.add(Case.check(label, pstr, n, res))
     return report
 
 
@@ -247,29 +260,18 @@ def verify_prop23(nmax: int, alpha: int, beta: int) -> VerifyReport:
     a, b = alpha, beta
     pstr = params_str(alpha=a, beta=b)
     report = VerifyReport("prop23", grid={"nmax": str(nmax), **pstr})
+    higher = _prop22_table(a, b)[1:]
     for n in range(1, nmax + 1):
-        Q = poly_Q(n, a, b)
-        res = apply_factorized("A", Q, a, b) - eigen_high("side", n, b, a).value * Q
-        report.add(Case.check("factorized eigen-equation, x+1 block", pstr, n, res))
-
-        R = poly_R(n, a, b)
-        res = apply_factorized("B", R, a, b) - eigen_high("side", n, a, b).value * R
-        report.add(Case.check("factorized eigen-equation, x-1 block", pstr, n, res))
-
-        S = poly_S(n, a, b)
-        res = apply_factorized("C", S, a, b) - eigen_high("full", n, a, b).value * S
-        report.add(Case.check("factorized eigen-equation, both-endpoint block", pstr, n, res))
-
-    probes = (
-        ("A", X_PLUS_1, lambda y: apply_Ltilde(y, a, b), 2 * b + 4),
-        ("B", X_MINUS_1, lambda y: apply_Lhat(y, a, b), 2 * a + 4),
-        ("C", X2_MINUS_1, lambda y: apply_Lfull(y, a, b), 2 * a + 2 * b + 6),
-    )
-    for kind, factor, elementary, order in probes:
-        for k in range(order + 5):
-            y = factor * Poly.monomial(k)
-            res = apply_factorized(kind, y, a, b) - elementary(y)
-            report.add(Case.check(f"factorized matches elementary, kind {kind}",
+        for row in higher:
+            y = row.poly(n, a, b)
+            res = apply_factorized(row.factorized, y, a, b) - row.eigen(n) * y
+            report.add(Case.check(f"factorized eigen-equation, {row.where} block",
+                                  pstr, n, res))
+    for row in higher:
+        for k in range(row.order + 5):
+            y = row.factor * Poly.monomial(k)
+            res = apply_factorized(row.factorized, y, a, b) - row.apply(y, a, b)
+            report.add(Case.check(f"factorized matches elementary, kind {row.factorized}",
                                   pstr, k, res))
     report.add(Case.check("mass(-1) operator annihilates constants", pstr, None,
                           apply_Ltilde(Poly.one(), a, b)))
@@ -318,26 +320,10 @@ def verify_cor25(nmax: int, alpha: int, beta: int) -> VerifyReport:
     inv_bq = 1 / const_b(b, a)
     inv_br = 1 / const_b(a, b)
     inv_c = 1 / const_c(a, b)
+    table = _prop22_table(a, b)
     for n in range(nmax + 1):
-        P = jacobi_poly(n, a, b)
-        Q, R, S = poly_Q(n, a, b), poly_R(n, a, b), poly_S(n, a, b)
-        lam2 = eigen_lambda2(n, a, b).value
-        lam_q = eigen_high("side", n, b, a).value
-        lam_r = eigen_high("side", n, a, b).value
-        lam_s = eigen_high("full", n, a, b).value
-
-        def d2(y: Poly) -> Poly:
-            return apply_L2(y, a, b) - lam2 * y
-
-        def dq(y: Poly) -> Poly:
-            return apply_Ltilde(y, a, b) - lam_q * y
-
-        def dr(y: Poly) -> Poly:
-            return apply_Lhat(y, a, b) - lam_r * y
-
-        def ds(y: Poly) -> Poly:
-            return apply_Lfull(y, a, b) - lam_s * y
-
+        P, Q, R, S = (row.poly(n, a, b) for row in table)
+        d2, dq, dr, ds = (row.minus_eigen(n, a, b) for row in table)
         report.add(Case.check("cross identity P/Q", pstr, n, d2(Q) + inv_bq * dq(P)))
         report.add(Case.check("cross identity P/R", pstr, n, d2(R) + inv_br * dr(P)))
         report.add(Case.check("cross identity Q/S", pstr, n,
@@ -370,14 +356,14 @@ def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
         report.add(Case.check("x+1 block as two-term Jacobi combination", pstr, n,
                               lhs - rhs))
 
+    second, side = _prop22_table(a, b)[:2]
     for mass in (Fraction(1), Fraction(1, 3)):
         params = Params(a, b, mass, Fraction(0))
         mstr = params_str(alpha=a, beta=b, M=mass, N=0)
         for n in range(11):
             y = gen_jacobi(n, params)
-            lhs = (apply_L2(y, a, b) - eigen_lambda2(n, a, b).value * y
-                   + mass / const_b(b, a)
-                   * (apply_duran(y, a, b) - eigen_high("side", n, b, a).value * y))
+            lhs = (second.minus_eigen(n, a, b)(y) + mass / const_b(b, a)
+                   * (apply_duran(y, a, b) - side.eigen(n) * y))
             report.add(Case.check("reduced eigen-equation via product form",
                                   mstr, n, lhs))
     return report
@@ -388,7 +374,7 @@ def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
 def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
                          n: int) -> list:
     a, b = params.alpha, params.beta
-    l2, lt, lh, lf = (_image(kind, f, a, b) for kind in ("L2", "Ltilde", "Lhat", "Lfull"))
+    l2, lt, lh, lf = (_image(row.kind, f, a, b) for row in _prop22_table(a, b))
     want = boundary_closed_forms(f, a, b)
     g_neg, g_pos = g.eval(-1), g.eval(1)
     cases = [Case.check("combined operator symmetry defect", pstr, n,
@@ -463,13 +449,12 @@ def verify_orthogonality(nmax: int, params: Params) -> VerifyReport:
 # ---------------- grid runners ----------------
 
 def _thread_count(threads=None) -> int:
-    """`threads`, else GENJACOBI_THREADS, else 1, clamped to the CPU count;
-    anything but a positive integer raises InvalidParam."""
-    name = "threads"
+    """`threads` (an int), else GENJACOBI_THREADS (a decimal string), else 1,
+    clamped to the CPU count; anything but a positive integer raises
+    InvalidParam."""
+    name, count = "threads", threads
     if threads is None:
         name, threads = "GENJACOBI_THREADS", os.environ.get("GENJACOBI_THREADS") or "1"
-    count = threads
-    if isinstance(threads, str):
         try:
             count = int(threads) if threads.isdecimal() else 0
         except ValueError:      # more digits than int() will parse

@@ -307,7 +307,7 @@ def cold_matrices():
     _combined_entry.cache_clear()
 
 
-def test_columns_match_direct_application_across_block_edges():
+def test_columns_match_direct_application_at_edge_degrees():
     rng = SplitMix64(2024)
     ys = [poly_of_degree(rng, d) for d in EDGE_DEGREES]
     for a, b in product(range(5), range(5)):

@@ -187,7 +187,7 @@ def test_run_suite_all_opens_one_pool(monkeypatch):
     assert opened == [2]
 
 
-@pytest.mark.parametrize("threads", [0, -1, 1.5, True, "2x"])
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True, "2x", "2"])
 def test_run_suite_rejects_a_bad_thread_count(threads):
     with pytest.raises(InvalidParam, match="threads must be a positive integer"):
         run_suite("cor24", nmax=1, alpha_max=0, beta_max=0, threads=threads)
