@@ -135,6 +135,7 @@ class Poly:
     @classmethod
     def monomial(cls, k: int, c: RationalLike = 1) -> "Poly":
         """c * x^k."""
+        nonneg_int("monomial degree", k)
         c = as_rational(c)
         if c == 0:
             return cls.zero()

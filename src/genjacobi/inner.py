@@ -1,12 +1,12 @@
 """Exact weighted inner products with endpoint point masses.
 
-Every integral here is a polynomial integral over [-1, 1], computed by
-binomial expansion and exact monomial integration; there is no quadrature
-and no tolerance.  The module provides the normalized Jacobi weight
-integral, the mass-augmented scalar product (a plain Fraction), the four
-symmetric bilinear forms that mirror the operators under that scalar
-product, closed-form boundary values of the operators, the symmetry defect
-of the combined operator, and Gram matrices of the generalized polynomials.
+Every integral here is an exact polynomial integral over [-1, 1]; there is
+no quadrature and no tolerance.  The mass-augmented scalar product is
+stated once, by its moment vector h_k = mu_k + M (-1)^k + N, which the
+weight integral, the scalar product (a plain Fraction) and the Gram
+matrices all read.  The four symmetric bilinear forms that mirror the
+operators integrate directly, an independent route; the module also gives
+closed-form boundary values and the combined operator's symmetry defect.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
 
+from . import kernel
 from .algebra import (InvalidParam, ONE_MINUS_X, Poly, X_MINUS_1, X_PLUS_1,
                       nonneg_int, pochhammer)
 from .genjacobi import Params, gen_jacobi
@@ -62,17 +63,6 @@ def weight_poly(alpha: int, beta: int) -> Poly:
     return ONE_MINUS_X ** a * X_PLUS_1 ** b
 
 
-# moment vectors grow in blocks, so one (alpha, beta) keeps few of them
-_MOMENT_BLOCK = 16
-
-
-def weighted_integral(f: Poly, alpha: int, beta: int) -> Fraction:
-    """Normalized weight integral of f: h_norm(1) = 1 by construction."""
-    size = -(-len(f.nums) // _MOMENT_BLOCK) * _MOMENT_BLOCK
-    moments, den = _normalized_moments(alpha, beta, size)
-    return Fraction(sum(map(mul, f.nums, moments)), den * f.den)
-
-
 @lru_cache(maxsize=256, typed=True)
 def _normalized_moments(alpha: int, beta: int, size: int) -> tuple:
     """(m, D) with m[k] / D the weight integral of x^k over h_norm, k < size."""
@@ -82,48 +72,62 @@ def _normalized_moments(alpha: int, beta: int, size: int) -> tuple:
     return tuple(m.numerator * (den // m.denominator) for m in moments), den
 
 
+def _moment_vector(params: Params, size: int) -> tuple:
+    """(h, D) with h[k] / D = mu_k + M (-1)^k + N for k < size: the moments
+    of the mass-augmented scalar product.  h runs on to a multiple of 16, so
+    one (alpha, beta) keeps few moment blocks in the cache."""
+    moments, mden = _normalized_moments(params.alpha, params.beta, -(-size // 16) * 16)
+    den = lcm(mden, params.M.denominator, params.N.denominator)
+    ends = [int((params.N + s * params.M) * den) for s in (1, -1)]  # at even k, at odd k
+    return [mu * (den // mden) + ends[k & 1] for k, mu in enumerate(moments)], den
+
+
 def inner_product(f: Poly, g: Poly, params: Params) -> Fraction:
-    """Weighted product of f and g plus M f(-1)g(-1) and N f(1)g(1)."""
-    return (weighted_integral(f * g, params.alpha, params.beta)
-            + params.M * f.eval(-1) * g.eval(-1)
-            + params.N * f.eval(1) * g.eval(1))
+    """Weighted product of f and g plus M f(-1)g(-1) and N f(1)g(1), that is
+    the sum over k of (fg)_k h_k with h the moment vector."""
+    if f.is_zero or g.is_zero:
+        return Fraction(0)
+    fg = kernel.conv(f.nums, g.nums)
+    h, den = _moment_vector(params, len(fg))
+    return Fraction(sum(map(mul, fg, h)), den * f.den * g.den)
+
+
+def weighted_integral(f: Poly, alpha: int, beta: int) -> Fraction:
+    """Normalized weight integral of f: h_norm(1) = 1 by construction."""
+    return inner_product(f, Poly.one(), Params(alpha, beta))
 
 
 # ---------------- symmetric bilinear forms ----------------
 
+def _form(f: Poly, g: Poly, v: Poly, k: int, w: Poly, alpha: int, beta: int) -> Fraction:
+    """Integral of (v f)^(k) (v g)^(k) w over [-1, 1], divided by h_norm."""
+    return integrate((v * f).derive(k) * (v * g).derive(k) * w) / h_norm(alpha, beta)
+
+
 def bilinear_U(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the second-order operator: integral of f'g' against
     the weight with both exponents raised by one."""
-    fg = f.derive() * g.derive() * X_MINUS_1 * X_PLUS_1 * Fraction(-1)
-    return weighted_integral(fg, alpha, beta)
+    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
+    return _form(f, g, Poly.one(), 1, weight_poly(a + 1, b + 1), a, b)
 
 
 def bilinear_Vt(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the mass operator at x = -1."""
-    a = nonneg_int("alpha", alpha)
-    b = nonneg_int("beta", beta)
-    df = (X_PLUS_1 ** (b + 1) * f).derive(b + 2)
-    dg = (X_PLUS_1 ** (b + 1) * g).derive(b + 2)
-    return integrate(df * dg * ONE_MINUS_X ** (a + b + 2)) / h_norm(a, b)
+    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
+    return _form(f, g, X_PLUS_1 ** (b + 1), b + 2, weight_poly(a + b + 2, 0), a, b)
 
 
 def bilinear_V(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the mass operator at x = +1."""
-    a = nonneg_int("alpha", alpha)
-    b = nonneg_int("beta", beta)
-    df = (X_MINUS_1 ** (a + 1) * f).derive(a + 2)
-    dg = (X_MINUS_1 ** (a + 1) * g).derive(a + 2)
-    return integrate(df * dg * X_PLUS_1 ** (a + b + 2)) / h_norm(a, b)
+    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
+    return _form(f, g, X_MINUS_1 ** (a + 1), a + 2, weight_poly(0, a + b + 2), a, b)
 
 
 def bilinear_W(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the two-mass operator."""
-    a = nonneg_int("alpha", alpha)
-    b = nonneg_int("beta", beta)
-    vf = X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1)
-    df = (vf * f).derive(a + b + 3)
-    dg = (vf * g).derive(a + b + 3)
-    return integrate(df * dg * ONE_MINUS_X ** (b + 1) * X_PLUS_1 ** (a + 1)) / h_norm(a, b)
+    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
+    v = X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1)
+    return _form(f, g, v, a + b + 3, weight_poly(b + 1, a + 1), a, b)
 
 
 # ---------------- boundary behaviour ----------------
@@ -214,18 +218,13 @@ def symmetry_defect(f: Poly, g: Poly, params: Params) -> Fraction:
 
 
 def gram_matrix(nmax: int, params: Params) -> list:
-    """Pairwise scalar products of gen_jacobi(0..nmax); diagonal iff the
-    polynomials are orthogonal for these weight data."""
+    """Pairwise scalar products of gen_jacobi(0..nmax), entry (i, j) being
+    c_i . (H c_j) with c the coefficients and H the Hankel matrix of the
+    moment vector; diagonal iff the polynomials are orthogonal."""
     if nmax < 0:
         raise InvalidParam(f"nmax must be >= 0, got {nmax}")
     polys = [gen_jacobi(n, params) for n in range(nmax + 1)]
-    out = []
-    for i, f in enumerate(polys):
-        row = []
-        for j, g in enumerate(polys):
-            if j < i:
-                row.append(out[j][i])
-            else:
-                row.append(inner_product(f, g, params))
-        out.append(row)
-    return out
+    h, den = _moment_vector(params, 2 * nmax + 1)
+    hc = [[sum(map(mul, g.nums, h[k:])) for k in range(nmax + 1)] for g in polys]
+    return [[Fraction(sum(map(mul, f.nums, w)), den * f.den * g.den)
+             for g, w in zip(polys, hc)] for f in polys]

@@ -62,7 +62,7 @@ class DiffOperator:
     terms: tuple
 
     def __post_init__(self):
-        terms = tuple((int(o), c) for o, c in self.terms)
+        terms = tuple((nonneg_int("term order", o), c) for o, c in self.terms)
         last = 0
         for order, coeff in terms:
             if order <= last:

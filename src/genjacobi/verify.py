@@ -34,7 +34,6 @@ from __future__ import annotations
 import os
 import reprlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -42,7 +41,7 @@ from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
                       X_PLUS_1, as_rational, pochhammer)
 from .genjacobi import (Params, coeff_q, gen_jacobi, poly_Q, poly_R, poly_S)
 from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
-                    boundary_closed_forms, BoundaryValues, gram_matrix,
+                    boundary_closed_forms, gram_matrix,
                     mass_constant_identity, symmetry_defect,
                     weighted_integral)
 from .jacobi import jacobi_poly
@@ -393,9 +392,9 @@ def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
         res = weighted_integral(image * g, a, b) - form(f, g, a, b) - boundary
         cases.append(Case.check(label, pstr, n, res))
 
-    got = BoundaryValues(l2.eval(-1), l2.eval(1), lt.eval(-1), lt.eval(1),
-                         lh.eval(-1), lh.eval(1), lf.eval(-1), lf.eval(1))
-    defect = sum((gv - wv) ** 2 for gv, wv in zip(astuple(got), astuple(want)))
+    # the eight endpoint values in BoundaryValues field order
+    got = [image.eval(x) for image in (l2, lt, lh, lf) for x in (-1, 1)]
+    defect = sum((gv - wv) ** 2 for gv, wv in zip(got, vars(want).values()))
     cases.append(Case.check("boundary closed forms (8 values)", pstr, n, defect))
     return cases
 

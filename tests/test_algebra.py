@@ -58,6 +58,16 @@ def test_eval_exact():
     assert Poly().eval(5) == 0
 
 
+def test_monomial_rejects_a_negative_degree():
+    assert Poly.monomial(0) == Poly.one()
+    assert Poly.monomial(2, Fraction(1, 3)) == Poly([0, 0, Fraction(1, 3)])
+    for k in (-1, -2):
+        with pytest.raises(InvalidParam):
+            Poly.monomial(k)
+    with pytest.raises(InvalidParam):
+        Poly.monomial(-2, 0)    # even when the coefficient is zero
+
+
 def test_reflect():
     p = Poly([1, 2, 3, 4])
     assert p.reflect() == Poly([1, -2, 3, -4])

@@ -114,6 +114,50 @@ def test_inner_product_symmetric():
     assert inner_product(f, g, pr) == inner_product(g, f, pr)
 
 
+def _scalar_product_by_parts(f: Poly, g: Poly, p: Params) -> Fraction:
+    # the weighted integral of f g plus the two endpoint mass terms, each
+    # computed on its own; no moment vector is involved
+    a, b = p.alpha, p.beta
+    weighted = _integrate_by_terms(f * g * weight_poly(a, b)) / h_norm(a, b)
+    return weighted + p.M * f.eval(-1) * g.eval(-1) + p.N * f.eval(1) * g.eval(1)
+
+
+def _poly_of_degree(rng: SplitMix64, deg: int) -> Poly:
+    coeffs = [F(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(deg)]
+    return Poly(coeffs + [F(rng.randint(1, 20), rng.randint(1, 10))])
+
+
+# alpha != beta, and masses with different denominators
+_ORACLE_PARAMS = [Params(0, 0), Params(2, 1, F(1, 3), F(2, 7)), Params(1, 3, 0, F(5, 2)),
+                  Params(3, 0, F(7, 4), 0), Params(0, 2, 1, F(1, 6))]
+
+
+def test_inner_product_matches_the_scalar_product_by_parts():
+    rng = SplitMix64(11)
+    # degree pairs whose product has 15, 16, 17, 31, 32 and 33 coefficients,
+    # on both sides of the 16-moment block edges
+    pairs = [(_poly_of_degree(rng, i), _poly_of_degree(rng, j))
+             for i, j in ((7, 7), (7, 8), (8, 8), (15, 15), (15, 16), (16, 16),
+                          (0, 0), (0, 31), (32, 0))]
+    assert {15, 16, 17, 31, 32, 33} <= {f.degree + g.degree + 1 for f, g in pairs}
+    f = pairs[0][0]
+    pairs += [(Poly.zero(), f), (f, Poly.zero()), (Poly.zero(), Poly.zero())]
+    for p in _ORACLE_PARAMS:
+        for f, g in pairs:
+            want = _scalar_product_by_parts(f, g, p)
+            assert inner_product(f, g, p) == want, (p, f, g)
+            assert inner_product(g, f, p) == want, (p, f, g)
+
+
+@pytest.mark.parametrize("nmax", [0, 7, 8, 15, 16])
+def test_gram_matrix_matches_the_scalar_product_by_parts(nmax):
+    # the Gram matrix needs 2 nmax + 1 moments: 15, 17, 31 and 33 cross block edges
+    for p in _ORACLE_PARAMS[1:3]:
+        polys = [gen_jacobi(n, p) for n in range(nmax + 1)]
+        want = [[_scalar_product_by_parts(f, g, p) for g in polys] for f in polys]
+        assert gram_matrix(nmax, p) == want, p
+
+
 def test_bilinear_U_anchors():
     assert bilinear_U(Poly([1]), Poly([5, 1, 1]), 0, 0) == 0
     assert bilinear_U(Poly.x(), Poly.x(), 0, 0) == F(2, 3)

@@ -5,7 +5,9 @@ left a nonzero one.  Each mutant below rebinds one function by name in
 every genjacobi module that holds it, with all memo caches cleared, and
 runs every suite serially on a tiny grid.  A mutant is killed when at
 least one suite fails or raises.  The tiny grid has alpha != beta points,
-because several mutants are invisible at alpha = beta.
+because several mutants are invisible at alpha = beta, and nmax 3, because
+S_2 multiplies the constant P_0 and 0! = 1!, so a wrong parameter shift or
+factorial in the S block is invisible at nmax 2.
 """
 import contextlib
 import dataclasses
@@ -18,8 +20,8 @@ from genjacobi.algebra import X2_MINUS_1, X_MINUS_1, X_PLUS_1, pochhammer
 from genjacobi.operators import EigenValue
 from genjacobi.verify import SUITE_NAMES, run_suite
 
-TINY = dict(nmax=2, alpha_max=1, beta_max=1, masses_m=(1,), masses_n=(1,), threads=1)
-TINY_ARGS = ["--nmax", "2", "--alpha-max", "1", "--beta-max", "1",
+TINY = dict(nmax=3, alpha_max=1, beta_max=1, masses_m=(1,), masses_n=(1,), threads=1)
+TINY_ARGS = ["--nmax", "3", "--alpha-max", "1", "--beta-max", "1",
              "--bigm", "1", "--bign", "1"]
 
 
@@ -60,9 +62,9 @@ def _combined_swapped(orig):
     return mutant
 
 
-def _inner_without_n(orig):
-    def mutant(f, g, p):
-        return orig(f, g, genjacobi.Params(p.alpha, p.beta, p.M, 0))
+def _moments_without_n(orig):
+    def mutant(p, size):
+        return orig(genjacobi.Params(p.alpha, p.beta, p.M, 0), size)
     return mutant
 
 
@@ -77,6 +79,15 @@ def _moments_shifted(orig):
     def mutant(alpha, beta, size):
         moments, den = orig(alpha, beta, size + 1)
         return moments[1:], den
+    return mutant
+
+
+def _poly_s_shifted(orig):
+    def mutant(n, alpha, beta):
+        if n <= 1:
+            return orig(n, alpha, beta)
+        return (genjacobi.coeff_s(n, alpha, beta) * X2_MINUS_1
+                * jacobi.jacobi_poly(n - 2, alpha + 2, beta + 3))
     return mutant
 
 
@@ -96,12 +107,16 @@ MUTANTS = {
     "coeff_q doubled": (genjacobi, "coeff_q", lambda f: lambda n, a, b: 2 * f(n, a, b)),
     "coeff_r doubled": (genjacobi, "coeff_r", lambda f: lambda n, a, b: 2 * f(n, a, b)),
     "coeff_s doubled": (genjacobi, "coeff_s", lambda f: lambda n, a, b: 2 * f(n, a, b)),
+    # factorial(n - 2) for factorial(n - 1) in the denominator: equal at n = 2
+    "coeff_s with factorial(n-2)":
+        (genjacobi, "coeff_s", lambda f: lambda n, a, b: (n - 1) * f(n, a, b)),
+    "poly_S with beta+3 for beta+2": (genjacobi, "poly_S", _poly_s_shifted),
     "eigen_combined without the M*N term": (operators, "eigen_combined", _eigen_without_mn),
     "eigen_high side with alpha+1 for alpha+2":
         (operators, "eigen_high", _side_eigen_shifted),
     "apply_combined with M and N normalizations swapped":
         (operators, "apply_combined", _combined_swapped),
-    "inner_product without the N mass": (inner, "inner_product", _inner_without_n),
+    "moment vector without the N mass": (inner, "_moment_vector", _moments_without_n),
     "boundary_closed_forms with ltilde_pos1 doubled":
         (inner, "boundary_closed_forms", _ltilde_pos1_doubled),
     "h_norm doubled": (inner, "h_norm", lambda f: lambda a, b: 2 * f(a, b)),
@@ -148,17 +163,19 @@ def _outcome(suite):
 # cor24 cor25 duran symmetry orthogonality); every kill pinned here must stay a
 # kill ('F' and 'E' count alike), and new kills are welcome
 PINNED_KILLS = {
-    "apply_Lfull with matched exponents": "F.F...F.",
+    "apply_Lfull with matched exponents": "FFF.F.F.",
     "apply_L2 with alpha and beta swapped": "FFE.FFF.",
     "const_b off by one": "F..FFFF.",
     "const_c off by one": "F..FF.F.",
     "coeff_q doubled": "F..FFF.F",
     "coeff_r doubled": "F..FF..F",
     "coeff_s doubled": "F..FF..F",
+    "coeff_s with factorial(n-2)": "F..FF..F",
+    "poly_S with beta+3 for beta+2": "FFFFF..F",
     "eigen_combined without the M*N term": "F.......",
     "eigen_high side with alpha+1 for alpha+2": "FFF.FF..",
     "apply_combined with M and N normalizations swapped": "F.....F.",
-    "inner_product without the N mass": "......FF",
+    "moment vector without the N mass": "......FF",
     "boundary_closed_forms with ltilde_pos1 doubled": "......F.",
     "h_norm doubled": "......FF",
     "jacobi_poly doubled at degree 1": "FF.FFF.F",

@@ -246,6 +246,13 @@ def test_diffoperator_validation():
         DiffOperator(terms=((1, Poly.zero()),))  # zero coefficient
 
 
+def test_diffoperator_rejects_an_order_that_is_not_an_int():
+    # neither truncated (2.7 -> 2) nor coerced (True -> 1)
+    for order in (2.7, 2.0, True, Fraction(2)):
+        with pytest.raises(InvalidParam):
+            DiffOperator(terms=((order, Poly([1])),))
+
+
 def test_diffoperator_apply():
     op = DiffOperator(terms=((1, Poly([0, 2])), (2, X2_MINUS_1)))
     y = Poly.monomial(3)
