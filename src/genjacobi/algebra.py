@@ -229,14 +229,13 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise InvalidParam("negative polynomial power")
         if len(self.nums) <= 3:
             # endpoint factors such as (x+1)^k and (x^2-1)^k recur everywhere
             return _small_pow(self, k)
         return self._pow(k)
 
     def _pow(self, k: int) -> "Poly":
+        nonneg_int("polynomial power", k)
         out = Poly.one()
         base = self
         while k:
@@ -258,8 +257,7 @@ class Poly:
 
     def derive(self, k: int = 1) -> "Poly":
         """k-fold derivative (k = 0 is the identity)."""
-        if k < 0:
-            raise InvalidParam("negative derivative order")
+        nonneg_int("derivative order", k)
         if k == 0:
             return self
         if k > self.degree:
@@ -363,6 +361,7 @@ X2_MINUS_1 = Poly([-1, 0, 1])
 ONE_MINUS_X = Poly([1, -1])
 
 
-@lru_cache(maxsize=1024)
+# typed, so 2.0 or True never hits the entry of 2 or 1 and reaches _pow's check
+@lru_cache(maxsize=1024, typed=True)
 def _small_pow(base: Poly, k: int) -> Poly:
     return base._pow(k)

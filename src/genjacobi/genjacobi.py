@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
 from .algebra import (InvalidParam, Poly, X2_MINUS_1, X_MINUS_1, X_PLUS_1,
-                      as_rational, nonneg_int)
+                      as_rational, nonneg_int, pochhammer)
 from .jacobi import jacobi_poly
 
 
@@ -46,11 +46,6 @@ class Params:
         return Params(self.beta, self.alpha, self.N, self.M)
 
 
-def rising(a: int, k: int) -> int:
-    """Integer shifted factorial (a)_k = a(a+1)...(a+k-1) for k >= 0."""
-    return prod(range(a, a + k))
-
-
 def _check_n(n: int, least: int, what: str) -> None:
     if n < least:
         raise InvalidParam(f"{what} needs n >= {least}, got {n}")
@@ -59,22 +54,22 @@ def _check_n(n: int, least: int, what: str) -> None:
 def coeff_q(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x+1)-block, defined for n >= 1."""
     _check_n(n, 1, "coeff_q")
-    return Fraction(rising(alpha + beta + 2, n) * rising(beta + 2, n - 1),
-                    2 * factorial(n) * rising(alpha + 1, n - 1))
+    return (pochhammer(alpha + beta + 2, n) * pochhammer(beta + 2, n - 1)
+            / (2 * factorial(n) * pochhammer(alpha + 1, n - 1)))
 
 
 def coeff_r(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x-1)-block, defined for n >= 1."""
     _check_n(n, 1, "coeff_r")
-    return Fraction(rising(alpha + beta + 2, n) * rising(alpha + 2, n - 1),
-                    2 * factorial(n) * rising(beta + 1, n - 1))
+    return (pochhammer(alpha + beta + 2, n) * pochhammer(alpha + 2, n - 1)
+            / (2 * factorial(n) * pochhammer(beta + 1, n - 1)))
 
 
 def coeff_s(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x^2-1)-block, defined for n >= 2."""
     _check_n(n, 2, "coeff_s")
-    return Fraction(rising(alpha + beta + 2, n) * rising(alpha + beta + 2, n + 1),
-                    4 * (alpha + 1) * (beta + 1) * factorial(n - 1) * factorial(n))
+    return (pochhammer(alpha + beta + 2, n) * pochhammer(alpha + beta + 2, n + 1)
+            / (4 * (alpha + 1) * (beta + 1) * factorial(n - 1) * factorial(n)))
 
 
 def poly_Q(n: int, alpha: int, beta: int) -> Poly:

@@ -23,6 +23,11 @@ Also provided: factorized forms (products of shifted second-order factors),
 an alternative product form for the order-(2*beta+4) operator, expansion of
 any operator into explicit coefficient polynomials per derivative order, and
 the exact eigenvalues of all of them.
+
+components() is the one table of the four elementary operators (Theorem 2.1,
+Proposition 2.2): per operator its block of eigenfunctions, eigenvalue,
+order, normalization and factorized form.  The combined operator, its
+eigenvalue, its expansion and every verify suite read their facts from it.
 """
 from __future__ import annotations
 
@@ -31,11 +36,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 from operator import add, sub
+from typing import Callable, NamedTuple
 
 from . import kernel
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
                       X_PLUS_1, as_rational, nonneg_int, pochhammer)
-from .genjacobi import Params
+from .genjacobi import Params, poly_Q, poly_R, poly_S
+from .jacobi import jacobi_poly
 
 FACTORIZED_KINDS = ("A", "B", "C")
 OPERATOR_KINDS = ("L2", "Ltilde", "Lhat", "Lfull", "Combined")
@@ -164,17 +171,13 @@ def apply_combined(y: Poly, params: Params) -> Poly:
 # Each operator keeps one cached column list, extended in place to the dim
 # asked for.
 
-# kind -> the apply_* function that defines it and probes its columns; the
-# function is looked up by name at probe time, so a rebound module
-# attribute takes effect
-_ELEMENTARY = {"L2": "apply_L2", "Ltilde": "apply_Ltilde",
-               "Lhat": "apply_Lhat", "Lfull": "apply_Lfull"}
-
 
 @lru_cache(maxsize=32)
-def _column_list(kind: str, alpha: int, beta: int) -> list:
-    """The probed columns of one elementary operator; _columns extends it."""
-    return []
+def _column_list(kind: str, alpha: int, beta: int) -> tuple:
+    """(apply, columns): the apply_* function of one elementary operator,
+    as the table holds it when the entry is made, and the columns it has
+    been probed on, a list _columns extends."""
+    return next(row.apply for row in components(alpha, beta) if row.kind == kind), []
 
 
 def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
@@ -185,8 +188,7 @@ def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
     InconsistentExpansion: it would break the triangular structure
     everything built on the columns relies on.
     """
-    columns = _column_list(kind, alpha, beta)
-    apply = globals()[_ELEMENTARY[kind]]
+    apply, columns = _column_list(kind, alpha, beta)
     for k in range(len(columns), dim):
         image = apply(Poly.monomial(k), alpha, beta)
         if image.den != 1 or image.degree > k:
@@ -201,17 +203,13 @@ def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
 def _combined_entry(params: Params) -> tuple:
     """(den, weights, columns) of the combined operator: its integer columns
     over one denominator, as a list _combined_matrix extends, and the
-    integer weight of each elementary kind in it."""
-    a, b = params.alpha, params.beta
-    scales = [("L2", Fraction(1))]
-    if params.M:
-        scales.append(("Ltilde", params.M / const_b(b, a)))
-    if params.N:
-        scales.append(("Lhat", params.N / const_b(a, b)))
-    if params.M and params.N:
-        scales.append(("Lfull", params.M * params.N / const_c(a, b)))
+    integer weight of each component with a nonzero mass, mass / norm
+    times den; the masses are 1, M, N and M*N."""
+    masses = (Fraction(1), params.M, params.N, params.M * params.N)
+    scales = [(row, mass / row.norm)
+              for row, mass in zip(components(params.alpha, params.beta), masses) if mass]
     den = lcm(*(s.denominator for _, s in scales))
-    weights = tuple((kind, s.numerator * (den // s.denominator)) for kind, s in scales)
+    weights = tuple((row, s.numerator * (den // s.denominator)) for row, s in scales)
     return den, weights, []
 
 
@@ -220,8 +218,8 @@ def _combined_matrix(params: Params, dim: int) -> tuple:
     denominator, built up to at least x^(dim-1)."""
     den, weights, columns = _combined_entry(params)
     if len(columns) < dim:
-        parts = [(_columns(kind, params.alpha, params.beta, dim), weight)
-                 for kind, weight in weights]
+        parts = [(_columns(row.kind, params.alpha, params.beta, dim), weight)
+                 for row, weight in weights]
         for k in range(len(columns), dim):
             column = []
             for kind_columns, weight in parts:
@@ -312,11 +310,11 @@ def expand_operator(kind: str, params: Params) -> DiffOperator:
     the test suite checks against the direct application paths.
     """
     a, b = params.alpha, params.beta
-    orders = {"L2": 2, "Ltilde": 2 * b + 4, "Lhat": 2 * a + 4,
-              "Lfull": 2 * a + 2 * b + 6, "Combined": 2 * a + 2 * b + 6}
-    if kind not in orders:
+    rows = {row.kind: row for row in components(a, b)}
+    rows["Combined"] = rows["Lfull"]    # the combined operator has the two-mass order
+    if kind not in rows:
         raise InvalidParam(f"kind must be one of {OPERATOR_KINDS}, got {kind!r}")
-    order = orders[kind]
+    order = rows[kind].order
     if kind == "Combined":
         den, columns = _combined_matrix(params, order + 1)
     else:
@@ -379,13 +377,53 @@ def const_c(alpha: int, beta: int) -> Fraction:
 
 
 def eigen_combined(n: int, params: Params) -> EigenValue:
-    """Eigenvalue of the combined operator on gen_jacobi(n, params)."""
-    a, b = params.alpha, params.beta
-    value = eigen_lambda2(n, a, b).value
-    if params.M:
-        value += params.M / const_b(b, a) * eigen_high("side", n, b, a).value
-    if params.N:
-        value += params.N / const_b(a, b) * eigen_high("side", n, a, b).value
-    if params.M and params.N:
-        value += params.M * params.N / const_c(a, b) * eigen_high("full", n, a, b).value
-    return EigenValue(value)
+    """Eigenvalue of the combined operator on gen_jacobi(n, params): its
+    components' eigenvalues with the weights of its matrix."""
+    den, weights, _ = _combined_entry(params)
+    return EigenValue(sum(weight * row.eigen(n) for row, weight in weights) / den)
+
+
+# ---------------- the four components of Theorem 2.1 ----------------
+
+class Component(NamedTuple):
+    """One elementary operator of Theorem 2.1, a row of Proposition 2.2: the
+    block it has as eigenfunctions and their eigenvalue, its order and
+    normalization; and its factorized form (Proposition 2.3), which acts on
+    multiples of the block's endpoint factor."""
+
+    kind: str               # its kind in expand_operator and _image
+    name: str               # the operator, as case labels name it
+    poly: Callable          # poly(n, alpha, beta): the P, Q, R or S block
+    apply: Callable         # apply(y, alpha, beta)
+    eigen: Callable         # eigen(n): the eigenvalue on the block of degree n
+    order: int
+    norm: Fraction          # the combined operator scales it by mass / norm
+    factorized: str = ""    # the apply_factorized kind
+    factor: Poly = Poly.one()
+    where: str = ""         # the factor, as case labels name the block
+
+    def minus_eigen(self, n: int, a: int, b: int) -> Callable:
+        """y -> apply(y) - eigen(n) y, zero on the block of degree n."""
+        lam = self.eigen(n)
+        return lambda y: self.apply(y, a, b) - lam * y
+
+
+def components(alpha: int, beta: int) -> tuple:
+    """The components P, Q, R, S at (alpha, beta): the second-order, mass(-1),
+    mass(+1) and two-mass operators.  Built per call, so a rebound module
+    attribute takes effect."""
+    a, b = alpha, beta
+    return (
+        Component("L2", "second-order", jacobi_poly, apply_L2,
+                  lambda n: eigen_lambda2(n, a, b).value, 2, Fraction(1)),
+        Component("Ltilde", "mass(-1)", poly_Q, apply_Ltilde,
+                  lambda n: eigen_high("side", n, b, a).value, 2 * b + 4, const_b(b, a),
+                  "A", X_PLUS_1, "x+1"),
+        Component("Lhat", "mass(+1)", poly_R, apply_Lhat,
+                  lambda n: eigen_high("side", n, a, b).value, 2 * a + 4, const_b(a, b),
+                  "B", X_MINUS_1, "x-1"),
+        Component("Lfull", "two-mass", poly_S, apply_Lfull,
+                  lambda n: eigen_high("full", n, a, b).value, 2 * a + 2 * b + 6,
+                  const_c(a, b), "C", X2_MINUS_1, "both-endpoint"),
+    )
+

@@ -35,20 +35,19 @@ import os
 import reprlib
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
                       X_PLUS_1, as_rational, pochhammer)
-from .genjacobi import (Params, coeff_q, gen_jacobi, poly_Q, poly_R, poly_S)
+from .genjacobi import Params, coeff_q, gen_jacobi
 from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
                     boundary_closed_forms, gram_matrix,
                     mass_constant_identity, symmetry_defect,
                     weighted_integral)
 from .jacobi import jacobi_poly
 from .operators import (_image, apply_combined, apply_duran, apply_factorized,
-                        apply_L2, apply_Lfull, apply_Lhat, apply_Ltilde,
-                        const_b, const_c, eigen_combined, eigen_high,
-                        eigen_lambda2, expand_operator)
+                        apply_Lfull, apply_Lhat, apply_Ltilde, components,
+                        const_b, const_c, eigen_combined, expand_operator)
 from .report import Case, VerifyReport, params_str
 
 DEFAULT_NMAX = 12
@@ -141,45 +140,6 @@ def verify_diff_identities(n: int, gamma: RationalLike, delta: RationalLike) -> 
     return report
 
 
-# ---------------- the table of Proposition 2.2 ----------------
-
-class _Block(NamedTuple):
-    """One row of Proposition 2.2: an elementary operator, the block it has
-    as eigenfunctions and their eigenvalue; and its factorized form
-    (Proposition 2.3), which acts on multiples of the block's endpoint factor."""
-
-    name: str               # the operator, as case labels name it
-    kind: str               # its kind in expand_operator and _image
-    poly: Callable          # poly(n, alpha, beta): the P, Q, R or S block
-    apply: Callable         # apply(y, alpha, beta)
-    eigen: Callable         # eigen(n): the eigenvalue on the block of degree n
-    order: int
-    factorized: str = ""    # the apply_factorized kind
-    factor: Poly = Poly.one()
-    where: str = ""         # the factor, as case labels name the block
-
-    def minus_eigen(self, n: int, a: int, b: int) -> Callable:
-        """y -> apply(y) - eigen(n) y, zero on the block of degree n."""
-        lam = self.eigen(n)
-        return lambda y: self.apply(y, a, b) - lam * y
-
-
-def _prop22_table(a: int, b: int) -> tuple:
-    """The rows P, Q, R, S at (alpha, beta) = (a, b).  Built per call, so a
-    rebound module attribute takes effect."""
-    return (
-        _Block("second-order", "L2", jacobi_poly, apply_L2,
-               lambda n: eigen_lambda2(n, a, b).value, 2),
-        _Block("mass(-1)", "Ltilde", poly_Q, apply_Ltilde,
-               lambda n: eigen_high("side", n, b, a).value, 2 * b + 4, "A", X_PLUS_1, "x+1"),
-        _Block("mass(+1)", "Lhat", poly_R, apply_Lhat,
-               lambda n: eigen_high("side", n, a, b).value, 2 * a + 4, "B", X_MINUS_1, "x-1"),
-        _Block("two-mass", "Lfull", poly_S, apply_Lfull,
-               lambda n: eigen_high("full", n, a, b).value, 2 * a + 2 * b + 6,
-               "C", X2_MINUS_1, "both-endpoint"),
-    )
-
-
 # ---------------- combined eigen-equation suite ----------------
 
 def _thm21_point(nmax: int, params: Params) -> list:
@@ -199,7 +159,7 @@ def _expansion_cases(alpha: int, beta: int) -> list:
     pstr = params_str(alpha=alpha, beta=beta)
     probe = Params(alpha, beta)
     cases = []
-    for row in _prop22_table(alpha, beta):
+    for row in components(alpha, beta):
         op = expand_operator(row.kind, probe)
         cases.append(Case.check(f"effective order of {row.name} operator", pstr, None,
                                 Fraction(op.effective_order - row.order)))
@@ -230,7 +190,7 @@ def verify_prop22(nmax: int, alpha: int, beta: int) -> VerifyReport:
     a, b = alpha, beta
     pstr = params_str(alpha=a, beta=b)
     report = VerifyReport("prop22", grid={"nmax": str(nmax), **pstr})
-    table = _prop22_table(a, b)
+    table = components(a, b)
     for n in range(nmax + 1):
         for row in table:
             res = row.minus_eigen(n, a, b)(row.poly(n, a, b))
@@ -259,7 +219,7 @@ def verify_prop23(nmax: int, alpha: int, beta: int) -> VerifyReport:
     a, b = alpha, beta
     pstr = params_str(alpha=a, beta=b)
     report = VerifyReport("prop23", grid={"nmax": str(nmax), **pstr})
-    higher = _prop22_table(a, b)[1:]
+    higher = components(a, b)[1:]
     for n in range(1, nmax + 1):
         for row in higher:
             y = row.poly(n, a, b)
@@ -316,10 +276,8 @@ def verify_cor25(nmax: int, alpha: int, beta: int) -> VerifyReport:
     a, b = alpha, beta
     pstr = params_str(alpha=a, beta=b)
     report = VerifyReport("cor25", grid={"nmax": str(nmax), **pstr})
-    inv_bq = 1 / const_b(b, a)
-    inv_br = 1 / const_b(a, b)
-    inv_c = 1 / const_c(a, b)
-    table = _prop22_table(a, b)
+    table = components(a, b)
+    _, inv_bq, inv_br, inv_c = (1 / row.norm for row in table)
     for n in range(nmax + 1):
         P, Q, R, S = (row.poly(n, a, b) for row in table)
         d2, dq, dr, ds = (row.minus_eigen(n, a, b) for row in table)
@@ -355,13 +313,13 @@ def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
         report.add(Case.check("x+1 block as two-term Jacobi combination", pstr, n,
                               lhs - rhs))
 
-    second, side = _prop22_table(a, b)[:2]
+    second, side = components(a, b)[:2]
     for mass in (Fraction(1), Fraction(1, 3)):
         params = Params(a, b, mass, Fraction(0))
         mstr = params_str(alpha=a, beta=b, M=mass, N=0)
         for n in range(11):
             y = gen_jacobi(n, params)
-            lhs = (second.minus_eigen(n, a, b)(y) + mass / const_b(b, a)
+            lhs = (second.minus_eigen(n, a, b)(y) + mass / side.norm
                    * (apply_duran(y, a, b) - side.eigen(n) * y))
             report.add(Case.check("reduced eigen-equation via product form",
                                   mstr, n, lhs))
@@ -373,7 +331,9 @@ def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
 def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
                          n: int) -> list:
     a, b = params.alpha, params.beta
-    l2, lt, lh, lf = (_image(row.kind, f, a, b) for row in _prop22_table(a, b))
+    table = components(a, b)
+    l2, lt, lh, lf = (_image(row.kind, f, a, b) for row in table)
+    _, b_ba, b_ab, c_ab = (row.norm for row in table)
     want = boundary_closed_forms(f, a, b)
     g_neg, g_pos = g.eval(-1), g.eval(1)
     cases = [Case.check("combined operator symmetry defect", pstr, n,
@@ -382,11 +342,10 @@ def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
     # terms are endpoint values of the lower-order operators, in closed form
     pairings = (
         ("second-order form pairing", l2, bilinear_U, 0),
-        ("mass(-1) form pairing", lt, bilinear_Vt, -const_b(b, a) * want.l2_neg1 * g_neg),
-        ("mass(+1) form pairing", lh, bilinear_V, -const_b(a, b) * want.l2_pos1 * g_pos),
+        ("mass(-1) form pairing", lt, bilinear_Vt, -b_ba * want.l2_neg1 * g_neg),
+        ("mass(+1) form pairing", lh, bilinear_V, -b_ab * want.l2_pos1 * g_pos),
         ("two-mass form pairing", lf, bilinear_W,
-         -const_c(a, b) * (want.lhat_neg1 * g_neg / const_b(a, b)
-                           + want.ltilde_pos1 * g_pos / const_b(b, a))),
+         -c_ab * (want.lhat_neg1 * g_neg / b_ab + want.ltilde_pos1 * g_pos / b_ba)),
     )
     for label, image, form, boundary in pairings:
         res = weighted_integral(image * g, a, b) - form(f, g, a, b) - boundary

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from genjacobi.algebra import (InvalidParam, NotDivisible, ONE_MINUS_X, Poly,
                                X2_MINUS_1, X_MINUS_1, X_PLUS_1, as_rational,
-                               format_rational, pochhammer)
+                               _small_pow, format_rational, pochhammer)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10)
 polys = st.lists(rationals, max_size=8).map(Poly)
@@ -134,6 +134,20 @@ def test_cached_powers_match_repeated_multiplication():
         for k in range(25):
             assert base ** k == want, (base, k)
             want = want * base
+
+
+def test_power_and_derivative_orders_must_be_nonnegative_ints():
+    # a cached ** 2 must not answer ** 2.0, nor a cached ** 1 answer ** True
+    y = Poly([1, 1])
+    _small_pow.cache_clear()
+    for cached in (False, True):
+        if cached:
+            assert y ** 2 == Poly([1, 2, 1])
+        for bad in (True, 2.0):
+            with pytest.raises(InvalidParam):
+                y ** bad
+            with pytest.raises(InvalidParam):
+                y.derive(bad)
 
 
 def test_immutability_and_hash():

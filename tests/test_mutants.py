@@ -97,6 +97,17 @@ def _jacobi_scaled_at_one(orig):
     return mutant
 
 
+def _component_replaced(kind, change):
+    """A factory of operators.components with the row of `kind` replaced by
+    change(row, alpha, beta)."""
+    def factory(orig):
+        def mutant(alpha, beta):
+            return tuple(change(row, alpha, beta) if row.kind == kind else row
+                         for row in orig(alpha, beta))
+        return mutant
+    return factory
+
+
 # name -> (module that defines the function, attribute, factory(original))
 MUTANTS = {
     "apply_Lfull with matched exponents": (operators, "apply_Lfull", _lfull_matched),
@@ -122,6 +133,12 @@ MUTANTS = {
     "h_norm doubled": (inner, "h_norm", lambda f: lambda a, b: 2 * f(a, b)),
     "jacobi_poly doubled at degree 1": (jacobi, "jacobi_poly", _jacobi_scaled_at_one),
     "moment vector shifted by one": (inner, "_normalized_moments", _moments_shifted),
+    "Ltilde's norm as const_b(a, b)": (operators, "components", _component_replaced(
+        "Ltilde", lambda row, a, b: row._replace(norm=operators.const_b(a, b)))),
+    "Ltilde's order minus 1": (operators, "components", _component_replaced(
+        "Ltilde", lambda row, a, b: row._replace(order=row.order - 1))),
+    "Lfull's order plus 2": (operators, "components", _component_replaced(
+        "Lfull", lambda row, a, b: row._replace(order=row.order + 2))),
 }
 
 
@@ -180,6 +197,9 @@ PINNED_KILLS = {
     "h_norm doubled": "......FF",
     "jacobi_poly doubled at degree 1": "FF.FFF.F",
     "moment vector shifted by one": "......FF",
+    "Ltilde's norm as const_b(a, b)": "F...FFF.",
+    "Ltilde's order minus 1": "F.......",
+    "Lfull's order plus 2": "F.......",
 }
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1, X2_MINUS_1
 from genjacobi.genjacobi import Params, gen_jacobi, poly_Q, poly_R, poly_S
 from genjacobi.jacobi import jacobi_poly
-from genjacobi import operators
+from genjacobi import operators, verify
 from genjacobi.operators import (DiffOperator, EigenValue, InconsistentExpansion,
                                  apply_L2, apply_L2_conjugated, apply_Lfull,
                                  apply_Lhat, apply_Ltilde, apply_combined,
@@ -117,6 +117,18 @@ def test_combined_eigen_equation():
                 p = gen_jacobi(n, pr)
                 lam = eigen_combined(n, pr).value
                 assert apply_combined(p, pr) == lam * p
+
+
+def test_combined_eigenvalue_is_the_matrix_diagonal():
+    # a second route to eigen_combined: entry n of the triangular matrix
+    ms = verify.DEFAULT_MASSES
+    for a, b in product(range(verify.DEFAULT_ALPHA_MAX + 1), range(verify.DEFAULT_BETA_MAX + 1)):
+        for M, N in product(ms, ms):
+            pr = Params(a, b, M, N)
+            den, columns = _combined_matrix(pr, 16)
+            for n, column in enumerate(columns[:16]):
+                diagonal = F(column[n], den) if len(column) > n else 0
+                assert eigen_combined(n, pr).value == diagonal, (pr, n)
 
 
 def test_factorized_matches_elementary():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import genjacobi.operators as operators
 import genjacobi.verify as verify
 from genjacobi.algebra import InvalidParam, Poly
 from genjacobi.genjacobi import Params
@@ -241,13 +242,13 @@ def test_corrupted_eigenvalue_is_caught(monkeypatch):
 
 
 def test_corrupted_block_is_caught(monkeypatch):
-    real = verify.poly_Q
+    real = operators.poly_Q
 
     def bad(n, a, b):
         p = real(n, a, b)
         return p + Poly([0, F(1, 7)]) if n == 2 else p
 
-    monkeypatch.setattr(verify, "poly_Q", bad)
+    monkeypatch.setattr(operators, "poly_Q", bad)
     rep = verify_prop22(4, 0, 0)
     assert not rep.all_pass
 
