@@ -6,8 +6,8 @@ from .algebra import (InvalidParam, NotDivisible, Poly, Rational, as_rational,
                       format_rational, pochhammer)
 from .genjacobi import (Params, coeff_q, coeff_r, coeff_s, gen_jacobi, poly_Q,
                         poly_R, poly_S)
-from .inner import (boundary_values, gram_matrix, h_norm, inner_product,
-                    symmetry_defect, weighted_integral)
+from .inner import (gram_matrix, h_norm, inner_product, symmetry_defect,
+                    weighted_integral)
 from .jacobi import jacobi_poly, jacobi_recurrence
 from .operators import (DiffOperator, EigenValue, InconsistentExpansion,
                         apply_L2, apply_Lfull, apply_Lhat, apply_Ltilde,
@@ -24,7 +24,7 @@ __all__ = [
     "InvalidParam", "NotDivisible", "Params", "Poly",
     "Rational", "VerifyReport", "apply_L2", "apply_Lfull", "apply_Lhat",
     "apply_Ltilde", "apply_combined", "apply_duran", "apply_factorized",
-    "as_rational", "boundary_values", "coeff_q", "coeff_r", "coeff_s",
+    "as_rational", "coeff_q", "coeff_r", "coeff_s",
     "const_b", "const_c", "eigen_combined", "eigen_high", "eigen_lambda2",
     "expand_operator", "format_rational", "gen_jacobi", "gram_matrix",
     "h_norm", "inner_product", "jacobi_poly", "jacobi_recurrence",

@@ -41,6 +41,13 @@ class Params:
                 raise InvalidParam(f"{name} must be >= 0, got {value}")
             object.__setattr__(self, name, value)
 
+    def __hash__(self):
+        # hashed once, on the first lookup: the caches keyed by a Params would
+        # otherwise rehash both Fraction masses on every hit
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash((self.alpha, self.beta, self.M, self.N)))
+        return self._hash
+
     def swapped(self) -> "Params":
         """Mirror parameters under x -> -x: swap alpha/beta and M/N."""
         return Params(self.beta, self.alpha, self.N, self.M)

@@ -6,7 +6,8 @@ stated once, by its moment vector h_k = mu_k + M (-1)^k + N, which the
 weight integral, the scalar product (a plain Fraction) and the Gram
 matrices all read.  The four symmetric bilinear forms that mirror the
 operators integrate directly, an independent route; the module also gives
-closed-form boundary values and the combined operator's symmetry defect.
+the closed-form endpoint values of the operators, which the symmetry suite
+checks, and the combined operator's symmetry defect.
 """
 from __future__ import annotations
 
@@ -20,8 +21,7 @@ from . import kernel
 from .algebra import (InvalidParam, ONE_MINUS_X, Poly, X_MINUS_1, X_PLUS_1,
                       nonneg_int, pochhammer)
 from .genjacobi import Params, gen_jacobi
-from .operators import (apply_combined, apply_L2, apply_Lfull, apply_Lhat,
-                        apply_Ltilde, const_b, const_c)
+from .operators import apply_combined, const_b, const_c
 
 
 def integrate(f: Poly) -> Fraction:
@@ -169,30 +169,6 @@ def boundary_closed_forms(f: Poly, alpha: int, beta: int) -> BoundaryValues:
         lfull_neg1=Fraction(0),
         lfull_pos1=Fraction(0),
     )
-
-
-def boundary_values(f: Poly, alpha: int, beta: int) -> BoundaryValues:
-    """Endpoint values of the four operators applied to f.
-
-    Each value is cross-checked against its closed form; a mismatch raises
-    ArithmeticError because it can only mean an implementation bug.
-    """
-    l2 = apply_L2(f, alpha, beta)
-    lt = apply_Ltilde(f, alpha, beta)
-    lh = apply_Lhat(f, alpha, beta)
-    lf = apply_Lfull(f, alpha, beta)
-    got = BoundaryValues(
-        l2_neg1=l2.eval(-1), l2_pos1=l2.eval(1),
-        ltilde_neg1=lt.eval(-1), ltilde_pos1=lt.eval(1),
-        lhat_neg1=lh.eval(-1), lhat_pos1=lh.eval(1),
-        lfull_neg1=lf.eval(-1), lfull_pos1=lf.eval(1),
-    )
-    want = boundary_closed_forms(f, alpha, beta)
-    if got != want:
-        raise ArithmeticError(
-            f"boundary closed forms violated for alpha={alpha}, beta={beta}: "
-            f"{got} != {want}")
-    return got
 
 
 def mass_constant_identity(alpha: int, beta: int) -> tuple:

@@ -7,11 +7,14 @@ Four elementary operators act on polynomials, all in exact arithmetic:
 - an order-(2*alpha+4) mirror operator tied to the point mass at x = +1,
 - an order-(2*alpha+2*beta+6) operator tied to the product of both masses.
 
-Each higher-order operator is a conjugated repeated derivative: multiply by
-endpoint-power weights, differentiate several times, multiply again,
-differentiate again, then strip a known endpoint factor by exact division.
-The division is exact for every polynomial input; a failure raises
-NotDivisible and signals a genuine bug, not a rounding issue.
+Each higher-order operator is a conjugated repeated derivative, and
+_conjugated writes that recipe once: multiply by an endpoint-power weight,
+differentiate k times, multiply by a second weight, differentiate k times
+again, strip a known endpoint factor by exact division, and multiply by an
+endpoint factor.  The divergence-form check of the second-order operator
+is the same recipe with k = 1.  The division is exact for every polynomial
+input; a failure raises NotDivisible and signals a genuine bug, not a
+rounding issue.
 
 For integer alpha and beta every one of them maps x^k to an integer
 polynomial of degree <= k.  So each is also kept as a cached upper-triangular
@@ -102,6 +105,15 @@ def apply_L2(y: Poly, alpha: RationalLike, beta: RationalLike) -> Poly:
     return X2_MINUS_1 * y.derive(2) + Poly([a - b, a + b + 2]) * y.derive(1)
 
 
+def _conjugated(y: Poly, v: Poly, k: int, w: Poly, strip: Poly, factor: Poly) -> Poly:
+    """factor * D^k[w * D^k[v * y]] / strip, the division exact and skipped
+    when strip is a constant: the recipe of every conjugated operator."""
+    outer = (w * (v * y).derive(k)).derive(k)
+    if strip.degree > 0:
+        outer = outer / strip
+    return factor * outer
+
+
 def apply_L2_conjugated(y: Poly, alpha: int, beta: int) -> Poly:
     """Cross-check path for apply_L2 via the divergence form.
 
@@ -110,30 +122,24 @@ def apply_L2_conjugated(y: Poly, alpha: int, beta: int) -> Poly:
     """
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    inner = (X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1) * y.derive()).derive()
-    return inner / (X_MINUS_1 ** a * X_PLUS_1 ** b)
+    return _conjugated(y, Poly.one(), 1, X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1),
+                       X_MINUS_1 ** a * X_PLUS_1 ** b, Poly.one())
 
 
 def apply_Ltilde(y: Poly, alpha: int, beta: int) -> Poly:
     """Order-(2*beta+4) operator for the point mass at x = -1."""
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    inner = (X_PLUS_1 ** (b + 1) * y).derive(b + 2)
-    outer = (X_MINUS_1 ** (a + b + 2) * inner).derive(b + 2)
-    if a:
-        outer = outer / X_MINUS_1 ** a
-    return X_PLUS_1 * outer
+    return _conjugated(y, X_PLUS_1 ** (b + 1), b + 2, X_MINUS_1 ** (a + b + 2),
+                       X_MINUS_1 ** a, X_PLUS_1)
 
 
 def apply_Lhat(y: Poly, alpha: int, beta: int) -> Poly:
     """Order-(2*alpha+4) operator for the point mass at x = +1."""
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    inner = (X_MINUS_1 ** (a + 1) * y).derive(a + 2)
-    outer = (X_PLUS_1 ** (a + b + 2) * inner).derive(a + 2)
-    if b:
-        outer = outer / X_PLUS_1 ** b
-    return X_MINUS_1 * outer
+    return _conjugated(y, X_MINUS_1 ** (a + 1), a + 2, X_PLUS_1 ** (a + b + 2),
+                       X_PLUS_1 ** b, X_MINUS_1)
 
 
 def apply_Lfull(y: Poly, alpha: int, beta: int) -> Poly:
@@ -145,9 +151,8 @@ def apply_Lfull(y: Poly, alpha: int, beta: int) -> Poly:
     """
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    inner = (X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1) * y).derive(a + b + 3)
-    middle = X_MINUS_1 ** (b + 1) * X_PLUS_1 ** (a + 1) * inner
-    return X2_MINUS_1 * middle.derive(a + b + 3)
+    return _conjugated(y, X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1), a + b + 3,
+                       X_MINUS_1 ** (b + 1) * X_PLUS_1 ** (a + 1), Poly.one(), X2_MINUS_1)
 
 
 def apply_combined(y: Poly, params: Params) -> Poly:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
-                      X_PLUS_1, as_rational, pochhammer)
+                      X_PLUS_1, as_rational, nonneg_int, pochhammer)
 from .genjacobi import Params, coeff_q, gen_jacobi
 from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
                     boundary_closed_forms, gram_matrix,
@@ -498,16 +498,14 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
     process pool of `threads` workers (default GENJACOBI_THREADS).
 
     masses_m / masses_n are the grids of the masses at x = -1 and x = +1.
-    A grid that would check nothing (a negative bound, no trials, an empty
-    mass axis) or a `threads` that is not a positive integer raises
-    InvalidParam.
+    A grid bound that is not a nonnegative int, a `trials` or `threads`
+    that is not a positive int, or an empty mass axis raises InvalidParam.
     """
     masses_m = tuple(as_rational(m) for m in masses_m)
     masses_n = tuple(as_rational(m) for m in masses_n)
     for key, bound in (("nmax", nmax), ("alpha_max", alpha_max), ("beta_max", beta_max)):
-        if bound < 0:
-            raise InvalidParam(f"{key} must be >= 0, got {bound}")
-    if trials < 1:
+        nonneg_int(key, bound)
+    if nonneg_int("trials", trials) < 1:
         raise InvalidParam(f"trials must be >= 1, got {trials}")
     if not masses_m or not masses_n:
         raise InvalidParam("each mass axis needs at least one mass")

@@ -1,4 +1,5 @@
 """Generalized Jacobi polynomials: coefficients, building blocks, sums."""
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -157,3 +158,35 @@ def test_params_swapped():
     pr = Params(1, 2, F(1, 3), 2)
     sw = pr.swapped()
     assert (sw.alpha, sw.beta, sw.M, sw.N) == (2, 1, 2, F(1, 3))
+
+
+def test_cached_gen_jacobi_hits_do_not_rehash_the_masses(monkeypatch):
+    # the gen_jacobi cache is keyed by Params; after the first lookup its hash
+    # is the instance's own, so a hit hashes no Fraction
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    pr = Params(1, 2, F(1, 3), F(2, 7))
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    gen_jacobi(4, pr)
+    assert calls, "the first lookup hashes the masses"
+    calls.clear()
+    for n in (4, 4, 4):
+        gen_jacobi(n, pr)
+    assert calls == []
+
+
+def test_params_hash_survives_pickling():
+    # a pool worker gets its Params pickled, with the hash kept or not yet made
+    fresh = pickle.loads(pickle.dumps(Params(1, 2, F(1, 3), F(2, 7))))
+    pr = Params(1, 2, F(1, 3), F(2, 7))
+    hash(pr)
+    for q in (pickle.loads(pickle.dumps(pr)), fresh):
+        assert q == pr
+        assert hash(q) == hash(pr) == hash((1, 2, F(1, 3), F(2, 7)))
+        assert {pr: "hit"}[q] == "hit"
+    assert pr != Params(1, 2, F(1, 3), 0)

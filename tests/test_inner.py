@@ -9,10 +9,10 @@ from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1
 from genjacobi.genjacobi import Params, gen_jacobi
 from genjacobi.inner import (BoundaryValues, bilinear_U,
                              bilinear_V, bilinear_Vt, bilinear_W,
-                             boundary_closed_forms, boundary_values,
-                             gram_matrix, h_norm, h_norm_integral,
-                             inner_product, integrate, mass_constant_identity,
-                             symmetry_defect, weight_poly, weighted_integral)
+                             boundary_closed_forms, gram_matrix, h_norm,
+                             h_norm_integral, inner_product, integrate,
+                             mass_constant_identity, symmetry_defect,
+                             weight_poly, weighted_integral)
 from genjacobi.jacobi import jacobi_poly
 from genjacobi.operators import (apply_L2, apply_Lfull, apply_Lhat,
                                  apply_Ltilde, const_b, const_c)
@@ -191,23 +191,29 @@ def test_form_pairings_with_boundary_corrections():
             == bilinear_W(f, g, a, b) + corr_neg - corr_pos)
 
 
+def _direct_boundary_values(f: Poly, a: int, b: int) -> BoundaryValues:
+    # the direct route: each elementary operator applied to f, evaluated at -1 and 1
+    images = [op(f, a, b) for op in (apply_L2, apply_Ltilde, apply_Lhat, apply_Lfull)]
+    return BoundaryValues(*(image.eval(x) for image in images for x in (-1, 1)))
+
+
 def test_boundary_values_anchors():
-    bv = boundary_values(Poly.x(), 0, 0)
+    bv = _direct_boundary_values(Poly.x(), 0, 0)
     assert bv.l2_neg1 == -2
     assert bv.l2_pos1 == 2
     assert bv.lfull_neg1 == 0
     assert bv.lfull_pos1 == 0
     # multiples of (x+1)^2 flatten the mass(-1) operator at its own endpoint
-    bv = boundary_values(X_PLUS_1 * X_PLUS_1, 0, 0)
+    bv = _direct_boundary_values(X_PLUS_1 * X_PLUS_1, 0, 0)
     assert bv.ltilde_neg1 == 0
-    bv = boundary_values(X_MINUS_1 * X_MINUS_1, 0, 0)
+    bv = _direct_boundary_values(X_MINUS_1 * X_MINUS_1, 0, 0)
     assert bv.lhat_pos1 == 0
 
 
 def test_boundary_first_derivative_forms():
     for a, b in product(range(3), range(3)):
         f = Poly([1, 2, -3, 1])
-        bv = boundary_values(f, a, b)
+        bv = _direct_boundary_values(f, a, b)
         assert bv.l2_neg1 == -2 * (b + 1) * f.derive().eval(-1)
         assert bv.l2_pos1 == 2 * (a + 1) * f.derive().eval(1)
         assert bv.ltilde_neg1 == 0
@@ -215,9 +221,13 @@ def test_boundary_first_derivative_forms():
 
 
 def test_boundary_closed_forms_match_operator_route():
-    for a, b in ((0, 0), (1, 0), (1, 2)):
-        for f in (Poly([1, 2, -3, 1]), Poly([0, 0, 1, 1, F(1, 2)])):
-            assert boundary_values(f, a, b) == boundary_closed_forms(f, a, b)
+    # every (alpha, beta) the default grid runs, and the anchors' inputs
+    polys = (Poly([1, 2, -3, 1]), Poly([0, 0, 1, 1, F(1, 2)]), Poly.x(),
+             X_PLUS_1 * X_PLUS_1, X_MINUS_1 * X_MINUS_1)
+    for a, b in product(range(4), range(4)):
+        for f in polys:
+            want = boundary_closed_forms(f, a, b)
+            assert _direct_boundary_values(f, a, b) == want, (a, b, f)
 
 
 def test_boundary_values_is_eightfold():

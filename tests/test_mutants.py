@@ -16,7 +16,7 @@ import sys
 from test_caches import _lru_caches
 
 from genjacobi import cli, genjacobi, inner, jacobi, operators
-from genjacobi.algebra import X2_MINUS_1, X_MINUS_1, X_PLUS_1, pochhammer
+from genjacobi.algebra import X2_MINUS_1, X_MINUS_1, X_PLUS_1, Poly, pochhammer
 from genjacobi.operators import EigenValue
 from genjacobi.verify import SUITE_NAMES, run_suite
 
@@ -97,6 +97,19 @@ def _jacobi_scaled_at_one(orig):
     return mutant
 
 
+def _recipe_without_strip(orig):
+    def mutant(y, v, k, w, strip, factor):
+        return orig(y, v, k, w, Poly.one(), factor)
+    return mutant
+
+
+def _recipe_outer_short(orig):
+    def mutant(y, v, k, w, strip, factor):
+        outer = (w * (v * y).derive(k)).derive(k - 1)
+        return factor * (outer / strip if strip.degree > 0 else outer)
+    return mutant
+
+
 def _component_replaced(kind, change):
     """A factory of operators.components with the row of `kind` replaced by
     change(row, alpha, beta)."""
@@ -139,6 +152,9 @@ MUTANTS = {
         "Ltilde", lambda row, a, b: row._replace(order=row.order - 1))),
     "Lfull's order plus 2": (operators, "components", _component_replaced(
         "Lfull", lambda row, a, b: row._replace(order=row.order + 2))),
+    "recipe without the strip division": (operators, "_conjugated", _recipe_without_strip),
+    "recipe with the outer derivative one short":
+        (operators, "_conjugated", _recipe_outer_short),
 }
 
 
@@ -200,6 +216,8 @@ PINNED_KILLS = {
     "Ltilde's norm as const_b(a, b)": "F...FFF.",
     "Ltilde's order minus 1": "F.......",
     "Lfull's order plus 2": "F.......",
+    "recipe without the strip division": "EFF.FFE.",
+    "recipe with the outer derivative one short": "EFF.FFE.",
 }
 
 

@@ -208,6 +208,14 @@ def test_run_suite_rejects_unknown_name():
     ("thm21", dict(masses_m=())),
     ("thm21", dict(masses_n=())),
     ("all", dict(nmax=-1)),
+    # bounds that are not ints: True used to run as nmax 1, the rest raised TypeError
+    ("thm21", dict(nmax=True)),
+    ("thm21", dict(nmax=2.5)),
+    ("thm21", dict(alpha_max=1.0)),
+    ("thm21", dict(beta_max=F(1))),
+    ("thm21", dict(nmax="3")),
+    ("symmetry", dict(trials=True)),
+    ("symmetry", dict(trials=1.5)),
 ])
 def test_run_suite_rejects_grids_that_check_nothing(name, grid):
     with pytest.raises(InvalidParam):
