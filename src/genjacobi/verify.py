@@ -24,10 +24,13 @@ one point; it is a library call, not a suite of the grid runner.
 
 Randomized suites draw from a splitmix64 stream (documented in the README)
 so runs are reproducible from (grid, seed) alone.  run_suite() looks each
-suite up in one table that maps its name to its grid points, each a (worker,
-args) pair, and runs the points of all its suites as one list: serially, or
-in one process pool under GENJACOBI_THREADS.  Case order follows point
-order, so it is deterministic regardless of parallelism.
+suite up in one table that maps its name to its grid points, each a (key,
+worker, args) triple keyed by the point's (alpha, beta), and runs the points
+of all its suites grouped by key, largest alpha + beta first, so the points
+of one (alpha, beta) share its cached operator columns: serially, or in one
+process pool under GENJACOBI_THREADS.  Cases are emitted in point order
+whatever order the groups ran in, so the report is the same regardless of
+parallelism.
 """
 from __future__ import annotations
 
@@ -442,24 +445,29 @@ class _Grid(NamedTuple):
         return [Params(a, b, M, N) for a, b in self.ab for M, N in self.masses]
 
 
-# Suite name -> the grid points of that suite, each a (worker, args) pair
-# that runs as worker(*args).  Workers are looked up when the points are
-# built, not here, so a rebound module attribute takes effect.
+# Suite name -> the grid points of that suite, each a (key, worker, args)
+# triple that runs as worker(*args).  The key is the point's (alpha, beta),
+# (0, 0) for cor24; points that share a key share the cached operator
+# columns and polynomials, so they run together.  Workers are looked up
+# when the points are built, not here, so a rebound module attribute takes
+# effect.
 _SUITES = {
     "thm21": lambda g: (
-        [(_thm21_point, (g.nmax, p)) for p in g.params]
-        + [(_expansion_cases, (a, b)) for a, b in g.ab]),
-    "prop22": lambda g: [(verify_prop22, (g.nmax, a, b)) for a, b in g.ab],
-    "prop23": lambda g: [(verify_prop23, (g.nmax, a, b)) for a, b in g.ab],
-    "cor24": lambda g: [(verify_cor24, (min(g.nmax, 10), M, N)) for M, N in g.masses],
-    "cor25": lambda g: [(verify_cor25, (min(g.nmax, 10), a, b)) for a, b in g.ab],
-    "duran": lambda g: [(verify_duran, (2 * b + 8, a, b)) for a, b in g.ab],
+        [((p.alpha, p.beta), _thm21_point, (g.nmax, p)) for p in g.params]
+        + [((a, b), _expansion_cases, (a, b)) for a, b in g.ab]),
+    "prop22": lambda g: [((a, b), verify_prop22, (g.nmax, a, b)) for a, b in g.ab],
+    "prop23": lambda g: [((a, b), verify_prop23, (g.nmax, a, b)) for a, b in g.ab],
+    "cor24": lambda g: [((0, 0), verify_cor24, (min(g.nmax, 10), M, N))
+                        for M, N in g.masses],
+    "cor25": lambda g: [((a, b), verify_cor25, (min(g.nmax, 10), a, b))
+                        for a, b in g.ab],
+    "duran": lambda g: [((a, b), verify_duran, (2 * b + 8, a, b)) for a, b in g.ab],
     "symmetry": lambda g: [
-        (_symmetry_point, (g.trials, 2 * p.alpha + 2 * p.beta + 8, p,
-                           _point_seed(g.seed, index)))
+        ((p.alpha, p.beta), _symmetry_point,
+         (g.trials, 2 * p.alpha + 2 * p.beta + 8, p, _point_seed(g.seed, index)))
         for index, p in enumerate(g.params)],
-    "orthogonality": lambda g: [(verify_orthogonality, (min(g.nmax, 10), p))
-                                for p in g.params],
+    "orthogonality": lambda g: [((p.alpha, p.beta), verify_orthogonality,
+                                 (min(g.nmax, 10), p)) for p in g.params],
 }
 SUITE_NAMES = tuple(_SUITES)
 
@@ -475,12 +483,39 @@ def _run_point(point) -> list:
     return cases
 
 
+def _run_task(task) -> list:
+    """(index, cases) of each (index, point) of one task, in order; runs in a
+    pool too."""
+    return [(index, _run_point(point)) for index, point in task]
+
+
+def _tasks(points, threads: int) -> list:
+    """The (key, point) list as tasks of (index, point) pairs: one task per
+    key, largest alpha + beta first (operator order and cost grow with it),
+    or one task per point in that order when there are fewer than
+    2 * threads keys, so a small grid still fans out."""
+    groups = {}
+    for index, (key, point) in enumerate(points):
+        groups.setdefault(key, []).append((index, point))
+    tasks = [groups[key] for key in sorted(groups, key=lambda key: -sum(key))]
+    if len(tasks) < 2 * threads:
+        tasks = [[item] for task in tasks for item in task]
+    return tasks
+
+
 def _map_points(points, threads: int) -> list:
-    if threads > 1 and len(points) > 1:
+    """The cases of every (key, point), concatenated in point order whatever
+    order the tasks ran in."""
+    tasks = _tasks(points, threads)
+    if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(_run_point, points))
+            done = list(ex.map(_run_task, tasks))
     else:
-        chunks = map(_run_point, points)
+        done = map(_run_task, tasks)
+    chunks = [None] * len(points)
+    for task in done:
+        for index, cases in task:
+            chunks[index] = cases
     return [case for chunk in chunks for case in chunk]
 
 
@@ -494,12 +529,14 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
     single report.  Deterministic given the grid and seed.
 
     The grid points of the suite (of every suite in SUITE_NAMES order for
-    'all', labels prefixed "<suite>: ") run as one list, serially or in one
-    process pool of `threads` workers (default GENJACOBI_THREADS).
+    'all', labels prefixed "<suite>: ") run grouped by (alpha, beta),
+    serially or in one process pool of `threads` workers (default
+    GENJACOBI_THREADS), and their cases are emitted in point order.
 
     masses_m / masses_n are the grids of the masses at x = -1 and x = +1.
     A grid bound that is not a nonnegative int, a `trials` or `threads`
-    that is not a positive int, or an empty mass axis raises InvalidParam.
+    that is not a positive int, a `seed` that is not an int (negative ints
+    are valid), or an empty mass axis raises InvalidParam.
     """
     masses_m = tuple(as_rational(m) for m in masses_m)
     masses_n = tuple(as_rational(m) for m in masses_n)
@@ -509,6 +546,8 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
         raise InvalidParam(f"trials must be >= 1, got {trials}")
     if not masses_m or not masses_n:
         raise InvalidParam("each mass axis needs at least one mass")
+    if type(seed) is not int:
+        raise InvalidParam(f"seed must be an int, got {reprlib.repr(seed)}")
     grid = {"nmax": str(nmax), "alpha_max": str(alpha_max),
             "beta_max": str(beta_max),
             "masses_m": ",".join(str(m) for m in masses_m),
@@ -522,7 +561,7 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
               ab=[(a, b) for a in range(alpha_max + 1) for b in range(beta_max + 1)],
               masses=[(M, N) for M in masses_m for N in masses_n])
     subs = SUITE_NAMES if name == "all" else (name,)
-    points = [(f"{sub}: " if name == "all" else "", worker, args)
-              for sub in subs for worker, args in _SUITES[sub](g)]
+    points = [(key, (f"{sub}: " if name == "all" else "", worker, args))
+              for sub in subs for key, worker, args in _SUITES[sub](g)]
     return VerifyReport(name, grid=grid, seed=seed,
                         cases=_map_points(points, threads))

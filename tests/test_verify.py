@@ -216,6 +216,11 @@ def test_run_suite_rejects_unknown_name():
     ("thm21", dict(nmax="3")),
     ("symmetry", dict(trials=True)),
     ("symmetry", dict(trials=1.5)),
+    # seeds that are not ints: True ran and echoed "seed": true, the rest
+    # raised TypeError
+    ("symmetry", dict(seed=True)),
+    ("symmetry", dict(seed=2.5)),
+    ("symmetry", dict(seed="3")),
 ])
 def test_run_suite_rejects_grids_that_check_nothing(name, grid):
     with pytest.raises(InvalidParam):
@@ -294,14 +299,51 @@ def test_report_plain_summary_line():
     assert "PASS " in text or "PASS\t" in text or "PASS" in text
 
 
-def test_run_suite_parallel_matches_serial():
-    # two masses, so every suite, cor24 included, has more than one point
-    kwargs = dict(nmax=3, alpha_max=1, beta_max=0, masses_m=(F(0), F(1)),
-                  masses_n=(F(0), F(1)), seed=3, trials=2)
-    for name in SUITE_NAMES + ("all",):
-        serial = run_suite(name, threads=1, **kwargs)
-        parallel = run_suite(name, threads=4, **kwargs)
-        assert serial.to_json() == parallel.to_json(), name
+def test_run_suite_parallel_matches_serial(monkeypatch):
+    # a 2-process pool runs even on a 1-CPU host
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    masses = (F(0), F(1))
+    # (alpha_max, beta_max): 4 (alpha, beta) groups for 2 workers run one
+    # task per group; a single group runs one task per point
+    for alpha_max, beta_max, grouped in ((1, 1, True), (0, 0, False)):
+        ab = [(a, b) for a in range(alpha_max + 1) for b in range(beta_max + 1)]
+        grid = verify._Grid(3, 3, 2, ab=ab,
+                            masses=[(M, N) for M in masses for N in masses])
+        points = [(key, ("", worker, args)) for name in SUITE_NAMES
+                  for key, worker, args in verify._SUITES[name](grid)]
+        tasks = verify._tasks(points, 2)
+        assert sorted(i for task in tasks for i, _ in task) == list(range(len(points)))
+        if grouped:
+            assert [points[task[0][0]][0] for task in tasks] == [(1, 1), (0, 1),
+                                                                 (1, 0), (0, 0)]
+        else:
+            assert len(tasks) == len(points)
+        # two masses, so every suite, cor24 included, has more than one point
+        kwargs = dict(nmax=3, alpha_max=alpha_max, beta_max=beta_max,
+                      masses_m=masses, masses_n=masses, seed=3, trials=2)
+        for name in SUITE_NAMES + ("all",):
+            serial = run_suite(name, threads=1, **kwargs)
+            parallel = run_suite(name, threads=2, **kwargs)
+            assert serial.to_json() == parallel.to_json(), (name, alpha_max)
+
+
+def test_thm21_probes_each_operator_once_per_pair():
+    # 16 (alpha, beta) pairs hold more column lists than the cache keeps; each
+    # pair's expansion points run next to its eigen points, so each of the
+    # four kinds is probed once per pair, not again after an eviction
+    operators._column_list.cache_clear()
+    operators._combined_entry.cache_clear()
+    rep = run_suite("thm21", nmax=2, alpha_max=3, beta_max=3,
+                    masses_m=(F(1),), masses_n=(F(1),), threads=1)
+    assert rep.all_pass
+    assert operators._column_list.cache_info().misses == 4 * 16
+
+
+def test_run_suite_accepts_a_negative_seed():
+    rep = run_suite("symmetry", nmax=1, alpha_max=0, beta_max=0,
+                    masses_m=(F(1),), masses_n=(F(1),), trials=1, seed=-5, threads=1)
+    assert rep.all_pass
+    assert json.loads(rep.to_json())["seed"] == -5
 
 
 def test_symmetry_child_seeds_distinct_on_wide_mass_grid(monkeypatch):
@@ -333,8 +375,25 @@ def test_tracer_point_workers_are_the_suite_workers():
     for name in SUITE_NAMES:
         module, attr = named[name]
         assert module == "verify", name
-        workers = [worker for worker, _ in verify._SUITES[name](grid)]
+        workers = [worker for _, worker, _ in verify._SUITES[name](grid)]
         assert getattr(verify, attr) in workers, name
+
+
+def test_every_point_is_keyed_by_its_alpha_beta():
+    # the runner groups points by key; a point under another pair's key would
+    # run apart from the operator columns it shares with that pair
+    grid = verify._Grid(2, 0, 1, ab=[(a, b) for a in range(3) for b in range(2)],
+                        masses=[(F(1), F(2))])
+    for name in SUITE_NAMES:
+        for key, _, args in verify._SUITES[name](grid):
+            params = [arg for arg in args if isinstance(arg, Params)]
+            if name == "cor24":
+                want = (0, 0)
+            elif params:
+                want = (params[0].alpha, params[0].beta)
+            else:
+                want = args[-2:]        # (..., alpha, beta)
+            assert key == want, (name, args)
 
 
 def test_thm21_subsumes_cor24_point():
