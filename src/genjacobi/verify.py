@@ -28,7 +28,8 @@ suite up in one table that maps its name to its grid points, each a (key,
 worker, args) triple keyed by the point's (alpha, beta), and runs the points
 of all its suites grouped by key, largest alpha + beta first, so the points
 of one (alpha, beta) share its cached operator columns: serially, or in one
-process pool under GENJACOBI_THREADS.  Cases are emitted in point order
+process pool under GENJACOBI_THREADS when there is more than one group.
+Cases are emitted in point order
 whatever order the groups ran in, so the report is the same regardless of
 parallelism.
 """
@@ -489,24 +490,19 @@ def _run_task(task) -> list:
     return [(index, _run_point(point)) for index, point in task]
 
 
-def _tasks(points, threads: int) -> list:
+def _tasks(points) -> list:
     """The (key, point) list as tasks of (index, point) pairs: one task per
-    key, largest alpha + beta first (operator order and cost grow with it),
-    or one task per point in that order when there are fewer than
-    2 * threads keys, so a small grid still fans out."""
+    key, largest alpha + beta first (operator order and cost grow with it)."""
     groups = {}
     for index, (key, point) in enumerate(points):
         groups.setdefault(key, []).append((index, point))
-    tasks = [groups[key] for key in sorted(groups, key=lambda key: -sum(key))]
-    if len(tasks) < 2 * threads:
-        tasks = [[item] for task in tasks for item in task]
-    return tasks
+    return [groups[key] for key in sorted(groups, key=lambda key: -sum(key))]
 
 
 def _map_points(points, threads: int) -> list:
     """The cases of every (key, point), concatenated in point order whatever
-    order the tasks ran in."""
-    tasks = _tasks(points, threads)
+    order the tasks ran in; a single task runs serially."""
+    tasks = _tasks(points)
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as ex:
             done = list(ex.map(_run_task, tasks))

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -302,29 +303,40 @@ def test_report_plain_summary_line():
 def test_run_suite_parallel_matches_serial(monkeypatch):
     # a 2-process pool runs even on a 1-CPU host
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    opened = []
+
+    def pool(max_workers):
+        opened.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", pool)
     masses = (F(0), F(1))
-    # (alpha_max, beta_max): 4 (alpha, beta) groups for 2 workers run one
-    # task per group; a single group runs one task per point
-    for alpha_max, beta_max, grouped in ((1, 1, True), (0, 0, False)):
+    # (alpha_max, beta_max) and the keys of its tasks, largest alpha + beta
+    # first: 4 groups, 2 groups (one per worker), and 1 group, which runs
+    # serially
+    for alpha_max, beta_max, keys in ((1, 1, [(1, 1), (0, 1), (1, 0), (0, 0)]),
+                                      (1, 0, [(1, 0), (0, 0)]),
+                                      (0, 0, [(0, 0)])):
         ab = [(a, b) for a in range(alpha_max + 1) for b in range(beta_max + 1)]
         grid = verify._Grid(3, 3, 2, ab=ab,
                             masses=[(M, N) for M in masses for N in masses])
         points = [(key, ("", worker, args)) for name in SUITE_NAMES
                   for key, worker, args in verify._SUITES[name](grid)]
-        tasks = verify._tasks(points, 2)
+        tasks = verify._tasks(points)
         assert sorted(i for task in tasks for i, _ in task) == list(range(len(points)))
-        if grouped:
-            assert [points[task[0][0]][0] for task in tasks] == [(1, 1), (0, 1),
-                                                                 (1, 0), (0, 0)]
-        else:
-            assert len(tasks) == len(points)
+        assert [points[task[0][0]][0] for task in tasks] == keys
+        assert all(points[i][0] == points[task[0][0]][0] for task in tasks for i, _ in task)
         # two masses, so every suite, cor24 included, has more than one point
         kwargs = dict(nmax=3, alpha_max=alpha_max, beta_max=beta_max,
                       masses_m=masses, masses_n=masses, seed=3, trials=2)
         for name in SUITE_NAMES + ("all",):
+            opened.clear()
             serial = run_suite(name, threads=1, **kwargs)
             parallel = run_suite(name, threads=2, **kwargs)
             assert serial.to_json() == parallel.to_json(), (name, alpha_max)
+            # cor24 points all share the key (0, 0)
+            assert opened == ([2] if len(keys) > 1 and name != "cor24" else []), \
+                (name, alpha_max)
 
 
 def test_thm21_probes_each_operator_once_per_pair():
