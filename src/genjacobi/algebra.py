@@ -87,6 +87,43 @@ def _canonical(nums: list, den: int) -> tuple:
     return tuple(nums), den
 
 
+def derive_nums(nums, k: int) -> list:
+    """Integer coefficients of the k-th derivative of sum nums[i] x^i."""
+    return [nums[i] * perm(i, k) for i in range(k, len(nums))]
+
+
+def exact_quotient(nums: list, den: int, d: "Poly") -> tuple:
+    """(q, qden) with q / qden == (nums / den) / d exactly, for a nonempty
+    integer vector nums with a nonzero last entry and a nonzero d;
+    NotDivisible otherwise.
+
+    Integer synthetic division: the numerators are scaled by lead**m (lead =
+    the divisor's leading numerator, m = the number of quotient terms), so
+    every step r[i] // lead is exact.  The quotient is not normalized.
+    """
+    dn = d.nums
+    dd = len(dn) - 1
+    if len(nums) <= dd:
+        raise NotDivisible(f"degree {len(nums) - 1} < divisor degree {dd}")
+    lead = dn[-1]
+    scale = lead ** (len(nums) - dd)
+    r = [n * scale for n in nums]
+    q = [0] * (len(r) - dd)
+    for i in range(len(r) - 1, dd - 1, -1):
+        c = r[i]
+        if c:
+            c //= lead
+            q[i - dd] = c
+            for j in range(dd + 1):
+                r[i - dd + j] -= c * dn[j]
+    if any(r[:dd]):
+        raise NotDivisible(
+            f"remainder {Poly._norm(r[:dd], scale * den)!r} dividing by {d!r}")
+    if d.den != 1:
+        q = [c * d.den for c in q]
+    return q, scale * den
+
+
 class Poly:
     """Immutable dense polynomial over the rationals."""
 
@@ -262,8 +299,7 @@ class Poly:
             return self
         if k > self.degree:
             return Poly.zero()
-        nums = [self.nums[i + k] * perm(i + k, k) for i in range(len(self.nums) - k)]
-        return Poly._norm(nums, self.den)
+        return Poly._norm(derive_nums(self.nums, k), self.den)
 
     def reflect(self) -> "Poly":
         """p(-x): negate odd-degree coefficients."""
@@ -271,35 +307,12 @@ class Poly:
         return Poly._raw(nums, self.den)
 
     def exact_div(self, d: "Poly") -> "Poly":
-        """Quotient q with self == q * d exactly; NotDivisible otherwise.
-
-        Integer synthetic division: the dividend's numerators are scaled by
-        lead**m (lead = the divisor's leading numerator, m = the number of
-        quotient terms), so every step r[i] // lead is exact.
-        """
+        """Quotient q with self == q * d exactly; NotDivisible otherwise."""
         if d.is_zero:
             raise ZeroDivisionError("division of Poly by zero polynomial")
         if self.is_zero:
             return Poly.zero()
-        if self.degree < d.degree:
-            raise NotDivisible(f"degree {self.degree} < divisor degree {d.degree}")
-        dn = d.nums
-        dd = len(dn) - 1
-        lead = dn[-1]
-        scale = lead ** (len(self.nums) - dd)
-        r = [n * scale for n in self.nums]
-        q = [0] * (len(r) - dd)
-        for i in range(len(r) - 1, dd - 1, -1):
-            c = r[i]
-            if c:
-                c //= lead
-                q[i - dd] = c
-                for j in range(dd + 1):
-                    r[i - dd + j] -= c * dn[j]
-        if any(r[:dd]):
-            raise NotDivisible(
-                f"remainder {Poly._norm(r[:dd], scale * self.den)!r} dividing by {d!r}")
-        return Poly._norm([c * d.den for c in q], scale * self.den)
+        return Poly._norm(*exact_quotient(self.nums, self.den, d))
 
     def eval(self, x: RationalLike) -> Fraction:
         """Exact value at a rational point (integer Horner, one reduction)."""

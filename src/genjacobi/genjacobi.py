@@ -9,15 +9,18 @@ building blocks:
 where P_n is the classical Jacobi polynomial and Q_n, R_n, S_n are
 parameter-shifted Jacobi polynomials times the endpoint factors (x+1),
 (x-1), (x^2-1) with explicit rational coefficients.  Q_0, R_0, S_0, and S_1
-are zero by convention, which keeps every operation total in n.
+are zero by convention, which keeps every operation total in n.  The four
+blocks of each (n, alpha, beta) are built once and shared by every mass
+point; each gen_jacobi sums them in integers over one denominator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
+from . import kernel
 from .algebra import (InvalidParam, Poly, X2_MINUS_1, X_MINUS_1, X_PLUS_1,
                       as_rational, nonneg_int, pochhammer)
 from .jacobi import jacobi_poly
@@ -100,17 +103,29 @@ def poly_S(n: int, alpha: int, beta: int) -> Poly:
     return coeff_s(n, alpha, beta) * X2_MINUS_1 * jacobi_poly(n - 2, alpha + 2, beta + 2)
 
 
+# the grid runner visits one (alpha, beta) at a time, and 64 entries hold all
+# of its degrees (13 on the default grid); a larger cache would only duplicate
+# gen_jacobi's entries on a grid with one mass point, where nothing is shared
+@lru_cache(maxsize=64)
+def _blocks(n: int, alpha: int, beta: int) -> tuple:
+    """(P_n, Q_n, R_n, S_n) at (alpha, beta), built once for every mass point."""
+    return (jacobi_poly(n, alpha, beta), poly_Q(n, alpha, beta),
+            poly_R(n, alpha, beta), poly_S(n, alpha, beta))
+
+
 @lru_cache(maxsize=8192)
 def _gen_jacobi_cached(n: int, params: Params) -> Poly:
-    base = jacobi_poly(n, params.alpha, params.beta)
-    out = base
-    if params.M:
-        out = out + params.M * poly_Q(n, params.alpha, params.beta)
-    if params.N:
-        out = out + params.N * poly_R(n, params.alpha, params.beta)
-    if params.M and params.N:
-        out = out + params.M * params.N * poly_S(n, params.alpha, params.beta)
-    return out
+    """P_n + M Q_n + N R_n + M N S_n, summed in integers over one denominator."""
+    masses = (Fraction(1), params.M, params.N, params.M * params.N)
+    nums, den = [], 1
+    for mass, block in zip(masses, _blocks(n, params.alpha, params.beta)):
+        if mass and block:
+            scale = mass.denominator * block.den
+            total = lcm(den, scale)
+            nums = kernel.add_scaled(nums, total // den, block.nums,
+                                     mass.numerator * (total // scale))
+            den = total
+    return Poly._norm(nums, den)
 
 
 def gen_jacobi(n: int, params: Params) -> Poly:

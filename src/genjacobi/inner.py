@@ -19,15 +19,20 @@ from operator import mul
 
 from . import kernel
 from .algebra import (InvalidParam, ONE_MINUS_X, Poly, X_MINUS_1, X_PLUS_1,
-                      nonneg_int, pochhammer)
+                      derive_nums, nonneg_int, pochhammer)
 from .genjacobi import Params, gen_jacobi
 from .operators import apply_combined, const_b, const_c
 
 
 def integrate(f: Poly) -> Fraction:
     """Integral of f over [-1, 1]: odd monomials drop, x^k gives 2/(k+1)."""
-    weights, den = _monomial_integrals(len(f.nums))
-    return Fraction(sum(map(mul, f.nums[::2], weights)), den * f.den)
+    return _integral(f.nums, f.den)
+
+
+def _integral(nums, den: int) -> Fraction:
+    """Integral over [-1, 1] of the polynomial with coefficients nums / den."""
+    weights, wden = _monomial_integrals(len(nums))
+    return Fraction(sum(map(mul, nums[::2], weights)), wden * den)
 
 
 @lru_cache(maxsize=256)
@@ -76,10 +81,18 @@ def _moment_vector(params: Params, size: int) -> tuple:
     """(h, D) with h[k] / D = mu_k + M (-1)^k + N for k < size: the moments
     of the mass-augmented scalar product.  h runs on to a multiple of 16, so
     one (alpha, beta) keeps few moment blocks in the cache."""
-    moments, mden = _normalized_moments(params.alpha, params.beta, -(-size // 16) * 16)
-    den = lcm(mden, params.M.denominator, params.N.denominator)
-    ends = [int((params.N + s * params.M) * den) for s in (1, -1)]  # at even k, at odd k
-    return [mu * (den // mden) + ends[k & 1] for k, mu in enumerate(moments)], den
+    return _moment_block(params, -(-size // 16) * 16)
+
+
+@lru_cache(maxsize=256)
+def _moment_block(params: Params, size: int) -> tuple:
+    """_moment_vector's (h, D) of one length, built once per params."""
+    moments, mden = _normalized_moments(params.alpha, params.beta, size)
+    M, N = params.M, params.N
+    den = lcm(mden, M.denominator, N.denominator)
+    m, n = M.numerator * (den // M.denominator), N.numerator * (den // N.denominator)
+    ends = (n + m, n - m)      # at even k, at odd k
+    return tuple(mu * (den // mden) + ends[k & 1] for k, mu in enumerate(moments)), den
 
 
 def inner_product(f: Poly, g: Poly, params: Params) -> Fraction:
@@ -100,8 +113,14 @@ def weighted_integral(f: Poly, alpha: int, beta: int) -> Fraction:
 # ---------------- symmetric bilinear forms ----------------
 
 def _form(f: Poly, g: Poly, v: Poly, k: int, w: Poly, alpha: int, beta: int) -> Fraction:
-    """Integral of (v f)^(k) (v g)^(k) w over [-1, 1], divided by h_norm."""
-    return integrate((v * f).derive(k) * (v * g).derive(k) * w) / h_norm(alpha, beta)
+    """Integral of (v f)^(k) (v g)^(k) w over [-1, 1], divided by h_norm;
+    the integrand is built on integer vectors and never normalized."""
+    df = derive_nums(kernel.conv(v.nums, f.nums), k) if f.nums else []
+    dg = derive_nums(kernel.conv(v.nums, g.nums), k) if g.nums else []
+    if not (df and dg):
+        return Fraction(0)
+    nums = kernel.conv(kernel.conv(df, dg), w.nums)
+    return _integral(nums, v.den ** 2 * f.den * g.den * w.den) / h_norm(alpha, beta)
 
 
 def bilinear_U(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:

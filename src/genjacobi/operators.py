@@ -2,7 +2,7 @@
 
 Four elementary operators act on polynomials, all in exact arithmetic:
 
-- the classical second-order Jacobi operator (pencil form),
+- the classical second-order Jacobi operator (a three-term coefficient stencil),
 - an order-(2*beta+4) operator tied to the point mass at x = -1,
 - an order-(2*alpha+4) mirror operator tied to the point mass at x = +1,
 - an order-(2*alpha+2*beta+6) operator tied to the product of both masses.
@@ -11,8 +11,9 @@ Each higher-order operator is a conjugated repeated derivative, and
 _conjugated writes that recipe once: multiply by an endpoint-power weight,
 differentiate k times, multiply by a second weight, differentiate k times
 again, strip a known endpoint factor by exact division, and multiply by an
-endpoint factor.  The divergence-form check of the second-order operator
-is the same recipe with k = 1.  The division is exact for every polynomial
+endpoint factor, all on integer vectors with one normalization at the end.
+The divergence-form check of the second-order operator is the same recipe
+with k = 1.  The division is exact for every polynomial
 input; a failure raises NotDivisible and signals a genuine bug, not a
 rounding issue.
 
@@ -43,7 +44,8 @@ from typing import Callable, NamedTuple
 
 from . import kernel
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
-                      X_PLUS_1, as_rational, nonneg_int, pochhammer)
+                      X_PLUS_1, as_rational, derive_nums, exact_quotient, nonneg_int,
+                      pochhammer)
 from .genjacobi import Params, poly_Q, poly_R, poly_S
 from .jacobi import jacobi_poly
 
@@ -95,23 +97,40 @@ class DiffOperator:
 
 
 def apply_L2(y: Poly, alpha: RationalLike, beta: RationalLike) -> Poly:
-    """Second-order Jacobi operator in expanded pencil form,
-    (x^2-1)y'' + [alpha-beta+(alpha+beta+2)x]y'.
+    """Second-order Jacobi operator (x^2-1)y'' + [alpha-beta+(alpha+beta+2)x]y',
+    applied to the coefficients c of y as the three-term stencil
+
+        (L2 y)_j = j(j+alpha+beta+1) c_j + (alpha-beta)(j+1) c_(j+1)
+                   - (j+1)(j+2) c_(j+2),
+
+    in integers over the common denominator of alpha and beta.
 
     Parameters may be any exact rationals; the pencil needs no endpoint
     powers, so nothing restricts them to integers here.
     """
     a, b = as_rational(alpha), as_rational(beta)
-    return X2_MINUS_1 * y.derive(2) + Poly([a - b, a + b + 2]) * y.derive(1)
+    q = lcm(a.denominator, b.denominator)
+    s, d = int((a + b + 1) * q), int((a - b) * q)
+    c = y.nums + (0, 0)
+    nums = [j * (j * q + s) * c[j] + (j + 1) * (d * c[j + 1] - q * (j + 2) * c[j + 2])
+            for j in range(len(y.nums))]
+    return Poly._norm(nums, y.den * q)
 
 
 def _conjugated(y: Poly, v: Poly, k: int, w: Poly, strip: Poly, factor: Poly) -> Poly:
     """factor * D^k[w * D^k[v * y]] / strip, the division exact and skipped
-    when strip is a constant: the recipe of every conjugated operator."""
-    outer = (w * (v * y).derive(k)).derive(k)
+    when strip is a constant: the recipe of every conjugated operator.
+    Computed on integer vectors and normalized once."""
+    if y.is_zero:
+        return y
+    inner = derive_nums(kernel.conv(v.nums, y.nums), k)
+    nums = derive_nums(kernel.conv(w.nums, inner), k) if inner else []
+    if not nums:
+        return Poly.zero()
+    den = v.den * y.den * w.den
     if strip.degree > 0:
-        outer = outer / strip
-    return factor * outer
+        nums, den = exact_quotient(nums, den, strip)
+    return Poly._norm(kernel.conv(factor.nums, nums), den * factor.den)
 
 
 def apply_L2_conjugated(y: Poly, alpha: int, beta: int) -> Poly:
@@ -204,24 +223,27 @@ def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
     return columns
 
 
-@lru_cache(maxsize=8)
+# one (alpha, beta) of the default grid has 16 mass points, and its thm21,
+# symmetry and orthogonality points run together, so 16 entries let them share
+@lru_cache(maxsize=16)
 def _combined_entry(params: Params) -> tuple:
-    """(den, weights, columns) of the combined operator: its integer columns
-    over one denominator, as a list _combined_matrix extends, and the
-    integer weight of each component with a nonzero mass, mass / norm
-    times den; the masses are 1, M, N and M*N."""
+    """(den, weights, columns, eigens) of the combined operator: its integer
+    columns over one denominator, as a list _combined_matrix extends; the
+    integer weight of each component with a nonzero mass, mass / norm times
+    den (the masses are 1, M, N and M*N); and its eigenvalues on
+    gen_jacobi(0), gen_jacobi(1), ..., as a list eigen_combined extends."""
     masses = (Fraction(1), params.M, params.N, params.M * params.N)
     scales = [(row, mass / row.norm)
               for row, mass in zip(components(params.alpha, params.beta), masses) if mass]
     den = lcm(*(s.denominator for _, s in scales))
     weights = tuple((row, s.numerator * (den // s.denominator)) for row, s in scales)
-    return den, weights, []
+    return den, weights, [], []
 
 
 def _combined_matrix(params: Params, dim: int) -> tuple:
     """(den, columns): the combined operator as integer columns over one
     denominator, built up to at least x^(dim-1)."""
-    den, weights, columns = _combined_entry(params)
+    den, weights, columns, _ = _combined_entry(params)
     if len(columns) < dim:
         parts = [(_columns(row.kind, params.alpha, params.beta, dim), weight)
                  for row, weight in weights]
@@ -383,9 +405,17 @@ def const_c(alpha: int, beta: int) -> Fraction:
 
 def eigen_combined(n: int, params: Params) -> EigenValue:
     """Eigenvalue of the combined operator on gen_jacobi(n, params): its
-    components' eigenvalues with the weights of its matrix."""
-    den, weights, _ = _combined_entry(params)
-    return EigenValue(sum(weight * row.eigen(n) for row, weight in weights) / den)
+    components' eigenvalues with the weights of its matrix, each summed in
+    integers over one denominator."""
+    nonneg_int("polynomial index", n)
+    den, weights, _, eigens = _combined_entry(params)
+    for k in range(len(eigens), n + 1):
+        values = [(weight, row.eigen(k)) for row, weight in weights]
+        vden = lcm(*(value.denominator for _, value in values))
+        total = sum(weight * value.numerator * (vden // value.denominator)
+                    for weight, value in values)
+        eigens.append(Fraction(total, den * vden))
+    return EigenValue(eigens[n])
 
 
 # ---------------- the four components of Theorem 2.1 ----------------

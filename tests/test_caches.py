@@ -17,8 +17,8 @@ def _lru_caches():
 
 def test_every_lru_cache_has_a_finite_maxsize():
     caches = _lru_caches()
-    assert {"jacobi._jacobi_hyp", "genjacobi._gen_jacobi_cached",
-            "algebra.pochhammer", "inner._normalized_moments",
+    assert {"jacobi._jacobi_hyp", "genjacobi._gen_jacobi_cached", "genjacobi._blocks",
+            "algebra.pochhammer", "inner._normalized_moments", "inner._moment_block",
             "operators._column_list", "operators._combined_entry"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name

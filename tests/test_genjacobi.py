@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from genjacobi import genjacobi as gj
 from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1
 from genjacobi.genjacobi import (Params, coeff_q, coeff_r, coeff_s, gen_jacobi,
                                  poly_Q, poly_R, poly_S)
@@ -82,11 +83,25 @@ def test_block_reflection():
 
 
 def test_gen_jacobi_is_weighted_sum():
-    pr = Params(1, 2, F(1, 3), 2)
-    for n in range(8):
-        want = (jacobi_poly(n, 1, 2) + pr.M * poly_Q(n, 1, 2)
-                + pr.N * poly_R(n, 1, 2) + pr.M * pr.N * poly_S(n, 1, 2))
-        assert gen_jacobi(n, pr) == want
+    # the integer sum over one denominator against the same sum in Poly ops
+    masses = (0, F(1, 3), 2, F(5, 7))
+    for a, b, M, N in product(range(4), range(4), masses, masses):
+        pr = Params(a, b, M, N)
+        for n in range(9):
+            want = (jacobi_poly(n, a, b) + pr.M * poly_Q(n, a, b)
+                    + pr.N * poly_R(n, a, b) + pr.M * pr.N * poly_S(n, a, b))
+            assert gen_jacobi(n, pr) == want, (pr, n)
+
+
+def test_blocks_are_built_once_for_every_mass_point():
+    gj._blocks.cache_clear()
+    gj._gen_jacobi_cached.cache_clear()
+    masses = (0, F(1, 3), 1, 2)
+    for M, N in product(masses, masses):
+        for n in range(6):
+            gen_jacobi(n, Params(2, 1, M, N))
+    assert gj._blocks.cache_info().misses == 6
+    assert gj._gen_jacobi_cached.cache_info().misses == 16 * 6
 
 
 def test_gen_jacobi_first_degree():

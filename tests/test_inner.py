@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genjacobi import inner
 from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1
 from genjacobi.genjacobi import Params, gen_jacobi
 from genjacobi.inner import (BoundaryValues, bilinear_U,
@@ -168,6 +169,33 @@ def test_bilinear_U_anchors():
 def test_forms_are_symmetric(f, g):
     for form in (bilinear_U, bilinear_Vt, bilinear_V, bilinear_W):
         assert form(f, g, 1, 2) == form(g, f, 1, 2)
+
+
+def _form_by_poly_ops(f, g, v, k, w, a, b):
+    """A form's integral in Poly arithmetic, each step normalized: the path
+    the integer-vector pass replaced, kept as an oracle."""
+    return integrate((v * f).derive(k) * (v * g).derive(k) * w) / h_norm(a, b)
+
+
+def test_forms_match_their_integrals_in_poly_ops():
+    rng = SplitMix64(17)
+    fs = [Poly.zero()] + [_poly_of_degree(rng, d) for d in (0, 3, 9)]
+    for a, b in product(range(4), range(4)):
+        forms = ((bilinear_U, Poly.one(), 1, weight_poly(a + 1, b + 1)),
+                 (bilinear_Vt, X_PLUS_1 ** (b + 1), b + 2, weight_poly(a + b + 2, 0)),
+                 (bilinear_V, X_MINUS_1 ** (a + 1), a + 2, weight_poly(0, a + b + 2)),
+                 (bilinear_W, X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1), a + b + 3,
+                  weight_poly(b + 1, a + 1)))
+        for (form, v, k, w), f, g in product(forms, fs, fs):
+            assert form(f, g, a, b) == _form_by_poly_ops(f, g, v, k, w, a, b), (form, a, b)
+
+
+def test_moment_vector_is_built_once_per_block():
+    inner._moment_block.cache_clear()
+    p = Params(2, 1, F(1, 3), 2)
+    vectors = [inner._moment_vector(p, size) for size in (1, 5, 16, 3, 17, 32)]
+    assert inner._moment_block.cache_info().misses == 2
+    assert vectors[0] is vectors[2] and vectors[4] is vectors[5]
 
 
 def test_form_pairings_with_boundary_corrections():

@@ -6,7 +6,8 @@ from math import factorial, perm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1, X2_MINUS_1
+from genjacobi.algebra import (InvalidParam, NotDivisible, Poly, X_MINUS_1, X_PLUS_1,
+                               X2_MINUS_1)
 from genjacobi.genjacobi import Params, gen_jacobi, poly_Q, poly_R, poly_S
 from genjacobi.jacobi import jacobi_poly
 from genjacobi import operators, verify
@@ -16,7 +17,8 @@ from genjacobi.operators import (DiffOperator, EigenValue, InconsistentExpansion
                                  apply_duran, apply_factorized, const_b, const_c,
                                  eigen_combined, eigen_high, eigen_lambda2,
                                  expand_operator, _column_list, _columns,
-                                 _combined_entry, _combined_matrix, _image)
+                                 _combined_entry, _combined_matrix, _conjugated,
+                                 _image)
 from genjacobi.verify import SplitMix64
 
 F = Fraction
@@ -394,3 +396,87 @@ def test_columns_reject_a_non_triangular_operator(monkeypatch, cold_matrices, br
         expand_operator("L2", Params(1, 0))
     with pytest.raises(InconsistentExpansion):
         apply_combined(Poly.x(), Params(1, 0))
+
+
+# ---------------- integer passes against their Poly-op oracles ----------------
+
+def pencil_L2(y, alpha, beta):
+    """(x^2-1)y'' + [alpha-beta+(alpha+beta+2)x]y' in Poly arithmetic: the
+    pencil form apply_L2's coefficient stencil replaced, kept as an oracle."""
+    a, b = F(alpha), F(beta)
+    return X2_MINUS_1 * y.derive(2) + Poly([a - b, a + b + 2]) * y.derive(1)
+
+
+def poly_op_recipe(y, v, k, w, strip, factor):
+    """_conjugated in Poly arithmetic, each step normalized: the recipe the
+    integer-vector pass replaced, kept as an oracle."""
+    outer = (w * (v * y).derive(k)).derive(k)
+    if strip.degree > 0:
+        outer = outer / strip
+    return factor * outer
+
+
+def test_l2_stencil_matches_the_pencil_form():
+    rng = SplitMix64(15)
+    ys = [Poly.zero()] + [poly_of_degree(rng, d) for d in (0, 1, 2, 3, 7, 12)]
+    pairs = ([(a, b) for a, b in product(range(5), range(5))]
+             + [(a, -1) for a in range(5)]                   # apply_duran's last factor
+             + [(F(-1, 2), F(1, 3)), (F(5, 2), F(-2, 3)), (F(1, 3), F(1, 3)), (-1, -1)])
+    for (a, b), y in product(pairs, ys):
+        assert apply_L2(y, a, b) == pencil_L2(y, a, b), (a, b, y)
+    assert apply_L2(Poly.zero(), F(5, 2), F(-2, 3)).is_zero
+
+
+def test_conjugated_matches_the_poly_op_recipe(monkeypatch):
+    rng = SplitMix64(16)
+    ys = [Poly.zero()] + [poly_of_degree(rng, d) for d in (0, 1, 3, 6, 11)]
+    operators_ = (apply_Ltilde, apply_Lhat, apply_Lfull, apply_L2_conjugated)
+    cases = [(op, a, b, y) for op in operators_ for a, b in product(range(4), range(4))
+             for y in ys]
+    got = [op(y, a, b) for op, a, b, y in cases]
+    monkeypatch.setattr(operators, "_conjugated", poly_op_recipe)
+    for (op, a, b, y), image in zip(cases, got):
+        assert image == op(y, a, b), (op.__name__, a, b, y)
+    monkeypatch.undo()
+    # rational weights and factors, and a constant strip that is not divided by
+    for k, y in product((1, 2, 4), ys):
+        v, w, factor = (poly_of_degree(rng, d) for d in (2, 3, 1))
+        for strip in (Poly.one(), Poly([F(3, 2)])):
+            assert (_conjugated(y, v, k, w, strip, factor)
+                    == poly_op_recipe(y, v, k, w, strip, factor)), (k, y)
+
+
+def test_conjugated_raises_when_the_strip_does_not_divide():
+    # D[x^2 * D[x]] = 2x leaves remainder -2 on division by x+1
+    with pytest.raises(NotDivisible, match=r"remainder Poly\('-2'\)"):
+        _conjugated(Poly.x(), Poly.one(), 1, Poly.x() ** 2, X_PLUS_1, Poly.one())
+    # D[x * D[x]] = 1 is nonzero and of lower degree than x+1
+    with pytest.raises(NotDivisible, match="degree 0 < divisor degree 1"):
+        _conjugated(Poly.x(), Poly.one(), 1, Poly.x(), X_PLUS_1, Poly.one())
+
+
+def four_term_eigenvalue(n, params):
+    """The combined eigenvalue as a sum of four Fractions, mass / norm times
+    each component's eigenvalue."""
+    a, b, M, N = params.alpha, params.beta, params.M, params.N
+    return (eigen_lambda2(n, a, b).value
+            + M / const_b(b, a) * eigen_high("side", n, b, a).value
+            + N / const_b(a, b) * eigen_high("side", n, a, b).value
+            + M * N / const_c(a, b) * eigen_high("full", n, a, b).value)
+
+
+def test_eigen_combined_matches_the_four_term_sum_in_any_order(cold_matrices):
+    params = [Params(a, b, M, N) for a, b in ((0, 0), (1, 2), (3, 1))
+              for M, N in ((0, 0), (F(1, 3), 0), (0, F(5, 7)), (F(1, 3), 2))]
+    for order in (range(12, -1, -1), range(13)):
+        _combined_entry.cache_clear()
+        for pr, n in product(params, order):
+            assert eigen_combined(n, pr).value == four_term_eigenvalue(n, pr), (pr, n)
+
+
+def test_eigen_combined_rejects_a_negative_index(cold_matrices):
+    pr = Params(1, 1, 1, 1)
+    eigen_combined(3, pr)           # the cached list would serve eigens[-1]
+    for n in (-1, -4, 2.0):
+        with pytest.raises(InvalidParam):
+            eigen_combined(n, pr)
