@@ -36,10 +36,12 @@ class InvalidParam(ValueError):
     """A parameter is outside the domain of the requested operation."""
 
 
-def nonneg_int(name: str, value) -> int:
-    """value, if it is a nonnegative int (not a bool); else InvalidParam."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise InvalidParam(f"{name} must be a nonnegative integer, got {value!r}")
+def nonneg_int(name: str, value, least: int = 0) -> int:
+    """value, if it is an int (not a bool) >= least; else InvalidParam.
+    The one check of every index, length, bound and count."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        want = "a nonnegative integer" if least == 0 else f"an integer >= {least}"
+        raise InvalidParam(f"{name} must be {want}, got {value!r}")
     return value
 
 
@@ -64,8 +66,7 @@ def pochhammer(a: RationalLike, k: int) -> Fraction:
     For a = p/q this is (p)(p+q)...(p+(k-1)q) / q^k, one integer product.
     The cache is typed, so a float argument is never served an int's entry.
     """
-    if k < 0:
-        raise InvalidParam(f"pochhammer needs k >= 0, got {k}")
+    nonneg_int("pochhammer k", k)
     a = as_rational(a)
     p, q = a.numerator, a.denominator
     return Fraction(prod(range(p, p + k * q, q)), q ** k)

@@ -218,8 +218,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "poly":
-            if args.n < 0:
-                raise InvalidParam(f"--n must be >= 0, got {args.n}")
             params = Params(args.alpha, args.beta, args.bigm, args.bign)
             print(cmd_poly(args.n, params, args.format))
             return 0

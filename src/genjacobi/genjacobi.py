@@ -55,50 +55,50 @@ class Params:
         """Mirror parameters under x -> -x: swap alpha/beta and M/N."""
         return Params(self.beta, self.alpha, self.N, self.M)
 
-
-def _check_n(n: int, least: int, what: str) -> None:
-    if n < least:
-        raise InvalidParam(f"{what} needs n >= {least}, got {n}")
+    @property
+    def masses(self) -> tuple:
+        """The weights 1, M, N, M*N of the P, Q, R, S blocks and operators."""
+        return Fraction(1), self.M, self.N, self.M * self.N
 
 
 def coeff_q(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x+1)-block, defined for n >= 1."""
-    _check_n(n, 1, "coeff_q")
+    nonneg_int("coeff_q index", n, 1)
     return (pochhammer(alpha + beta + 2, n) * pochhammer(beta + 2, n - 1)
             / (2 * factorial(n) * pochhammer(alpha + 1, n - 1)))
 
 
 def coeff_r(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x-1)-block, defined for n >= 1."""
-    _check_n(n, 1, "coeff_r")
+    nonneg_int("coeff_r index", n, 1)
     return (pochhammer(alpha + beta + 2, n) * pochhammer(alpha + 2, n - 1)
             / (2 * factorial(n) * pochhammer(beta + 1, n - 1)))
 
 
 def coeff_s(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x^2-1)-block, defined for n >= 2."""
-    _check_n(n, 2, "coeff_s")
+    nonneg_int("coeff_s index", n, 2)
     return (pochhammer(alpha + beta + 2, n) * pochhammer(alpha + beta + 2, n + 1)
             / (4 * (alpha + 1) * (beta + 1) * factorial(n - 1) * factorial(n)))
 
 
 def poly_Q(n: int, alpha: int, beta: int) -> Poly:
     """Block vanishing at x = -1; zero polynomial for n = 0."""
-    if n == 0:
+    if nonneg_int("polynomial index", n) == 0:
         return Poly.zero()
     return coeff_q(n, alpha, beta) * X_PLUS_1 * jacobi_poly(n - 1, alpha, beta + 2)
 
 
 def poly_R(n: int, alpha: int, beta: int) -> Poly:
     """Block vanishing at x = +1; zero polynomial for n = 0."""
-    if n == 0:
+    if nonneg_int("polynomial index", n) == 0:
         return Poly.zero()
     return coeff_r(n, alpha, beta) * X_MINUS_1 * jacobi_poly(n - 1, alpha + 2, beta)
 
 
 def poly_S(n: int, alpha: int, beta: int) -> Poly:
     """Block vanishing at both endpoints; zero polynomial for n in {0, 1}."""
-    if n <= 1:
+    if nonneg_int("polynomial index", n) <= 1:
         return Poly.zero()
     return coeff_s(n, alpha, beta) * X2_MINUS_1 * jacobi_poly(n - 2, alpha + 2, beta + 2)
 
@@ -116,9 +116,8 @@ def _blocks(n: int, alpha: int, beta: int) -> tuple:
 @lru_cache(maxsize=8192)
 def _gen_jacobi_cached(n: int, params: Params) -> Poly:
     """P_n + M Q_n + N R_n + M N S_n, summed in integers over one denominator."""
-    masses = (Fraction(1), params.M, params.N, params.M * params.N)
     nums, den = [], 1
-    for mass, block in zip(masses, _blocks(n, params.alpha, params.beta)):
+    for mass, block in zip(params.masses, _blocks(n, params.alpha, params.beta)):
         if mass and block:
             scale = mass.denominator * block.den
             total = lcm(den, scale)
@@ -130,6 +129,4 @@ def _gen_jacobi_cached(n: int, params: Params) -> Poly:
 
 def gen_jacobi(n: int, params: Params) -> Poly:
     """Degree-n generalized Jacobi polynomial for the given weight data."""
-    if n < 0:
-        raise InvalidParam(f"polynomial index must be >= 0, got {n}")
-    return _gen_jacobi_cached(n, params)
+    return _gen_jacobi_cached(nonneg_int("polynomial index", n), params)

@@ -18,7 +18,7 @@ from math import factorial, lcm
 from operator import mul
 
 from . import kernel
-from .algebra import (InvalidParam, ONE_MINUS_X, Poly, X_MINUS_1, X_PLUS_1,
+from .algebra import (ONE_MINUS_X, Poly, X_MINUS_1, X_PLUS_1,
                       derive_nums, nonneg_int, pochhammer)
 from .genjacobi import Params, gen_jacobi
 from .operators import apply_combined, const_b, const_c
@@ -216,8 +216,7 @@ def gram_matrix(nmax: int, params: Params) -> list:
     """Pairwise scalar products of gen_jacobi(0..nmax), entry (i, j) being
     c_i . (H c_j) with c the coefficients and H the Hankel matrix of the
     moment vector; diagonal iff the polynomials are orthogonal."""
-    if nmax < 0:
-        raise InvalidParam(f"nmax must be >= 0, got {nmax}")
+    nonneg_int("nmax", nmax)
     polys = [gen_jacobi(n, params) for n in range(nmax + 1)]
     h, den = _moment_vector(params, 2 * nmax + 1)
     hc = [[sum(map(mul, g.nums, h[k:])) for k in range(nmax + 1)] for g in polys]

@@ -14,14 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
-from .algebra import InvalidParam, Poly, RationalLike, as_rational, pochhammer
+from .algebra import InvalidParam, Poly, RationalLike, as_rational, nonneg_int, pochhammer
 
 
 def _checked(n: int, gamma: RationalLike, delta: RationalLike) -> tuple:
     """(gamma, delta) as Fractions for the weight (1-x)^gamma (1+x)^delta;
-    InvalidParam unless n >= 0 and both exponents exceed -1."""
-    if n < 0:
-        raise InvalidParam(f"polynomial index must be >= 0, got {n}")
+    InvalidParam unless n is a nonnegative int and both exponents exceed -1."""
+    nonneg_int("polynomial index", n)
     g, d = as_rational(gamma), as_rational(delta)
     if g <= -1:
         raise InvalidParam(f"gamma must exceed -1, got {g}")

@@ -230,11 +230,10 @@ def _combined_entry(params: Params) -> tuple:
     """(den, weights, columns, eigens) of the combined operator: its integer
     columns over one denominator, as a list _combined_matrix extends; the
     integer weight of each component with a nonzero mass, mass / norm times
-    den (the masses are 1, M, N and M*N); and its eigenvalues on
+    den (the masses are Params.masses); and its eigenvalues on
     gen_jacobi(0), gen_jacobi(1), ..., as a list eigen_combined extends."""
-    masses = (Fraction(1), params.M, params.N, params.M * params.N)
-    scales = [(row, mass / row.norm)
-              for row, mass in zip(components(params.alpha, params.beta), masses) if mass]
+    scales = [(row, mass / row.norm) for row, mass
+              in zip(components(params.alpha, params.beta), params.masses) if mass]
     den = lcm(*(s.denominator for _, s in scales))
     weights = tuple((row, s.numerator * (den // s.denominator)) for row, s in scales)
     return den, weights, [], []
@@ -367,7 +366,7 @@ def expand_operator(kind: str, params: Params) -> DiffOperator:
 
 def eigen_lambda2(n: int, alpha: RationalLike, beta: RationalLike) -> EigenValue:
     """Eigenvalue n(n+alpha+beta+1) of the second-order operator."""
-    a, b = as_rational(alpha), as_rational(beta)
+    n, a, b = nonneg_int("polynomial index", n), as_rational(alpha), as_rational(beta)
     return EigenValue(n * (n + a + b + 1))
 
 
@@ -380,6 +379,7 @@ def eigen_high(kind: str, n: int, alpha: int, beta: int) -> EigenValue:
     """
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
+    nonneg_int("polynomial index", n)
     if kind == "side":
         return EigenValue(pochhammer(n, a + 2) * pochhammer(n + b, a + 2))
     if kind == "full":

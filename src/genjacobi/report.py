@@ -16,7 +16,7 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import Poly, format_rational
 
@@ -30,8 +30,7 @@ def render_value(value: ResidualLike) -> str:
     return format_rational(value)
 
 
-@dataclass(frozen=True)
-class Case:
+class Case(NamedTuple):
     """One checked identity instance.  params is held as given, not copied:
     a suite builds one mapping per grid point and never changes it."""
 

@@ -50,8 +50,7 @@ from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
                     weighted_integral)
 from .jacobi import jacobi_poly
 from .operators import (_image, apply_combined, apply_duran, apply_factorized,
-                        apply_Lfull, apply_Lhat, apply_Ltilde, components,
-                        const_b, const_c, eigen_combined, expand_operator)
+                        components, const_b, const_c, eigen_combined, expand_operator)
 from .report import Case, VerifyReport, params_str
 
 DEFAULT_NMAX = 12
@@ -174,6 +173,7 @@ def _expansion_cases(alpha: int, beta: int) -> list:
 
 def verify_theorem21(nmax: int, params: Params) -> VerifyReport:
     """Combined eigen-equation for n <= nmax, plus expansion checks."""
+    nonneg_int("nmax", nmax)
     report = VerifyReport("thm21", grid={"nmax": str(nmax)})
     report.extend(_thm21_point(nmax, params))
     report.extend(_expansion_cases(params.alpha, params.beta))
@@ -192,6 +192,7 @@ _CHAINS = ("raised-weight derivative chain",
 def verify_prop22(nmax: int, alpha: int, beta: int) -> VerifyReport:
     """Eigen-equations of the four blocks and the derivative chains."""
     a, b = alpha, beta
+    nonneg_int("nmax", nmax)
     pstr = params_str(alpha=a, beta=b)
     report = VerifyReport("prop22", grid={"nmax": str(nmax), **pstr})
     table = components(a, b)
@@ -221,6 +222,7 @@ def verify_prop22(nmax: int, alpha: int, beta: int) -> VerifyReport:
 def verify_prop23(nmax: int, alpha: int, beta: int) -> VerifyReport:
     """Factorized eigen-equations and factorized = elementary on probes."""
     a, b = alpha, beta
+    nonneg_int("nmax", nmax)
     pstr = params_str(alpha=a, beta=b)
     report = VerifyReport("prop23", grid={"nmax": str(nmax), **pstr})
     higher = components(a, b)[1:]
@@ -236,12 +238,12 @@ def verify_prop23(nmax: int, alpha: int, beta: int) -> VerifyReport:
             res = apply_factorized(row.factorized, y, a, b) - row.apply(y, a, b)
             report.add(Case.check(f"factorized matches elementary, kind {row.factorized}",
                                   pstr, k, res))
-    report.add(Case.check("mass(-1) operator annihilates constants", pstr, None,
-                          apply_Ltilde(Poly.one(), a, b)))
-    report.add(Case.check("mass(+1) operator annihilates constants", pstr, None,
-                          apply_Lhat(Poly.one(), a, b)))
-    report.add(Case.check("two-mass operator annihilates linear polynomials", pstr, None,
-                          apply_Lfull(Poly([3, -2]), a, b)))
+    # each annihilates the polynomials of degree below its factor's
+    kernels = (("constants", Poly.one()), ("linear polynomials", Poly([3, -2])))
+    for row in higher:
+        what, y = kernels[row.factor.degree - 1]
+        report.add(Case.check(f"{row.name} operator annihilates {what}", pstr, None,
+                              row.apply(y, a, b)))
     return report
 
 
@@ -249,6 +251,7 @@ def verify_prop23(nmax: int, alpha: int, beta: int) -> VerifyReport:
 
 def verify_cor24(nmax: int, M: RationalLike, N: RationalLike) -> VerifyReport:
     """Literal sixth-order equation for the alpha = beta = 0 polynomials."""
+    nonneg_int("nmax", nmax)
     M, N = as_rational(M), as_rational(N)
     params = Params(0, 0, M, N)
     pstr = params_str(alpha=0, beta=0, M=M, N=N)
@@ -278,6 +281,7 @@ def verify_cor24(nmax: int, M: RationalLike, N: RationalLike) -> VerifyReport:
 def verify_cor25(nmax: int, alpha: int, beta: int) -> VerifyReport:
     """The five cross identities mixing the P/Q/R/S blocks."""
     a, b = alpha, beta
+    nonneg_int("nmax", nmax)
     pstr = params_str(alpha=a, beta=b)
     report = VerifyReport("cor25", grid={"nmax": str(nmax), **pstr})
     table = components(a, b)
@@ -302,11 +306,13 @@ def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
     """Product form of the mass(-1) operator: monomial agreement, the
     two-term block identity, and the reduced eigen-equation at N = 0."""
     a, b = alpha, beta
+    nonneg_int("dmax", dmax)
     pstr = params_str(alpha=a, beta=b)
     report = VerifyReport("duran", grid={"dmax": str(dmax), **pstr})
+    second, side = components(a, b)[:2]
     for k in range(dmax + 1):
         y = Poly.monomial(k)
-        res = apply_duran(y, a, b) - apply_Ltilde(y, a, b)
+        res = apply_duran(y, a, b) - side.apply(y, a, b)
         report.add(Case.check("product form matches elementary on x^k", pstr, k, res))
 
     for n in range(1, 11):
@@ -317,7 +323,6 @@ def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
         report.add(Case.check("x+1 block as two-term Jacobi combination", pstr, n,
                               lhs - rhs))
 
-    second, side = components(a, b)[:2]
     for mass in (Fraction(1), Fraction(1, 3)):
         params = Params(a, b, mass, Fraction(0))
         mstr = params_str(alpha=a, beta=b, M=mass, N=0)
@@ -365,6 +370,8 @@ def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
 def verify_symmetry(trials: int, degmax: int, params: Params,
                     seed: int) -> VerifyReport:
     """Randomized symmetry checks at one parameter point."""
+    nonneg_int("trials", trials, 1)
+    nonneg_int("degmax", degmax)
     pstr = params_str(alpha=params.alpha, beta=params.beta,
                       M=params.M, N=params.N)
     report = VerifyReport("symmetry", seed=seed,
@@ -479,8 +486,7 @@ def _run_point(point) -> list:
     out = worker(*args)
     cases = out.cases if isinstance(out, VerifyReport) else out
     if prefix:
-        cases = [Case(prefix + c.label, c.params, c.n, c.residual, c.passed,
-                      c.skipped, c.reason) for c in cases]
+        cases = [c._replace(label=prefix + c.label) for c in cases]
     return cases
 
 
@@ -538,8 +544,7 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
     masses_n = tuple(as_rational(m) for m in masses_n)
     for key, bound in (("nmax", nmax), ("alpha_max", alpha_max), ("beta_max", beta_max)):
         nonneg_int(key, bound)
-    if nonneg_int("trials", trials) < 1:
-        raise InvalidParam(f"trials must be >= 1, got {trials}")
+    nonneg_int("trials", trials, 1)
     if not masses_m or not masses_n:
         raise InvalidParam("each mass axis needs at least one mass")
     if type(seed) is not int:

@@ -88,6 +88,14 @@ def test_verify_negative_grid_bound_exits_2(capsys, flag):
     assert flag.lstrip("-").replace("-", "_") in err
 
 
+@pytest.mark.parametrize("argv", [("poly", "--n", "-1"), ("gram", "--nmax", "-1")])
+def test_negative_index_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_rational_flag_parsing():
     assert rational_flag("1/3") == Fraction(1, 3)
     assert rational_flag("2") == 2

@@ -61,10 +61,10 @@ def test_math_layer_imports_no_private_name_from_a_sibling():
 
 
 def test_only_operators_imports_the_elementary_operators():
-    # the rest of the math layer reaches the four elementary operators through
+    # the math layer and the suites reach the four elementary operators through
     # operators' own table; inner states their endpoint values in closed form
     elementary = {"apply_L2", "apply_Ltilde", "apply_Lhat", "apply_Lfull"}
-    for module in MATH_LAYER:
+    for module in MATH_LAYER + ("verify",):
         if module != "operators":
             imported = _imported_modules(ROOT / "src" / "genjacobi" / f"{module}.py")
             assert not {name.rsplit(".", 1)[-1] for name in imported} & elementary, module

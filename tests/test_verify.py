@@ -5,12 +5,12 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import genjacobi as gj
 import genjacobi.operators as operators
 import genjacobi.verify as verify
 from genjacobi.algebra import InvalidParam, Poly
@@ -161,7 +161,7 @@ def test_run_suite_all_merges():
     for sub in SUITE_NAMES:
         own = run_suite(sub, nmax=2, alpha_max=0, beta_max=0,
                         masses_m=(F(1),), masses_n=(F(1),), seed=0, trials=1)
-        expected += [replace(c, label=f"{sub}: {c.label}") for c in own.cases]
+        expected += [c._replace(label=f"{sub}: {c.label}") for c in own.cases]
     assert rep.cases == expected
 
 
@@ -226,6 +226,50 @@ def test_run_suite_rejects_unknown_name():
 def test_run_suite_rejects_grids_that_check_nothing(name, grid):
     with pytest.raises(InvalidParam):
         run_suite(name, threads=1, **grid)
+
+
+_P = Params(1, 0, F(1), F(1))
+# every polynomial index, length, grid bound and count: argument -> (a call
+# with that argument set to v, the least value it takes)
+_INDEX_ARGS = {
+    "pochhammer k": (lambda v: gj.pochhammer(1, v), 0),
+    "jacobi_poly n": (lambda v: gj.jacobi_poly(v, 0, 0), 0),
+    "jacobi_recurrence n": (lambda v: gj.jacobi_recurrence(v, 0, 0), 0),
+    "coeff_q n": (lambda v: gj.coeff_q(v, 1, 0), 1),
+    "coeff_r n": (lambda v: gj.coeff_r(v, 1, 0), 1),
+    "coeff_s n": (lambda v: gj.coeff_s(v, 1, 0), 2),
+    "poly_Q n": (lambda v: gj.poly_Q(v, 1, 0), 0),
+    "poly_R n": (lambda v: gj.poly_R(v, 1, 0), 0),
+    "poly_S n": (lambda v: gj.poly_S(v, 1, 0), 0),
+    "gen_jacobi n": (lambda v: gj.gen_jacobi(v, _P), 0),
+    "gram_matrix nmax": (lambda v: gj.gram_matrix(v, _P), 0),
+    "eigen_lambda2 n": (lambda v: gj.eigen_lambda2(v, 1, 0), 0),
+    "eigen_high side n": (lambda v: gj.eigen_high("side", v, 1, 0), 0),
+    "eigen_high full n": (lambda v: gj.eigen_high("full", v, 1, 0), 0),
+    "eigen_combined n": (lambda v: gj.eigen_combined(v, _P), 0),
+    "verify_theorem21 nmax": (lambda v: verify_theorem21(v, _P), 0),
+    "verify_prop22 nmax": (lambda v: verify_prop22(v, 1, 0), 0),
+    "verify_prop23 nmax": (lambda v: verify_prop23(v, 1, 0), 0),
+    "verify_cor24 nmax": (lambda v: verify_cor24(v, 1, 1), 0),
+    "verify_cor25 nmax": (lambda v: verify_cor25(v, 1, 0), 0),
+    "verify_duran dmax": (lambda v: verify_duran(v, 1, 0), 0),
+    "verify_symmetry trials": (lambda v: verify_symmetry(v, 2, _P, 1), 1),
+    "verify_symmetry degmax": (lambda v: verify_symmetry(1, v, _P, 1), 0),
+    "run_suite trials": (lambda v: run_suite("cor24", nmax=0, alpha_max=0, beta_max=0,
+                                             trials=v, threads=1), 1),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, True], ids=["negative", "float", "bool"])
+@pytest.mark.parametrize("arg", _INDEX_ARGS)
+def test_every_index_and_count_is_a_checked_int(arg, bad):
+    # one check (algebra.nonneg_int) for all of them: a bad value raises
+    # InvalidParam, never TypeError, a silent empty result or a bool's answer
+    call, least = _INDEX_ARGS[arg]
+    call(least)
+    for value in (bad, least - 1):
+        with pytest.raises(InvalidParam):
+            call(value)
 
 
 def test_run_suite_mass_axis_pinning():
