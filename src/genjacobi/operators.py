@@ -26,7 +26,12 @@ is solved from the same columns.
 Also provided: factorized forms (products of shifted second-order factors),
 an alternative product form for the order-(2*beta+4) operator, expansion of
 any operator into explicit coefficient polynomials per derivative order, and
-the exact eigenvalues of all of them.
+the exact eigenvalues of all of them.  The factorized and product forms run
+one integer pass per factor (_shifted_L2): the image from apply_L2 plus a
+constant shift and exact endpoint-pole divisions, summed over one
+denominator and normalized once.  Each factor calls apply_L2 by its module
+name, so a rebound apply_L2 reaches these independent routes too; their
+chains of Poly operations stay in the tests as oracles.
 
 components() is the one table of the four elementary operators (Theorem 2.1,
 Proposition 2.2): per operator its block of eigenfunctions, eigenvalue,
@@ -110,7 +115,8 @@ def apply_L2(y: Poly, alpha: RationalLike, beta: RationalLike) -> Poly:
     """
     a, b = as_rational(alpha), as_rational(beta)
     q = lcm(a.denominator, b.denominator)
-    s, d = int((a + b + 1) * q), int((a - b) * q)
+    aq, bq = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+    s, d = aq + bq + q, aq - bq
     c = y.nums + (0, 0)
     nums = [j * (j * q + s) * c[j] + (j + 1) * (d * c[j + 1] - q * (j + 2) * c[j + 2])
             for j in range(len(y.nums))]
@@ -133,6 +139,14 @@ def _conjugated(y: Poly, v: Poly, k: int, w: Poly, strip: Poly, factor: Poly) ->
     return Poly._norm(kernel.conv(factor.nums, nums), den * factor.den)
 
 
+# the weights depend only on (alpha, beta): at most 19 x 19 exponent pairs
+# for alpha, beta <= 8
+@lru_cache(maxsize=512)
+def _endpoint_weight(p: int, q: int) -> Poly:
+    """(x-1)^p (x+1)^q, the endpoint weights of the conjugated operators."""
+    return X_MINUS_1 ** p * X_PLUS_1 ** q
+
+
 def apply_L2_conjugated(y: Poly, alpha: int, beta: int) -> Poly:
     """Cross-check path for apply_L2 via the divergence form.
 
@@ -141,24 +155,24 @@ def apply_L2_conjugated(y: Poly, alpha: int, beta: int) -> Poly:
     """
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    return _conjugated(y, Poly.one(), 1, X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1),
-                       X_MINUS_1 ** a * X_PLUS_1 ** b, Poly.one())
+    return _conjugated(y, Poly.one(), 1, _endpoint_weight(a + 1, b + 1),
+                       _endpoint_weight(a, b), Poly.one())
 
 
 def apply_Ltilde(y: Poly, alpha: int, beta: int) -> Poly:
     """Order-(2*beta+4) operator for the point mass at x = -1."""
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    return _conjugated(y, X_PLUS_1 ** (b + 1), b + 2, X_MINUS_1 ** (a + b + 2),
-                       X_MINUS_1 ** a, X_PLUS_1)
+    return _conjugated(y, _endpoint_weight(0, b + 1), b + 2, _endpoint_weight(a + b + 2, 0),
+                       _endpoint_weight(a, 0), X_PLUS_1)
 
 
 def apply_Lhat(y: Poly, alpha: int, beta: int) -> Poly:
     """Order-(2*alpha+4) operator for the point mass at x = +1."""
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    return _conjugated(y, X_MINUS_1 ** (a + 1), a + 2, X_PLUS_1 ** (a + b + 2),
-                       X_PLUS_1 ** b, X_MINUS_1)
+    return _conjugated(y, _endpoint_weight(a + 1, 0), a + 2, _endpoint_weight(0, a + b + 2),
+                       _endpoint_weight(0, b), X_MINUS_1)
 
 
 def apply_Lfull(y: Poly, alpha: int, beta: int) -> Poly:
@@ -170,8 +184,8 @@ def apply_Lfull(y: Poly, alpha: int, beta: int) -> Poly:
     """
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    return _conjugated(y, X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1), a + b + 3,
-                       X_MINUS_1 ** (b + 1) * X_PLUS_1 ** (a + 1), Poly.one(), X2_MINUS_1)
+    return _conjugated(y, _endpoint_weight(a + 1, b + 1), a + b + 3,
+                       _endpoint_weight(b + 1, a + 1), Poly.one(), X2_MINUS_1)
 
 
 def apply_combined(y: Poly, params: Params) -> Poly:
@@ -273,13 +287,36 @@ def _image(kind: str, y: Poly, alpha: int, beta: int) -> Poly:
     return Poly._norm(_matvec(columns, y.nums), y.den)
 
 
+def _shifted_L2(y: Poly, a: int, b: int, shift: int, poles: tuple = ()) -> Poly:
+    """apply_L2(y, a, b) + shift * y + sum(weight * (y / pole)) over the
+    (weight, pole) pairs: one factor of the factorized and product forms.
+
+    The image comes from apply_L2, looked up by module name; the shift and
+    the pole terms join it on integer vectors over one denominator, and the
+    sum is normalized once.  Each division is exact (exact_quotient raises
+    NotDivisible, with y's true remainder, otherwise).
+    """
+    if y.is_zero:
+        return y
+    image = apply_L2(y, a, b)
+    parts = [(image.nums, image.den, 1), (y.nums, y.den, shift)]
+    parts += [(*exact_quotient(y.nums, y.den, pole), weight) for weight, pole in poles]
+    den = lcm(*(d for _, d, _ in parts))
+    nums = []
+    for part, d, weight in parts:
+        if weight:
+            nums = kernel.add_scaled(nums, 1, part, weight * (den // d))
+    return Poly._norm(nums, den)
+
+
 def apply_factorized(kind: str, y: Poly, alpha: int, beta: int) -> Poly:
     """Product-of-second-order-factors form, scaled to match the elementary
     operators directly.
 
     Each factor adds the second-order operator, an endpoint-pole term
     realized by exact division of the current polynomial, and a constant
-    shift.  kind selects the pole structure:
+    shift (_shifted_L2, one integer pass per factor).  kind selects the
+    pole structure:
 
     - "A": pole at x = -1; input must be divisible by (x+1); order 2*beta+4
     - "B": pole at x = +1; input must be divisible by (x-1); order 2*alpha+4
@@ -292,21 +329,17 @@ def apply_factorized(kind: str, y: Poly, alpha: int, beta: int) -> Poly:
     """
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    # kind -> (highest shift index, pole at x = -1, pole at x = +1)
-    kinds = {"A": (b + 1, True, False),
-             "B": (a + 1, False, True),
-             "C": (a + b + 2, True, True)}
+    minus, plus = (2 * (b + 1), X_PLUS_1), (-2 * (a + 1), X_MINUS_1)
+    # kind -> (highest shift index, (weight, pole) pairs)
+    kinds = {"A": (b + 1, (minus,)),
+             "B": (a + 1, (plus,)),
+             "C": (a + b + 2, (minus, plus))}
     if kind not in kinds:
         raise InvalidParam(f"kind must be one of {FACTORIZED_KINDS}, got {kind!r}")
-    upper, pole_minus, pole_plus = kinds[kind]
+    upper, poles = kinds[kind]
     out = y
     for j in range(upper, -1, -1):
-        term = apply_L2(out, a, b) + j * (a + b + 1 - j) * out
-        if pole_minus:
-            term = term + 2 * (b + 1) * (out / X_PLUS_1)
-        if pole_plus:
-            term = term - 2 * (a + 1) * (out / X_MINUS_1)
-        out = term
+        out = _shifted_L2(out, a, b, j * (a + b + 1 - j), poles)
     return out
 
 
@@ -314,15 +347,16 @@ def apply_duran(y: Poly, alpha: int, beta: int) -> Poly:
     """Alternative product form of the order-(2*beta+4) mass operator.
 
     Composes beta+1 constant-shifted second-order operators with raised
-    second parameter, then one second-order operator with second parameter
-    -1.  Everything is polynomial; no division occurs.  The shifted factors
-    commute with one another, so only the final factor's position matters.
+    second parameter (_shifted_L2 without poles), then one second-order
+    operator with second parameter -1.  Everything is polynomial; no
+    division occurs.  The shifted factors commute with one another, so only
+    the final factor's position matters.
     """
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
     out = y
     for j in range(b + 1):
-        out = apply_L2(out, a, b + 1) + (a + 1 + j) * (b + 1 - j) * out
+        out = _shifted_L2(out, a, b + 1, (a + 1 + j) * (b + 1 - j))
     return apply_L2(out, a, -1)
 
 

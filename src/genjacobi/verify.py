@@ -84,14 +84,17 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform-enough integer in [lo, hi] (modulo reduction)."""
+        """Uniform-enough integer in [lo, hi] (modulo reduction); InvalidParam
+        when the range is empty."""
+        if hi < lo:
+            raise InvalidParam(f"empty range [{lo}, {hi}]")
         return lo + self.next_u64() % (hi - lo + 1)
 
 
 def random_poly(rng: SplitMix64, degmax: int) -> Poly:
     """Random rational polynomial: degree uniform in [0, degmax],
     coefficients p/q with |p| <= 20 and 1 <= q <= 10."""
-    deg = rng.randint(0, degmax)
+    deg = rng.randint(0, nonneg_int("degmax", degmax))
     coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 10))
               for _ in range(deg + 1)]
     return Poly(coeffs)

@@ -7,19 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genjacobi.algebra import (InvalidParam, NotDivisible, Poly, X_MINUS_1, X_PLUS_1,
-                               X2_MINUS_1)
+                               X2_MINUS_1, nonneg_int)
 from genjacobi.genjacobi import Params, gen_jacobi, poly_Q, poly_R, poly_S
 from genjacobi.jacobi import jacobi_poly
 from genjacobi import operators, verify
 from genjacobi.operators import (DiffOperator, EigenValue, InconsistentExpansion,
                                  apply_L2, apply_L2_conjugated, apply_Lfull,
                                  apply_Lhat, apply_Ltilde, apply_combined,
-                                 apply_duran, apply_factorized, const_b, const_c,
-                                 eigen_combined, eigen_high, eigen_lambda2,
-                                 expand_operator, _column_list, _columns,
-                                 _combined_entry, _combined_matrix, _conjugated,
-                                 _image)
-from genjacobi.verify import SplitMix64
+                                 apply_duran, apply_factorized, components, const_b,
+                                 const_c, eigen_combined, eigen_high, eigen_lambda2,
+                                 expand_operator, FACTORIZED_KINDS, _column_list,
+                                 _columns, _combined_entry, _combined_matrix,
+                                 _conjugated, _image)
+from genjacobi.verify import SplitMix64, run_suite
+from test_caches import _lru_caches
+from test_mutants import TINY
 
 F = Fraction
 
@@ -421,7 +423,8 @@ def test_l2_stencil_matches_the_pencil_form():
     ys = [Poly.zero()] + [poly_of_degree(rng, d) for d in (0, 1, 2, 3, 7, 12)]
     pairs = ([(a, b) for a, b in product(range(5), range(5))]
              + [(a, -1) for a in range(5)]                   # apply_duran's last factor
-             + [(F(-1, 2), F(1, 3)), (F(5, 2), F(-2, 3)), (F(1, 3), F(1, 3)), (-1, -1)])
+             + [(F(-1, 2), F(1, 3)), (F(5, 2), F(-2, 3)), (F(1, 3), F(1, 3)), (-1, -1)]
+             + [("1/2", "-2/3"), ("-2/3", 3), (0, "1/2"), ("7/4", "7/4")])
     for (a, b), y in product(pairs, ys):
         assert apply_L2(y, a, b) == pencil_L2(y, a, b), (a, b, y)
     assert apply_L2(Poly.zero(), F(5, 2), F(-2, 3)).is_zero
@@ -453,6 +456,118 @@ def test_conjugated_raises_when_the_strip_does_not_divide():
     # D[x * D[x]] = 1 is nonzero and of lower degree than x+1
     with pytest.raises(NotDivisible, match="degree 0 < divisor degree 1"):
         _conjugated(Poly.x(), Poly.one(), 1, Poly.x(), X_PLUS_1, Poly.one())
+
+
+def poly_op_factorized(kind, y, alpha, beta):
+    """apply_factorized as a chain of Poly operations, each step normalized
+    and each pole term a Poly.exact_div: the chain the integer pass per
+    factor replaced, kept as an oracle."""
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
+    # kind -> (highest shift index, pole at x = -1, pole at x = +1)
+    kinds = {"A": (b + 1, True, False),
+             "B": (a + 1, False, True),
+             "C": (a + b + 2, True, True)}
+    if kind not in kinds:
+        raise InvalidParam(f"kind must be one of {FACTORIZED_KINDS}, got {kind!r}")
+    upper, pole_minus, pole_plus = kinds[kind]
+    out = y
+    for j in range(upper, -1, -1):
+        term = apply_L2(out, a, b) + j * (a + b + 1 - j) * out
+        if pole_minus:
+            term = term + 2 * (b + 1) * (out / X_PLUS_1)
+        if pole_plus:
+            term = term - 2 * (a + 1) * (out / X_MINUS_1)
+        out = term
+    return out
+
+
+def poly_op_duran(y, alpha, beta):
+    """apply_duran as a chain of Poly operations, each step normalized: the
+    chain the integer pass per factor replaced, kept as an oracle."""
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
+    out = y
+    for j in range(b + 1):
+        out = apply_L2(out, a, b + 1) + (a + 1 + j) * (b + 1 - j) * out
+    return apply_L2(out, a, -1)
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the NotDivisible it raises."""
+    try:
+        return f(*args)
+    except NotDivisible as e:
+        return f"NotDivisible: {e}"
+
+
+def test_factorized_and_product_forms_match_their_poly_op_chains():
+    rng = SplitMix64(17)
+    draws = [poly_of_degree(rng, d) for d in (0, 1, 3, 6)]
+    for a, b in product(range(5), range(5)):
+        for row in components(a, b)[1:]:
+            blocks = [row.poly(n, a, b) for n in range(1, 6)]
+            for y in [Poly.zero()] + [row.factor * p for p in draws] + blocks:
+                assert (apply_factorized(row.factorized, y, a, b)
+                        == poly_op_factorized(row.factorized, y, a, b)), (row.kind, a, b, y)
+        for y in [Poly.zero()] + draws + [poly_Q(n, a, b) for n in range(1, 6)]:
+            assert apply_duran(y, a, b) == poly_op_duran(y, a, b), (a, b, y)
+
+
+def test_factorized_raises_as_its_oracle_when_a_pole_does_not_divide():
+    undivisible = {"A": (Poly.one(), X_MINUS_1, Poly([F(-1, 3), F(1, 3)])),
+                   "B": (Poly.one(), X_PLUS_1),
+                   "C": (Poly.one(), X_PLUS_1, X_MINUS_1)}
+    for (kind, ys), (a, b) in product(undivisible.items(), ((0, 0), (2, 1))):
+        for y in ys:
+            want = outcome(poly_op_factorized, kind, y, a, b)
+            assert want.startswith("NotDivisible")
+            assert outcome(apply_factorized, kind, y, a, b) == want, (kind, a, b, y)
+    # the remainder over the dividend's true denominator
+    with pytest.raises(NotDivisible, match=r"remainder Poly\('-2/3'\) dividing by "
+                                           r"Poly\('x\+1'\)"):
+        apply_factorized("A", Poly([F(-1, 3), F(1, 3)]), 0, 0)
+
+
+def test_factorized_fails_mid_chain_as_its_oracle(monkeypatch):
+    # a wrong second-order factor leaves the next factor's input undivisible
+    def swapped(y, a, b, apply=operators.apply_L2):
+        return apply(y, b, a)
+
+    monkeypatch.setattr(operators, "apply_L2", swapped)
+    monkeypatch.setitem(globals(), "apply_L2", swapped)
+    raised = 0
+    for a, b in ((1, 0), (0, 1), (2, 1)):
+        for row, k in product(components(a, b)[1:], range(4)):
+            y = row.factor * Poly.monomial(k)
+            want = outcome(poly_op_factorized, row.factorized, y, a, b)
+            assert outcome(apply_factorized, row.factorized, y, a, b) == want, (row.kind, a, b, k)
+            raised += isinstance(want, str)
+    assert raised
+
+
+def test_factorized_and_product_suites_divide_no_poly_by_a_poly(monkeypatch):
+    def refused(self, d):
+        raise AssertionError(f"{self!r} / {d!r} reached Poly.exact_div")
+
+    monkeypatch.setattr(Poly, "exact_div", refused)
+    for cache in _lru_caches().values():
+        cache.cache_clear()
+    for suite in ("prop23", "duran"):
+        assert run_suite(suite, **TINY).all_pass, suite
+
+
+def test_conjugated_operators_read_their_weights_from_one_cache(monkeypatch):
+    y = Poly([1, -2, 0, 3])
+    conjugated = (apply_Ltilde, apply_Lhat, apply_Lfull, apply_L2_conjugated)
+    for op in conjugated:
+        op(y, 2, 1)
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append((p, q)) or mul(p, q))
+    for op in conjugated:
+        op(y, 2, 1)
+    assert products == []
 
 
 def four_term_eigenvalue(n, params):

@@ -39,6 +39,22 @@ def test_splitmix64_randint_bounds():
     assert min(vals) == -3 and max(vals) == 3
 
 
+def test_splitmix64_randint_rejects_an_empty_range():
+    rng = SplitMix64(0)
+    for lo, hi in ((3, 1), (3, 2), (0, -1)):
+        with pytest.raises(InvalidParam):
+            rng.randint(lo, hi)
+    assert rng.state == SplitMix64(0).state     # refused before drawing
+    assert rng.randint(3, 3) == 3
+
+
+def test_random_poly_checks_degmax():
+    for degmax in (-1, 2.0, True):
+        with pytest.raises(InvalidParam):
+            random_poly(SplitMix64(0), degmax)
+    assert random_poly(SplitMix64(0), 0).degree == 0
+
+
 def test_random_poly_shape():
     rng = SplitMix64(7)
     for _ in range(50):
