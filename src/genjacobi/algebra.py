@@ -267,12 +267,6 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
-        if len(self.nums) <= 3:
-            # endpoint factors such as (x+1)^k and (x^2-1)^k recur everywhere
-            return _small_pow(self, k)
-        return self._pow(k)
-
-    def _pow(self, k: int) -> "Poly":
         nonneg_int("polynomial power", k)
         out = Poly.one()
         base = self
@@ -317,13 +311,14 @@ class Poly:
 
     def eval(self, x: RationalLike) -> Fraction:
         """Exact value at a rational point (integer Horner, one reduction)."""
+        if not isinstance(x, (int, Fraction)):
+            x = as_rational(x)      # a float is refused, even at x = 1 or -1
         if self.is_zero:
             return Fraction(0)
         if x == 1:
             return Fraction(sum(self.nums), self.den)
         if x == -1:
             return Fraction(sum(self.nums[::2]) - sum(self.nums[1::2]), self.den)
-        x = as_rational(x)
         p, q = x.numerator, x.denominator
         acc, qq = 0, 1
         for c in reversed(self.nums):
@@ -372,10 +367,15 @@ def format_rational(value: RationalLike) -> str:
 X_PLUS_1 = Poly([1, 1])
 X_MINUS_1 = Poly([-1, 1])
 X2_MINUS_1 = Poly([-1, 0, 1])
-ONE_MINUS_X = Poly([1, -1])
 
 
-# typed, so 2.0 or True never hits the entry of 2 or 1 and reaches _pow's check
-@lru_cache(maxsize=1024, typed=True)
-def _small_pow(base: Poly, k: int) -> Poly:
-    return base._pow(k)
+# the weights depend only on (alpha, beta), with exponents <= alpha+beta+3:
+# fewer than 20 x 20 pairs for alpha, beta <= 8; typed, so 2.0 or True never
+# hits the entry of 2 or 1
+@lru_cache(maxsize=512, typed=True)
+def endpoint_weight(p: int, q: int) -> Poly:
+    """(x-1)^p (x+1)^q: the endpoint weight of every conjugated operator,
+    bilinear form and weighted derivative, built once per exponent pair."""
+    nonneg_int("endpoint_weight p", p)
+    nonneg_int("endpoint_weight q", q)
+    return X_MINUS_1 ** p * X_PLUS_1 ** q

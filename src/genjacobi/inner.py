@@ -18,8 +18,7 @@ from math import factorial, lcm
 from operator import mul
 
 from . import kernel
-from .algebra import (ONE_MINUS_X, Poly, X_MINUS_1, X_PLUS_1,
-                      derive_nums, nonneg_int, pochhammer)
+from .algebra import Poly, derive_nums, endpoint_weight, nonneg_int, pochhammer
 from .genjacobi import Params, gen_jacobi
 from .operators import apply_combined, const_b, const_c
 
@@ -65,7 +64,7 @@ def weight_poly(alpha: int, beta: int) -> Poly:
     """(1-x)^alpha (1+x)^beta as an explicit polynomial."""
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    return ONE_MINUS_X ** a * X_PLUS_1 ** b
+    return (-1) ** a * endpoint_weight(a, b)
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -133,20 +132,20 @@ def bilinear_U(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
 def bilinear_Vt(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the mass operator at x = -1."""
     a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return _form(f, g, X_PLUS_1 ** (b + 1), b + 2, weight_poly(a + b + 2, 0), a, b)
+    return _form(f, g, endpoint_weight(0, b + 1), b + 2, weight_poly(a + b + 2, 0), a, b)
 
 
 def bilinear_V(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the mass operator at x = +1."""
     a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return _form(f, g, X_MINUS_1 ** (a + 1), a + 2, weight_poly(0, a + b + 2), a, b)
+    return _form(f, g, endpoint_weight(a + 1, 0), a + 2, weight_poly(0, a + b + 2), a, b)
 
 
 def bilinear_W(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the two-mass operator."""
     a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    v = X_MINUS_1 ** (a + 1) * X_PLUS_1 ** (b + 1)
-    return _form(f, g, v, a + b + 3, weight_poly(b + 1, a + 1), a, b)
+    return _form(f, g, endpoint_weight(a + 1, b + 1), a + b + 3, weight_poly(b + 1, a + 1),
+                 a, b)
 
 
 # ---------------- boundary behaviour ----------------
@@ -181,9 +180,9 @@ def boundary_closed_forms(f: Poly, alpha: int, beta: int) -> BoundaryValues:
         l2_pos1=2 * (a + 1) * df.eval(1),
         ltilde_neg1=Fraction(0),
         ltilde_pos1=2 * pochhammer(a + 1, b + 2)
-        * (X_PLUS_1 ** (b + 1) * f).derive(b + 2).eval(1),
+        * (endpoint_weight(0, b + 1) * f).derive(b + 2).eval(1),
         lhat_neg1=-2 * pochhammer(b + 1, a + 2)
-        * (X_MINUS_1 ** (a + 1) * f).derive(a + 2).eval(-1),
+        * (endpoint_weight(a + 1, 0) * f).derive(a + 2).eval(-1),
         lhat_pos1=Fraction(0),
         lfull_neg1=Fraction(0),
         lfull_pos1=Fraction(0),

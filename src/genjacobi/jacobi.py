@@ -81,5 +81,5 @@ def jacobi_recurrence(n: int, gamma: RationalLike, delta: RationalLike) -> Poly:
 
 def leading_coeff(n: int, gamma: RationalLike, delta: RationalLike) -> Fraction:
     """Closed form for the x^n coefficient of jacobi_poly(n, gamma, delta)."""
-    g, d = as_rational(gamma), as_rational(delta)
+    g, d = _checked(n, gamma, delta)
     return pochhammer(n + g + d + 1, n) / (Fraction(2) ** n * factorial(n))

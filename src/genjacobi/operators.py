@@ -49,8 +49,8 @@ from typing import Callable, NamedTuple
 
 from . import kernel
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
-                      X_PLUS_1, as_rational, derive_nums, exact_quotient, nonneg_int,
-                      pochhammer)
+                      X_PLUS_1, as_rational, derive_nums, endpoint_weight,
+                      exact_quotient, nonneg_int, pochhammer)
 from .genjacobi import Params, poly_Q, poly_R, poly_S
 from .jacobi import jacobi_poly
 
@@ -139,14 +139,6 @@ def _conjugated(y: Poly, v: Poly, k: int, w: Poly, strip: Poly, factor: Poly) ->
     return Poly._norm(kernel.conv(factor.nums, nums), den * factor.den)
 
 
-# the weights depend only on (alpha, beta): at most 19 x 19 exponent pairs
-# for alpha, beta <= 8
-@lru_cache(maxsize=512)
-def _endpoint_weight(p: int, q: int) -> Poly:
-    """(x-1)^p (x+1)^q, the endpoint weights of the conjugated operators."""
-    return X_MINUS_1 ** p * X_PLUS_1 ** q
-
-
 def apply_L2_conjugated(y: Poly, alpha: int, beta: int) -> Poly:
     """Cross-check path for apply_L2 via the divergence form.
 
@@ -155,24 +147,24 @@ def apply_L2_conjugated(y: Poly, alpha: int, beta: int) -> Poly:
     """
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    return _conjugated(y, Poly.one(), 1, _endpoint_weight(a + 1, b + 1),
-                       _endpoint_weight(a, b), Poly.one())
+    return _conjugated(y, Poly.one(), 1, endpoint_weight(a + 1, b + 1),
+                       endpoint_weight(a, b), Poly.one())
 
 
 def apply_Ltilde(y: Poly, alpha: int, beta: int) -> Poly:
     """Order-(2*beta+4) operator for the point mass at x = -1."""
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    return _conjugated(y, _endpoint_weight(0, b + 1), b + 2, _endpoint_weight(a + b + 2, 0),
-                       _endpoint_weight(a, 0), X_PLUS_1)
+    return _conjugated(y, endpoint_weight(0, b + 1), b + 2, endpoint_weight(a + b + 2, 0),
+                       endpoint_weight(a, 0), X_PLUS_1)
 
 
 def apply_Lhat(y: Poly, alpha: int, beta: int) -> Poly:
     """Order-(2*alpha+4) operator for the point mass at x = +1."""
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    return _conjugated(y, _endpoint_weight(a + 1, 0), a + 2, _endpoint_weight(0, a + b + 2),
-                       _endpoint_weight(0, b), X_MINUS_1)
+    return _conjugated(y, endpoint_weight(a + 1, 0), a + 2, endpoint_weight(0, a + b + 2),
+                       endpoint_weight(0, b), X_MINUS_1)
 
 
 def apply_Lfull(y: Poly, alpha: int, beta: int) -> Poly:
@@ -184,8 +176,8 @@ def apply_Lfull(y: Poly, alpha: int, beta: int) -> Poly:
     """
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    return _conjugated(y, _endpoint_weight(a + 1, b + 1), a + b + 3,
-                       _endpoint_weight(b + 1, a + 1), Poly.one(), X2_MINUS_1)
+    return _conjugated(y, endpoint_weight(a + 1, b + 1), a + b + 3,
+                       endpoint_weight(b + 1, a + 1), Poly.one(), X2_MINUS_1)
 
 
 def apply_combined(y: Poly, params: Params) -> Poly:

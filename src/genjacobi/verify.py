@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
-                      X_PLUS_1, as_rational, nonneg_int, pochhammer)
+                      X_PLUS_1, as_rational, endpoint_weight, nonneg_int, pochhammer)
 from .genjacobi import Params, coeff_q, gen_jacobi
 from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
                     boundary_closed_forms, gram_matrix,
@@ -167,10 +167,11 @@ def _expansion_cases(alpha: int, beta: int) -> list:
     cases = []
     for row in components(alpha, beta):
         op = expand_operator(row.kind, probe)
+        half = row.order // 2
         cases.append(Case.check(f"effective order of {row.name} operator", pstr, None,
                                 Fraction(op.effective_order - row.order)))
         cases.append(Case.check(f"top coefficient of {row.name} operator", pstr, None,
-                                op.terms[-1][1] - X2_MINUS_1 ** (row.order // 2)))
+                                op.terms[-1][1] - endpoint_weight(half, half)))
     return cases
 
 
@@ -206,9 +207,9 @@ def verify_prop22(nmax: int, alpha: int, beta: int) -> VerifyReport:
         if n < 2:
             report.extend(Case.skip(label, pstr, n, "needs n >= 2") for label in _CHAINS)
             continue
-        raised = (X_MINUS_1 ** (a + 2) * X_PLUS_1 ** (b + 2)
+        raised = (endpoint_weight(a + 2, b + 2)
                   * jacobi_poly(n - 2, a + 2, b + 2)).derive(a + b + 3)
-        swapped = (X_MINUS_1 ** (b + 1) * X_PLUS_1 ** (a + 1)
+        swapped = (endpoint_weight(b + 1, a + 1)
                    * jacobi_poly(n - 1, b + 1, a + 1)).derive(a + b + 3)
         mid = 2 * pochhammer(n, a + b + 1) * jacobi_poly(n, a, b).derive(2)
         residuals = (
@@ -262,9 +263,9 @@ def verify_cor24(nmax: int, M: RationalLike, N: RationalLike) -> VerifyReport:
     for n in range(nmax + 1):
         y = gen_jacobi(n, params)
         lhs = (X2_MINUS_1 * y.derive()).derive()
-        lhs = lhs + M / 2 * X_PLUS_1 * (X_MINUS_1 ** 2
+        lhs = lhs + M / 2 * X_PLUS_1 * (endpoint_weight(2, 0)
                                         * (X_PLUS_1 * y).derive(2)).derive(2)
-        lhs = lhs + N / 2 * X_MINUS_1 * (X_PLUS_1 ** 2
+        lhs = lhs + N / 2 * X_MINUS_1 * (endpoint_weight(0, 2)
                                          * (X_MINUS_1 * y).derive(2)).derive(2)
         lhs = lhs + M * N / 3 * X2_MINUS_1 * (X2_MINUS_1
                                               * (X2_MINUS_1 * y).derive(3)).derive(3)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genjacobi.algebra import (InvalidParam, NotDivisible, ONE_MINUS_X, Poly,
-                               X2_MINUS_1, X_MINUS_1, X_PLUS_1, as_rational,
-                               _small_pow, format_rational, pochhammer)
+from genjacobi.algebra import (InvalidParam, NotDivisible, Poly, X2_MINUS_1,
+                               X_MINUS_1, X_PLUS_1, as_rational, endpoint_weight,
+                               format_rational, pochhammer)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10)
 polys = st.lists(rationals, max_size=8).map(Poly)
@@ -56,6 +56,16 @@ def test_eval_exact():
     assert p.eval(Fraction(1, 2)) == Fraction(1, 3) + Fraction(1, 4)
     assert p.eval(-1) == Fraction(4, 3)
     assert Poly().eval(5) == 0
+
+
+def test_eval_refuses_floats_even_at_the_endpoints():
+    # 1.0 == 1, so a float must not slip through the x = +-1 shortcuts
+    p = Poly([1, 2, 3])
+    assert (p.eval(1), p.eval(-1), p.eval(Fraction(1)), p.eval("-1")) == (6, 2, 6, 2)
+    for bad in (1.0, -1.0, 0.5):
+        for y in (p, Poly()):
+            with pytest.raises(InvalidParam):
+                y.eval(bad)
 
 
 def test_monomial_rejects_a_negative_degree():
@@ -128,7 +138,7 @@ def test_pochhammer_int_path_matches_generic_product():
 
 
 def test_cached_powers_match_repeated_multiplication():
-    for base in (X_PLUS_1, X_MINUS_1, ONE_MINUS_X, X2_MINUS_1,
+    for base in (X_PLUS_1, X_MINUS_1, Poly([1, -1]), X2_MINUS_1,
                  Poly([Fraction(1, 2), Fraction(-1, 2)]), Poly([1, 2, 3, 4])):
         want = Poly.one()
         for k in range(25):
@@ -136,18 +146,27 @@ def test_cached_powers_match_repeated_multiplication():
             want = want * base
 
 
+def test_endpoint_weight_is_the_product_of_endpoint_powers():
+    for p in range(6):
+        for q in range(6):
+            want = Poly.one()
+            for _ in range(p):
+                want = want * X_MINUS_1
+            for _ in range(q):
+                want = want * X_PLUS_1
+            assert endpoint_weight(p, q) == want, (p, q)
+            assert endpoint_weight(p, q) is endpoint_weight(p, q)
+    assert endpoint_weight(3, 3) == X2_MINUS_1 ** 3
+
+
 def test_power_and_derivative_orders_must_be_nonnegative_ints():
-    # a cached ** 2 must not answer ** 2.0, nor a cached ** 1 answer ** True
     y = Poly([1, 1])
-    _small_pow.cache_clear()
-    for cached in (False, True):
-        if cached:
-            assert y ** 2 == Poly([1, 2, 1])
-        for bad in (True, 2.0):
-            with pytest.raises(InvalidParam):
-                y ** bad
-            with pytest.raises(InvalidParam):
-                y.derive(bad)
+    assert y ** 2 == Poly([1, 2, 1])
+    for bad in (True, 2.0, -1):
+        with pytest.raises(InvalidParam):
+            y ** bad
+        with pytest.raises(InvalidParam):
+            y.derive(bad)
 
 
 def test_immutability_and_hash():

@@ -20,6 +20,6 @@ def test_every_lru_cache_has_a_finite_maxsize():
     assert {"jacobi._jacobi_hyp", "genjacobi._gen_jacobi_cached", "genjacobi._blocks",
             "algebra.pochhammer", "inner._normalized_moments", "inner._moment_block",
             "operators._column_list", "operators._combined_entry",
-            "operators._endpoint_weight"} <= set(caches)
+            "algebra.endpoint_weight"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name

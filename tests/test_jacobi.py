@@ -62,6 +62,16 @@ def test_parameter_validation():
         jacobi_recurrence(2, Fraction(-5, 4), 0)
 
 
+def test_leading_coeff_checks_its_parameters_as_jacobi_poly():
+    # (2, -1, 0) has no Jacobi polynomial, so no closed form either
+    assert leading_coeff(2, 1, 0) == jacobi_poly(2, 1, 0).leading
+    for args in ((2, -1, 0), (2, 0, Fraction(-3, 2)), (2.0, 0, 0), (True, 0, 0)):
+        with pytest.raises(InvalidParam):
+            leading_coeff(*args)
+    with pytest.raises(InvalidParam, match="polynomial index"):
+        leading_coeff(-1, 0, 0)
+
+
 def test_diff_identities_all_pass_on_grid():
     for g in GRID:
         for d in GRID:

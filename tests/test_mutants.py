@@ -15,7 +15,7 @@ import sys
 
 from test_caches import _lru_caches
 
-from genjacobi import cli, genjacobi, inner, jacobi, operators
+from genjacobi import algebra, cli, genjacobi, inner, jacobi, operators
 from genjacobi.algebra import X2_MINUS_1, X_MINUS_1, X_PLUS_1, Poly, pochhammer
 from genjacobi.operators import EigenValue
 from genjacobi.verify import SUITE_NAMES, run_suite
@@ -155,6 +155,10 @@ MUTANTS = {
     "recipe without the strip division": (operators, "_conjugated", _recipe_without_strip),
     "recipe with the outer derivative one short":
         (operators, "_conjugated", _recipe_outer_short),
+    "endpoint_weight with q+1":
+        (algebra, "endpoint_weight", lambda f: lambda p, q: f(p, q + 1)),
+    "endpoint_weight with p and q swapped":
+        (algebra, "endpoint_weight", lambda f: lambda p, q: f(q, p)),
 }
 
 
@@ -218,6 +222,8 @@ PINNED_KILLS = {
     "Lfull's order plus 2": "F.......",
     "recipe without the strip division": "EFF.FFE.",
     "recipe with the outer derivative one short": "EFF.FFE.",
+    "endpoint_weight with q+1": "EEEFEEEF",
+    "endpoint_weight with p and q swapped": "FFFFFFFF",
 }
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from genjacobi import algebra
+
 ROOT = Path(__file__).resolve().parents[1]
 MATH_LAYER = ("kernel", "algebra", "jacobi", "genjacobi", "operators", "inner")
 
@@ -68,6 +70,37 @@ def test_only_operators_imports_the_elementary_operators():
         if module != "operators":
             imported = _imported_modules(ROOT / "src" / "genjacobi" / f"{module}.py")
             assert not {name.rsplit(".", 1)[-1] for name in imported} & elementary, module
+
+
+def _is_poly_constant(node, constants: set) -> bool:
+    """node names one of algebra's Poly constants, or builds a Poly by a
+    Poly(...) or Poly.<constructor>(...) call."""
+    if isinstance(node, ast.Name):
+        return node.id in constants
+    if isinstance(node, ast.Attribute):
+        return node.attr in constants
+    if isinstance(node, ast.Call):
+        func = node.func
+        return ((isinstance(func, ast.Name) and func.id == "Poly")
+                or (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id == "Poly"))
+    return False
+
+
+def test_only_algebra_raises_a_poly_constant_to_a_power():
+    # endpoint powers come from one cache, algebra.endpoint_weight; an
+    # X_PLUS_1 ** k elsewhere would build a second, uncached copy
+    constants = {name for name, value in vars(algebra).items()
+                 if isinstance(value, algebra.Poly)}
+    assert {"X_MINUS_1", "X_PLUS_1", "X2_MINUS_1"} <= constants
+    for path in sorted((ROOT / "src" / "genjacobi").glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        powers = [ast.unparse(node) for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  and _is_poly_constant(node.left, constants)]
+        assert not powers, (path.name, powers)
 
 
 def test_every_imported_name_is_read():

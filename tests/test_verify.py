@@ -13,7 +13,7 @@ import pytest
 import genjacobi as gj
 import genjacobi.operators as operators
 import genjacobi.verify as verify
-from genjacobi.algebra import InvalidParam, Poly
+from genjacobi.algebra import InvalidParam, Poly, endpoint_weight
 from genjacobi.genjacobi import Params
 from genjacobi.operators import EigenValue
 from genjacobi.verify import (SplitMix64, SUITE_NAMES, random_poly, run_suite,
@@ -245,10 +245,22 @@ def test_run_suite_rejects_grids_that_check_nothing(name, grid):
 
 
 _P = Params(1, 0, F(1), F(1))
+
+
+def _on_warm_cache(p, q):
+    """endpoint_weight(p, q) once the entries that True and 2.0 equal, an
+    exponent of 1 or 2 in either slot, are cached."""
+    for k in (1, 2):
+        endpoint_weight(k, 1), endpoint_weight(1, k)
+    return endpoint_weight(p, q)
+
+
 # every polynomial index, length, grid bound and count: argument -> (a call
 # with that argument set to v, the least value it takes)
 _INDEX_ARGS = {
     "pochhammer k": (lambda v: gj.pochhammer(1, v), 0),
+    "endpoint_weight p": (lambda v: _on_warm_cache(v, 1), 0),
+    "endpoint_weight q": (lambda v: _on_warm_cache(1, v), 0),
     "jacobi_poly n": (lambda v: gj.jacobi_poly(v, 0, 0), 0),
     "jacobi_recurrence n": (lambda v: gj.jacobi_recurrence(v, 0, 0), 0),
     "coeff_q n": (lambda v: gj.coeff_q(v, 1, 0), 1),
