@@ -48,11 +48,14 @@ def nonneg_int(name: str, value, least: int = 0) -> int:
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to Fraction.
 
-    Floats are rejected: they would silently break exactness.
+    Floats are rejected: they would silently break exactness.  So are
+    bools, although a bool is an int: True is a flag, not the rational 1.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
+        if isinstance(value, bool):
+            raise InvalidParam(f"not an exact rational: {value!r} (bools are not accepted)")
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -216,9 +219,9 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.nums == other.nums and self.den == other.den
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == Poly([other])
-        return NotImplemented
+        return NotImplemented           # a bool compares unequal, as a float does
 
     # ---------------- arithmetic ----------------
 
@@ -311,8 +314,8 @@ class Poly:
 
     def eval(self, x: RationalLike) -> Fraction:
         """Exact value at a rational point (integer Horner, one reduction)."""
-        if not isinstance(x, (int, Fraction)):
-            x = as_rational(x)      # a float is refused, even at x = 1 or -1
+        if not isinstance(x, (int, Fraction)) or isinstance(x, bool):
+            x = as_rational(x)      # a float or bool is refused, even at x = 1 or -1
         if self.is_zero:
             return Fraction(0)
         if x == 1:

@@ -214,10 +214,16 @@ def symmetry_defect(f: Poly, g: Poly, params: Params) -> Fraction:
 def gram_matrix(nmax: int, params: Params) -> list:
     """Pairwise scalar products of gen_jacobi(0..nmax), entry (i, j) being
     c_i . (H c_j) with c the coefficients and H the Hankel matrix of the
-    moment vector; diagonal iff the polynomials are orthogonal."""
+    moment vector; diagonal iff the polynomials are orthogonal.  H is
+    symmetric, so each entry with j >= i is computed once and mirrored, and
+    H c_j is needed only in its first j + 1 rows."""
     nonneg_int("nmax", nmax)
     polys = [gen_jacobi(n, params) for n in range(nmax + 1)]
     h, den = _moment_vector(params, 2 * nmax + 1)
-    hc = [[sum(map(mul, g.nums, h[k:])) for k in range(nmax + 1)] for g in polys]
-    return [[Fraction(sum(map(mul, f.nums, w)), den * f.den * g.den)
-             for g, w in zip(polys, hc)] for f in polys]
+    hc = [[sum(map(mul, g.nums, h[k:])) for k in range(j + 1)] for j, g in enumerate(polys)]
+    gram = [[None] * (nmax + 1) for _ in polys]
+    for i, f in enumerate(polys):
+        for j in range(i, nmax + 1):
+            gram[i][j] = gram[j][i] = Fraction(sum(map(mul, f.nums, hc[j])),
+                                               den * f.den * polys[j].den)
+    return gram

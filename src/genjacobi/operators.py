@@ -204,10 +204,12 @@ def apply_combined(y: Poly, params: Params) -> Poly:
 
 @lru_cache(maxsize=32)
 def _column_list(kind: str, alpha: int, beta: int) -> tuple:
-    """(apply, columns): the apply_* function of one elementary operator,
-    as the table holds it when the entry is made, and the columns it has
-    been probed on, a list _columns extends."""
-    return next(row.apply for row in components(alpha, beta) if row.kind == kind), []
+    """(apply, columns, eigens): the apply_* function of one elementary
+    operator, as the table holds it when the entry is made; the columns it
+    has been probed on, a list _columns extends; and its eigenvalues on the
+    blocks of degree 0, 1, ..., one list that the combined entries of all
+    the mass points of this (alpha, beta) hold and eigen_combined extends."""
+    return next(row.apply for row in components(alpha, beta) if row.kind == kind), [], []
 
 
 def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
@@ -218,7 +220,7 @@ def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
     InconsistentExpansion: it would break the triangular structure
     everything built on the columns relies on.
     """
-    apply, columns = _column_list(kind, alpha, beta)
+    apply, columns, _ = _column_list(kind, alpha, beta)
     for k in range(len(columns), dim):
         image = apply(Poly.monomial(k), alpha, beta)
         if image.den != 1 or image.degree > k:
@@ -234,14 +236,17 @@ def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
 @lru_cache(maxsize=16)
 def _combined_entry(params: Params) -> tuple:
     """(den, weights, columns, eigens) of the combined operator: its integer
-    columns over one denominator, as a list _combined_matrix extends; the
-    integer weight of each component with a nonzero mass, mass / norm times
-    den (the masses are Params.masses); and its eigenvalues on
-    gen_jacobi(0), gen_jacobi(1), ..., as a list eigen_combined extends."""
-    scales = [(row, mass / row.norm) for row, mass
-              in zip(components(params.alpha, params.beta), params.masses) if mass]
+    columns over one denominator, as a list _combined_matrix extends; per
+    component with a nonzero mass, its row, its integer weight, mass / norm
+    times den (the masses are Params.masses), and its eigenvalue list from
+    _column_list; and its eigenvalues on gen_jacobi(0), gen_jacobi(1), ...,
+    as a list eigen_combined extends."""
+    a, b = params.alpha, params.beta
+    scales = [(row, mass / row.norm) for row, mass in zip(components(a, b), params.masses)
+              if mass]
     den = lcm(*(s.denominator for _, s in scales))
-    weights = tuple((row, s.numerator * (den // s.denominator)) for row, s in scales)
+    weights = tuple((row, s.numerator * (den // s.denominator), _column_list(row.kind, a, b)[2])
+                    for row, s in scales)
     return den, weights, [], []
 
 
@@ -251,7 +256,7 @@ def _combined_matrix(params: Params, dim: int) -> tuple:
     den, weights, columns, _ = _combined_entry(params)
     if len(columns) < dim:
         parts = [(_columns(row.kind, params.alpha, params.beta, dim), weight)
-                 for row, weight in weights]
+                 for row, weight, _ in weights]
         for k in range(len(columns), dim):
             column = []
             for kind_columns, weight in parts:
@@ -432,14 +437,17 @@ def const_c(alpha: int, beta: int) -> Fraction:
 def eigen_combined(n: int, params: Params) -> EigenValue:
     """Eigenvalue of the combined operator on gen_jacobi(n, params): its
     components' eigenvalues with the weights of its matrix, each summed in
-    integers over one denominator."""
+    integers over one denominator.  Each component's eigenvalue is computed
+    once per (alpha, beta), for all its mass points."""
     nonneg_int("polynomial index", n)
     den, weights, _, eigens = _combined_entry(params)
     for k in range(len(eigens), n + 1):
-        values = [(weight, row.eigen(k)) for row, weight in weights]
-        vden = lcm(*(value.denominator for _, value in values))
-        total = sum(weight * value.numerator * (vden // value.denominator)
-                    for weight, value in values)
+        for row, _, lams in weights:
+            if len(lams) == k:
+                lams.append(row.eigen(k))
+        vden = lcm(*(lams[k].denominator for _, _, lams in weights))
+        total = sum(weight * lams[k].numerator * (vden // lams[k].denominator)
+                    for _, weight, lams in weights)
         eigens.append(Fraction(total, den * vden))
     return EigenValue(eigens[n])
 

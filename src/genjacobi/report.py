@@ -97,10 +97,11 @@ def _json_strings(mapping: Mapping[str, str], depth: int) -> str:
     return f"{{{sep}{body}\n{' ' * depth}}}"
 
 
-def _case_json(case: Case) -> str:
-    """One case of a report's "cases" list, as to_json lays it out."""
+def _case_json(case: Case, params: str) -> str:
+    """One case of a report's "cases" list, as to_json lays it out, with
+    params the JSON text of its params mapping."""
     text = (f'    {{\n      "label": {_json_str(case.label)},\n'
-            f'      "params": {_json_strings(case.params, 6)},\n'
+            f'      "params": {params},\n'
             f'      "n": {_json_scalar(case.n)},\n'
             f'      "residual": {_json_str(case.residual)},\n')
     if case.skipped:
@@ -160,9 +161,13 @@ class VerifyReport:
 
         Written directly, one case at a time, with the C string encoder:
         json.dumps with an indent runs the pure-Python encoder, which took
-        most of the rendering time of a large report.
+        most of the rendering time of a large report.  Each params mapping
+        is rendered once per call, however many cases share it; the report
+        holds every case alive meanwhile, so no id is reused.
         """
-        cases = ",\n".join(map(_case_json, self.cases))
+        params = {id(c.params): c.params for c in self.cases}
+        params = {key: _json_strings(p, 6) for key, p in params.items()}
+        cases = ",\n".join([_case_json(c, params[id(c.params)]) for c in self.cases])
         cases = f"[\n{cases}\n  ]" if cases else "[]"
         return (f'{{\n  "suite": {_json_str(self.suite)},\n'
                 f'  "grid": {_json_strings(self.grid, 2)},\n'

@@ -45,9 +45,8 @@ from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
                       X_PLUS_1, as_rational, endpoint_weight, nonneg_int, pochhammer)
 from .genjacobi import Params, coeff_q, gen_jacobi
 from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
-                    boundary_closed_forms, gram_matrix,
-                    mass_constant_identity, symmetry_defect,
-                    weighted_integral)
+                    boundary_closed_forms, gram_matrix, inner_product,
+                    mass_constant_identity, symmetry_defect)
 from .jacobi import jacobi_poly
 from .operators import (_image, apply_combined, apply_duran, apply_factorized,
                         components, const_b, const_c, eigen_combined, expand_operator)
@@ -360,8 +359,9 @@ def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
         ("two-mass form pairing", lf, bilinear_W,
          -c_ab * (want.lhat_neg1 * g_neg / b_ab + want.ltilde_pos1 * g_pos / b_ba)),
     )
+    plain = Params(a, b)
     for label, image, form, boundary in pairings:
-        res = weighted_integral(image * g, a, b) - form(f, g, a, b) - boundary
+        res = inner_product(image, g, plain) - form(f, g, a, b) - boundary
         cases.append(Case.check(label, pstr, n, res))
 
     # the eight endpoint values in BoundaryValues field order

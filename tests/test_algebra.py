@@ -108,6 +108,21 @@ def test_as_rational_rejects_floats():
         as_rational(0.5)
 
 
+def test_bools_are_not_rationals():
+    # a bool is an int, but True is a flag, not the rational 1
+    from genjacobi.jacobi import jacobi_poly
+    from genjacobi.operators import eigen_lambda2
+    for bad in (True, False):
+        with pytest.raises(InvalidParam):
+            as_rational(bad)
+    for call in (lambda: eigen_lambda2(2, True, 0), lambda: jacobi_poly(2, True, False),
+                 lambda: Poly([True, 2]), lambda: Poly([1]).eval(True),
+                 lambda: Poly().eval(False), lambda: Poly([1, 2]) * True):
+        with pytest.raises(InvalidParam):
+            call()
+    assert Poly([1]) != True and Poly() != False and Poly([1]) == 1
+
+
 def test_pochhammer():
     assert pochhammer(3, 0) == 1
     assert pochhammer(1, 3) * pochhammer(2, 3) == 144

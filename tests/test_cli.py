@@ -225,6 +225,16 @@ def test_verify_report_bytes_are_pinned(capsys, monkeypatch, threads):
         "1865cc289c27d8cae23faf5c9fdfdb62f4c61020f83472d993d457df4ea61274")
 
 
+def test_default_grid_report_bytes_are_pinned(capsys, monkeypatch):
+    # sha256 of the serial default-grid report, the benchmark's digest: a
+    # speedup that changes a byte of it fails here, not only on the bench
+    monkeypatch.setenv("GENJACOBI_THREADS", "1")
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--format", "json", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e1ce52c019ad02ed0d9119903e70d4caa9820661b440ba37f85aee7b4e9fbc0c")
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "2x", " 2",
                                    pytest.param("9" * 5000, id="5000-digits")])
 def test_verify_bad_threads_env_exits_2(capsys, monkeypatch, value):

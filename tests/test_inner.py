@@ -1,6 +1,7 @@
 """Inner products, bilinear forms, boundary data, Gram matrices."""
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +304,24 @@ def test_gram_matrix_rational_masses():
         for j in range(i):
             assert G[i][j] == 0
         assert G[i][i] > 0
+
+
+def _gram_two_triangles(nmax: int, p: Params) -> list:
+    """Oracle for gram_matrix: every entry c_i . (H c_j) of C^T H C, both
+    triangles computed."""
+    polys = [gen_jacobi(n, p) for n in range(nmax + 1)]
+    h, den = inner._moment_vector(p, 2 * nmax + 1)
+    hc = [[sum(map(mul, g.nums, h[k:])) for k in range(nmax + 1)] for g in polys]
+    return [[F(sum(map(mul, f.nums, w)), den * f.den * g.den) for g, w in zip(polys, hc)]
+            for f in polys]
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 5, 12])
+def test_gram_matrix_equals_both_triangles(nmax):
+    # alpha != beta and rational masses; gram_matrix computes j >= i and mirrors
+    for p in (Params(2, 1, F(1, 3), F(2, 7)), Params(0, 3, F(7, 4), 0),
+              Params(3, 1, 0, F(5, 2))):
+        assert gram_matrix(nmax, p) == _gram_two_triangles(nmax, p), p
 
 
 def test_gram_matrix_validation():

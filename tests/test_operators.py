@@ -584,9 +584,30 @@ def test_eigen_combined_matches_the_four_term_sum_in_any_order(cold_matrices):
     params = [Params(a, b, M, N) for a, b in ((0, 0), (1, 2), (3, 1))
               for M, N in ((0, 0), (F(1, 3), 0), (0, F(5, 7)), (F(1, 3), 2))]
     for order in (range(12, -1, -1), range(13)):
+        _column_list.cache_clear()
         _combined_entry.cache_clear()
         for pr, n in product(params, order):
             assert eigen_combined(n, pr).value == four_term_eigenvalue(n, pr), (pr, n)
+
+
+def test_component_eigenvalues_are_shared_by_the_mass_points(monkeypatch, cold_matrices):
+    # one (alpha, beta) with alpha != beta, so the two side calls differ
+    calls = []
+
+    def counting(kind, n, alpha, beta, eigen=operators.eigen_high):
+        calls.append((kind, n, alpha, beta))
+        return eigen(kind, n, alpha, beta)
+
+    monkeypatch.setattr(operators, "eigen_high", counting)
+    a, b = 2, 1
+    ms = verify.DEFAULT_MASSES
+    points = [Params(a, b, M, N) for M, N in product(ms, ms)]
+    got = [[eigen_combined(n, pr).value for n in range(16)] for pr in points]
+    want = {(kind, n, x, y) for n in range(16)
+            for kind, x, y in (("side", b, a), ("side", a, b), ("full", a, b))}
+    assert sorted(calls) == sorted(want)
+    monkeypatch.undo()
+    assert got == [[four_term_eigenvalue(n, pr) for n in range(16)] for pr in points]
 
 
 def test_eigen_combined_rejects_a_negative_index(cold_matrices):

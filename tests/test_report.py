@@ -14,6 +14,10 @@ def dumped(report):
     return json.dumps(report.to_record(), indent=2)
 
 
+# to_json renders each params mapping once per call, keyed by identity
+_SHARED, _EQUAL = {"alpha": "1", "M": "1/3"}, {"alpha": "1", "M": "1/3"}
+
+
 @pytest.mark.parametrize("report", [
     VerifyReport("empty"),
     VerifyReport("no cases", grid={"nmax": "3"}, seed=5),
@@ -27,6 +31,13 @@ def dumped(report):
     VerifyReport("non-ascii \u00e9", grid={"\u03b1": "\u00bd"}, cases=[
         Case.check("\u03b1-\u03b2 \u2013 \"quoted\"\\path\n", {"\u03bc": "1"}, 3, 1),
         Case.skip("\u2264 skipped", {}, None, "\u00e9\t"),
+    ]),
+    VerifyReport("shared and equal mappings", grid=_SHARED, seed=1, cases=[
+        Case.check("shared", _SHARED, 0, 0), Case.check("equal", _EQUAL, 1, 1),
+        Case.skip("shared, skipped", _SHARED, 2, "needs n >= 3"),
+        Case.holds("empty", {}, None, False, Fraction(-1, 7)),
+        Case.check("other", {"beta": "2", "N": "\u00bd"}, 3, Poly([1, 2])),
+        Case.check("shared again", _SHARED, 4, 0), Case.skip("empty, skipped", {}, 5, "x"),
     ]),
 ])
 def test_to_json_matches_json_dumps(report):
