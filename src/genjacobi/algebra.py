@@ -200,7 +200,7 @@ class Poly:
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x^k (0 beyond the degree)."""
-        if 0 <= k < len(self.nums):
+        if nonneg_int("coefficient index", k) < len(self.nums):
             return Fraction(self.nums[k], self.den)
         return Fraction(0)
 

@@ -25,13 +25,8 @@ from .operators import apply_combined, const_b, const_c
 
 def integrate(f: Poly) -> Fraction:
     """Integral of f over [-1, 1]: odd monomials drop, x^k gives 2/(k+1)."""
-    return _integral(f.nums, f.den)
-
-
-def _integral(nums, den: int) -> Fraction:
-    """Integral over [-1, 1] of the polynomial with coefficients nums / den."""
-    weights, wden = _monomial_integrals(len(nums))
-    return Fraction(sum(map(mul, nums[::2], weights)), wden * den)
+    weights, wden = _monomial_integrals(len(f.nums))
+    return Fraction(sum(map(mul, f.nums[::2], weights)), wden * f.den)
 
 
 @lru_cache(maxsize=256)
@@ -97,11 +92,22 @@ def _moment_block(params: Params, size: int) -> tuple:
 def inner_product(f: Poly, g: Poly, params: Params) -> Fraction:
     """Weighted product of f and g plus M f(-1)g(-1) and N f(1)g(1), that is
     the sum over k of (fg)_k h_k with h the moment vector."""
-    if f.is_zero or g.is_zero:
-        return Fraction(0)
-    fg = kernel.conv(f.nums, g.nums)
-    h, den = _moment_vector(params, len(fg))
-    return Fraction(sum(map(mul, fg, h)), den * f.den * g.den)
+    return inner_products((f,), g, params)[0]
+
+
+def inner_products(fs, g: Poly, params: Params) -> list:
+    """[inner_product(f, g, params) for f in fs], through one Hankel product:
+    (f, g) is f . (H g) with H[i][j] = h_(i+j), so every f is scored against
+    the one vector H g, built in as many rows as the longest f has entries."""
+    rows = max((len(f.nums) for f in fs), default=0)
+    if not (rows and g.nums):
+        return [Fraction(0)] * len(fs)
+    gn = g.nums
+    h, den = _moment_vector(params, rows + len(gn) - 1)
+    hg = [sum(map(mul, gn, h[k:])) for k in range(rows)]
+    den *= g.den
+    return [Fraction(sum(map(mul, f.nums, hg)), den * f.den) if f.nums else Fraction(0)
+            for f in fs]
 
 
 def weighted_integral(f: Poly, alpha: int, beta: int) -> Fraction:
@@ -111,41 +117,58 @@ def weighted_integral(f: Poly, alpha: int, beta: int) -> Fraction:
 
 # ---------------- symmetric bilinear forms ----------------
 
-def _form(f: Poly, g: Poly, v: Poly, k: int, w: Poly, alpha: int, beta: int) -> Fraction:
-    """Integral of (v f)^(k) (v g)^(k) w over [-1, 1], divided by h_norm;
-    the integrand is built on integer vectors and never normalized."""
+def _form(f: Poly, g: Poly, v: Poly, k: int, weight: tuple, alpha: int,
+          beta: int) -> Fraction:
+    """Integral of (v f)^(k) (v g)^(k) w over [-1, 1], divided by h_norm,
+    with w = weight_poly(*weight): the integer vector (v f)^(k) (v g)^(k),
+    never normalized, dotted with the weight's moments."""
     df = derive_nums(kernel.conv(v.nums, f.nums), k) if f.nums else []
     dg = derive_nums(kernel.conv(v.nums, g.nums), k) if g.nums else []
     if not (df and dg):
         return Fraction(0)
-    nums = kernel.conv(kernel.conv(df, dg), w.nums)
-    return _integral(nums, v.den ** 2 * f.den * g.den * w.den) / h_norm(alpha, beta)
+    nums = kernel.conv(df, dg)
+    moments, den = _weight_moments(*weight, -(-len(nums) // 16) * 16)
+    h = h_norm(alpha, beta)
+    return Fraction(sum(map(mul, nums, moments)) * h.denominator,
+                    den * v.den ** 2 * f.den * g.den * h.numerator)
+
+
+@lru_cache(maxsize=256)
+def _weight_moments(p: int, q: int, size: int) -> tuple:
+    """(m, D) with m[k] / D the integral of x^k weight_poly(p, q) over [-1, 1]
+    for k < size, from the monomial integrals alone: a route to the forms'
+    integrals that does not pass through h_norm or the moment vector."""
+    w = weight_poly(p, q)
+    ints, den = _monomial_integrals(size + len(w.nums) - 1)
+    # x^k w integrates to the sum over j of w_j times the integral of x^(k+j)
+    moments = tuple(sum(c * ints[(k + j) >> 1] for j, c in enumerate(w.nums)
+                        if not (k + j) & 1) for k in range(size))
+    return moments, den * w.den
 
 
 def bilinear_U(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the second-order operator: integral of f'g' against
     the weight with both exponents raised by one."""
     a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return _form(f, g, Poly.one(), 1, weight_poly(a + 1, b + 1), a, b)
+    return _form(f, g, Poly.one(), 1, (a + 1, b + 1), a, b)
 
 
 def bilinear_Vt(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the mass operator at x = -1."""
     a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return _form(f, g, endpoint_weight(0, b + 1), b + 2, weight_poly(a + b + 2, 0), a, b)
+    return _form(f, g, endpoint_weight(0, b + 1), b + 2, (a + b + 2, 0), a, b)
 
 
 def bilinear_V(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the mass operator at x = +1."""
     a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return _form(f, g, endpoint_weight(a + 1, 0), a + 2, weight_poly(0, a + b + 2), a, b)
+    return _form(f, g, endpoint_weight(a + 1, 0), a + 2, (0, a + b + 2), a, b)
 
 
 def bilinear_W(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the two-mass operator."""
     a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return _form(f, g, endpoint_weight(a + 1, b + 1), a + b + 3, weight_poly(b + 1, a + 1),
-                 a, b)
+    return _form(f, g, endpoint_weight(a + 1, b + 1), a + b + 3, (b + 1, a + 1), a, b)
 
 
 # ---------------- boundary behaviour ----------------
@@ -174,18 +197,29 @@ def boundary_closed_forms(f: Poly, alpha: int, beta: int) -> BoundaryValues:
     """
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
-    df = f.derive()
+    nums, den = f.nums, f.den
+
+    def value(x: int, c, d: list, vden: int = 1) -> Fraction:
+        # c times sum d_i x^i / (vden den) at x = -1 or +1: one Fraction
+        total = sum(d) if x == 1 else sum(d[::2]) - sum(d[1::2])
+        return Fraction(c.numerator * total, c.denominator * vden * den)
+
+    def weighted(v: Poly, k: int) -> list:
+        # (v f)^(k), as integers over v.den * den
+        return derive_nums(kernel.conv(v.nums, nums), k) if nums else []
+
+    df = derive_nums(nums, 1)
+    vt, vh = endpoint_weight(0, b + 1), endpoint_weight(a + 1, 0)
+    zero = Fraction(0)
     return BoundaryValues(
-        l2_neg1=-2 * (b + 1) * df.eval(-1),
-        l2_pos1=2 * (a + 1) * df.eval(1),
-        ltilde_neg1=Fraction(0),
-        ltilde_pos1=2 * pochhammer(a + 1, b + 2)
-        * (endpoint_weight(0, b + 1) * f).derive(b + 2).eval(1),
-        lhat_neg1=-2 * pochhammer(b + 1, a + 2)
-        * (endpoint_weight(a + 1, 0) * f).derive(a + 2).eval(-1),
-        lhat_pos1=Fraction(0),
-        lfull_neg1=Fraction(0),
-        lfull_pos1=Fraction(0),
+        l2_neg1=value(-1, -2 * (b + 1), df),
+        l2_pos1=value(1, 2 * (a + 1), df),
+        ltilde_neg1=zero,
+        ltilde_pos1=value(1, 2 * pochhammer(a + 1, b + 2), weighted(vt, b + 2), vt.den),
+        lhat_neg1=value(-1, -2 * pochhammer(b + 1, a + 2), weighted(vh, a + 2), vh.den),
+        lhat_pos1=zero,
+        lfull_neg1=zero,
+        lfull_pos1=zero,
     )
 
 

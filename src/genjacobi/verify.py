@@ -39,13 +39,14 @@ import os
 import reprlib
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
                       X_PLUS_1, as_rational, endpoint_weight, nonneg_int, pochhammer)
 from .genjacobi import Params, coeff_q, gen_jacobi
 from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
-                    boundary_closed_forms, gram_matrix, inner_product,
+                    boundary_closed_forms, gram_matrix, inner_products,
                     mass_constant_identity, symmetry_defect)
 from .jacobi import jacobi_poly
 from .operators import (_image, apply_combined, apply_duran, apply_factorized,
@@ -62,6 +63,14 @@ DEFAULT_SEED = 0
 _MASK64 = (1 << 64) - 1
 
 
+def _seed(seed) -> int:
+    """seed, if it is an int (negative ints are valid, bools are not); else
+    InvalidParam."""
+    if type(seed) is not int:
+        raise InvalidParam(f"seed must be an int, got {reprlib.repr(seed)}")
+    return seed
+
+
 class SplitMix64:
     """Deterministic 64-bit mixing generator (splitmix64).
 
@@ -73,7 +82,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.state = _seed(seed) & _MASK64
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
@@ -92,11 +101,12 @@ class SplitMix64:
 
 def random_poly(rng: SplitMix64, degmax: int) -> Poly:
     """Random rational polynomial: degree uniform in [0, degmax],
-    coefficients p/q with |p| <= 20 and 1 <= q <= 10."""
+    coefficients p/q with |p| <= 20 and 1 <= q <= 10, drawn p first, from
+    the constant term up."""
     deg = rng.randint(0, nonneg_int("degmax", degmax))
-    coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 10))
-              for _ in range(deg + 1)]
-    return Poly(coeffs)
+    pairs = [(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(deg + 1)]
+    den = lcm(*(q for _, q in pairs))
+    return Poly._norm([p * (den // q) for p, q in pairs], den)
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -350,19 +360,20 @@ def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
     g_neg, g_pos = g.eval(-1), g.eval(1)
     cases = [Case.check("combined operator symmetry defect", pstr, n,
                         symmetry_defect(f, g, params))]
-    # (label, image of f, its symmetric form, boundary term); the boundary
-    # terms are endpoint values of the lower-order operators, in closed form
+    # (label, its symmetric form, boundary term) of the images of f in order;
+    # the boundary terms are endpoint values of the lower-order operators,
+    # in closed form.  The images are scored against g through one Hankel
+    # product of the plain moment vector.
     pairings = (
-        ("second-order form pairing", l2, bilinear_U, 0),
-        ("mass(-1) form pairing", lt, bilinear_Vt, -b_ba * want.l2_neg1 * g_neg),
-        ("mass(+1) form pairing", lh, bilinear_V, -b_ab * want.l2_pos1 * g_pos),
-        ("two-mass form pairing", lf, bilinear_W,
+        ("second-order form pairing", bilinear_U, 0),
+        ("mass(-1) form pairing", bilinear_Vt, -b_ba * want.l2_neg1 * g_neg),
+        ("mass(+1) form pairing", bilinear_V, -b_ab * want.l2_pos1 * g_pos),
+        ("two-mass form pairing", bilinear_W,
          -c_ab * (want.lhat_neg1 * g_neg / b_ab + want.ltilde_pos1 * g_pos / b_ba)),
     )
-    plain = Params(a, b)
-    for label, image, form, boundary in pairings:
-        res = inner_product(image, g, plain) - form(f, g, a, b) - boundary
-        cases.append(Case.check(label, pstr, n, res))
+    products = inner_products((l2, lt, lh, lf), g, Params(a, b))
+    for (label, form, boundary), product in zip(pairings, products):
+        cases.append(Case.check(label, pstr, n, product - form(f, g, a, b) - boundary))
 
     # the eight endpoint values in BoundaryValues field order
     got = [image.eval(x) for image in (l2, lt, lh, lf) for x in (-1, 1)]
@@ -551,8 +562,7 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
     nonneg_int("trials", trials, 1)
     if not masses_m or not masses_n:
         raise InvalidParam("each mass axis needs at least one mass")
-    if type(seed) is not int:
-        raise InvalidParam(f"seed must be an int, got {reprlib.repr(seed)}")
+    _seed(seed)
     grid = {"nmax": str(nmax), "alpha_max": str(alpha_max),
             "beta_max": str(beta_max),
             "masses_m": ",".join(str(m) for m in masses_m),

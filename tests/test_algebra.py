@@ -32,6 +32,10 @@ def test_degree_and_coeffs():
     assert p.degree == 2
     assert p.coeffs == (Fraction(1), Fraction(0), Fraction(3, 2))
     assert p.coeff(5) == 0
+    assert Poly([5, 7]).coeff(1) == 7 and Poly([5, 7]).coeff(2) == 0
+    for k in (True, False, -1, 1.0, Fraction(1)):
+        with pytest.raises(InvalidParam):
+            Poly([5, 7]).coeff(k)
     assert p.leading == Fraction(3, 2)
 
 

@@ -19,6 +19,7 @@ def test_every_lru_cache_has_a_finite_maxsize():
     caches = _lru_caches()
     assert {"jacobi._jacobi_hyp", "genjacobi._gen_jacobi_cached", "genjacobi._blocks",
             "algebra.pochhammer", "inner._normalized_moments", "inner._moment_block",
+            "inner._weight_moments",
             "operators._column_list", "operators._combined_entry",
             "algebra.endpoint_weight"} <= set(caches)
     for name, cache in caches.items():

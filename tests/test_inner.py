@@ -6,13 +6,14 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genjacobi import inner
-from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1
+from genjacobi import inner, kernel, verify
+from genjacobi.algebra import (InvalidParam, Poly, X_MINUS_1, X_PLUS_1, derive_nums,
+                               endpoint_weight, pochhammer)
 from genjacobi.genjacobi import Params, gen_jacobi
 from genjacobi.inner import (BoundaryValues, bilinear_U,
                              bilinear_V, bilinear_Vt, bilinear_W,
                              boundary_closed_forms, gram_matrix, h_norm,
-                             h_norm_integral, inner_product, integrate,
+                             h_norm_integral, inner_product, inner_products, integrate,
                              mass_constant_identity, symmetry_defect,
                              weight_poly, weighted_integral)
 from genjacobi.jacobi import jacobi_poly
@@ -327,3 +328,115 @@ def test_gram_matrix_equals_both_triangles(nmax):
 def test_gram_matrix_validation():
     with pytest.raises(InvalidParam):
         gram_matrix(-1, Params(0, 0, 0, 0))
+
+
+# ---- the routes the integer passes replaced, kept verbatim as their oracles ----
+
+def _integral_by_conv(nums, den: int) -> Fraction:
+    weights, wden = inner._monomial_integrals(len(nums))
+    return Fraction(sum(map(mul, nums[::2], weights)), wden * den)
+
+
+def _form_by_conv(f: Poly, g: Poly, v: Poly, k: int, w: Poly, alpha: int, beta: int) -> Fraction:
+    df = derive_nums(kernel.conv(v.nums, f.nums), k) if f.nums else []
+    dg = derive_nums(kernel.conv(v.nums, g.nums), k) if g.nums else []
+    if not (df and dg):
+        return Fraction(0)
+    nums = kernel.conv(kernel.conv(df, dg), w.nums)
+    return _integral_by_conv(nums, v.den ** 2 * f.den * g.den * w.den) / h_norm(alpha, beta)
+
+
+def _boundary_by_poly_ops(f: Poly, alpha: int, beta: int) -> BoundaryValues:
+    a, b = alpha, beta
+    df = f.derive()
+    return BoundaryValues(
+        l2_neg1=-2 * (b + 1) * df.eval(-1),
+        l2_pos1=2 * (a + 1) * df.eval(1),
+        ltilde_neg1=Fraction(0),
+        ltilde_pos1=2 * pochhammer(a + 1, b + 2)
+        * (endpoint_weight(0, b + 1) * f).derive(b + 2).eval(1),
+        lhat_neg1=-2 * pochhammer(b + 1, a + 2)
+        * (endpoint_weight(a + 1, 0) * f).derive(a + 2).eval(-1),
+        lhat_pos1=Fraction(0),
+        lfull_neg1=Fraction(0),
+        lfull_pos1=Fraction(0),
+    )
+
+
+def _inner_product_by_conv(f: Poly, g: Poly, params: Params) -> Fraction:
+    if f.is_zero or g.is_zero:
+        return Fraction(0)
+    fg = kernel.conv(f.nums, g.nums)
+    h, den = inner._moment_vector(params, len(fg))
+    return Fraction(sum(map(mul, fg, h)), den * f.den * g.den)
+
+
+def _oracle_inputs(seed: int) -> list:
+    # zero, constants, and random polynomials of the degrees the suite draws
+    rng = SplitMix64(seed)
+    return ([Poly.zero(), Poly.one(), Poly([F(-7, 3)]), X_PLUS_1 * X_PLUS_1]
+            + [_poly_of_degree(rng, d) for d in (1, 4, 9, 16)])
+
+
+_AB4 = list(product(range(5), range(5)))    # alpha, beta <= 4, most with alpha != beta
+
+
+def _forms(a: int, b: int) -> tuple:
+    return ((bilinear_U, Poly.one(), 1, weight_poly(a + 1, b + 1)),
+            (bilinear_Vt, endpoint_weight(0, b + 1), b + 2, weight_poly(a + b + 2, 0)),
+            (bilinear_V, endpoint_weight(a + 1, 0), a + 2, weight_poly(0, a + b + 2)),
+            (bilinear_W, endpoint_weight(a + 1, b + 1), a + b + 3, weight_poly(b + 1, a + 1)))
+
+
+def test_forms_match_the_convolution_with_the_weight():
+    fs = _oracle_inputs(5)
+    for a, b in _AB4:
+        for (form, v, k, w), f, g in product(_forms(a, b), fs, fs[::3] + fs[-1:]):
+            want = _form_by_conv(f, g, v, k, w, a, b)
+            assert form(f, g, a, b) == want, (form.__name__, a, b, f, g)
+
+
+def test_boundary_closed_forms_match_poly_ops():
+    for a, b in _AB4:
+        for f in _oracle_inputs(6):
+            assert boundary_closed_forms(f, a, b) == _boundary_by_poly_ops(f, a, b), (a, b, f)
+
+
+def test_inner_products_match_one_product_per_image():
+    images = _oracle_inputs(7)
+    gs = [Poly.zero(), Poly.one(), Poly([F(5, 2)])] + images[-2:]
+    for a, b in _AB4:
+        for M, N in ((0, 0), (F(1, 3), F(2, 7)), (F(7, 4), 0), (0, F(5, 2))):
+            p = Params(a, b, M, N)
+            for g in gs:
+                want = [_inner_product_by_conv(f, g, p) for f in images]
+                assert inner_products(images, g, p) == want, (p, g)
+                assert [inner_product(f, g, p) for f in images] == want, (p, g)
+    assert inner_products([], Poly.one(), Params()) == []
+    assert inner_products([Poly.zero()] * 2, Poly.one(), Params()) == [0, 0]
+
+
+def test_one_moment_lookup_per_pair_and_no_convolution_with_a_weight(monkeypatch):
+    a, b = 2, 1
+    rng = SplitMix64(9)
+    f, g = _poly_of_degree(rng, 9), _poly_of_degree(rng, 7)
+    # the four pairings of one pair read the moment vector once
+    lookups = []
+    moment_vector = inner._moment_vector
+    monkeypatch.setattr(inner, "_moment_vector",
+                        lambda p, size: lookups.append(size) or moment_vector(p, size))
+    monkeypatch.setattr(verify, "symmetry_defect", lambda f, g, params: F(0))
+    pstr = {"alpha": str(a), "beta": str(b)}
+    cases = verify._symmetry_pair_cases(f, g, Params(a, b, 1, F(1, 3)), pstr, 0)
+    assert all(c.passed for c in cases)
+    assert len(lookups) == 1
+    # a form convolves (v f)^(k) with (v g)^(k) and nothing with its weight
+    calls = []
+    conv = kernel.conv
+    monkeypatch.setattr(kernel, "conv", lambda x, y: calls.append((x, y)) or conv(x, y))
+    for form, v, k, w in _forms(a, b):
+        want = _form_by_poly_ops(f, g, v, k, w, a, b)
+        calls.clear()
+        assert form(f, g, a, b) == want
+        assert len(calls) == 3, form.__name__
+        assert all(list(w.nums) not in (list(x), list(y)) for x, y in calls), form.__name__

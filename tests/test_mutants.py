@@ -11,6 +11,7 @@ factorial in the S block is invisible at nmax 2.
 """
 import contextlib
 import dataclasses
+import hashlib
 import sys
 
 from test_caches import _lru_caches
@@ -242,6 +243,45 @@ def test_every_mutant_is_killed():
                          for name, row in matrix.items()])
     assert not survivors, f"surviving mutants {survivors}; kill matrix:\n{table}"
     assert not lost, f"pinned kills lost {lost}; kill matrix:\n{table}"
+
+
+# mutant -> sha256 of the symmetry suite's JSON report on the tiny grid,
+# for every mutant under which that suite fails (the three that make it
+# raise are left out).  A passing case renders "0" whatever its route, so
+# these pin the failing residuals themselves: every pairing, form and
+# boundary value must keep its exact value under each mutant.
+SYMMETRY_FAILING_DIGESTS = {
+    "apply_Lfull with matched exponents":
+        "99611df60c7ec2da75840c3db5d3c8d937f5683ca1882553254d2264656ed153",
+    "apply_L2 with alpha and beta swapped":
+        "85b606a08bd15565eabfa96563d37fbb2b842810b3337b289599356667cf5776",
+    "const_b off by one": "fe544234f941e829a48d8b367eb8db4c5f617ea7ed9a4df2bb77f544f25928f9",
+    "const_c off by one": "8cda666874803253914554c3b5c7a49352d6c5533abaddd0a5da436e171ccf33",
+    "apply_combined with M and N normalizations swapped":
+        "5eb5738792bc77c0c33eb964366bafda794d37d880c64e1316a46517f09a338e",
+    "moment vector without the N mass":
+        "278d0f6ee9c8d3f45ff063707cee86641fb8e4cc001e5c5f57425c5f00c86f34",
+    "boundary_closed_forms with ltilde_pos1 doubled":
+        "c330f8551bcbb54880869418b8ad38d0d139115db17ba0e42b6e128d87203c4d",
+    "h_norm doubled": "9da7f8e9439cffb7f79d51e833ad07acde3d3860909cabea5412e7f10fd4f21a",
+    "moment vector shifted by one":
+        "d2f2474ac703c0d6d656d36c0906bb4251d5bab8f17a47204cb16d64a01cd0a8",
+    "Ltilde's norm as const_b(a, b)":
+        "3f6251addf6c0475bbf47bb5c83a776a4d4f71ff7fceb42d3ed24e26a6f74420",
+    "endpoint_weight with p and q swapped":
+        "1e87754330774079d24a07e287379d002906da1889d0312d4a97c31cef1139f7",
+}
+
+
+def test_symmetry_failing_reports_are_pinned():
+    assert set(SYMMETRY_FAILING_DIGESTS) == {
+        name for name, row in PINNED_KILLS.items() if row[SUITE_NAMES.index("symmetry")] == "F"}
+    got = {}
+    for name in SYMMETRY_FAILING_DIGESTS:
+        with mutated(name):
+            text = run_suite("symmetry", **TINY).to_json()
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == SYMMETRY_FAILING_DIGESTS
 
 
 def test_unmutated_tiny_grid_passes():
