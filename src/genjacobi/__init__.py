@@ -15,7 +15,7 @@ from .operators import (DiffOperator, EigenValue, InconsistentExpansion,
                         const_b, const_c, eigen_combined, eigen_high,
                         eigen_lambda2, expand_operator)
 from .report import Case, VerifyReport
-from .verify import run_suite, verify_diff_identities
+from .verify import run_suite
 
 __version__ = "0.1.0"
 
@@ -29,5 +29,5 @@ __all__ = [
     "expand_operator", "format_rational", "gen_jacobi", "gram_matrix",
     "h_norm", "inner_product", "jacobi_poly", "jacobi_recurrence",
     "pochhammer", "poly_Q", "poly_R", "poly_S", "run_suite",
-    "symmetry_defect", "verify_diff_identities", "weighted_integral",
+    "symmetry_defect", "weighted_integral",
 ]

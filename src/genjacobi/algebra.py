@@ -156,9 +156,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    def __reduce__(self):
-        return (Poly._raw, (self.nums, self.den))
-
     # ---------------- constructors ----------------
 
     @classmethod
@@ -168,10 +165,6 @@ class Poly:
     @classmethod
     def one(cls) -> "Poly":
         return cls._raw((1,), 1)
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls._raw((0, 1), 1)
 
     @classmethod
     def monomial(cls, k: int, c: RationalLike = 1) -> "Poly":
@@ -197,18 +190,6 @@ class Poly:
     def coeffs(self) -> tuple:
         """Coefficients ascending by degree, as Fractions."""
         return tuple(Fraction(n, self.den) for n in self.nums)
-
-    def coeff(self, k: int) -> Fraction:
-        """Coefficient of x^k (0 beyond the degree)."""
-        if nonneg_int("coefficient index", k) < len(self.nums):
-            return Fraction(self.nums[k], self.den)
-        return Fraction(0)
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.nums:
-            return Fraction(0)
-        return Fraction(self.nums[-1], self.den)
 
     def __bool__(self) -> bool:
         return bool(self.nums)
@@ -250,9 +231,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):

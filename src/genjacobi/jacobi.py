@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
-from .algebra import InvalidParam, Poly, RationalLike, as_rational, nonneg_int, pochhammer
+from .algebra import InvalidParam, Poly, RationalLike, as_rational, nonneg_int
 
 
 def _checked(n: int, gamma: RationalLike, delta: RationalLike) -> tuple:
@@ -77,9 +77,3 @@ def jacobi_recurrence(n: int, gamma: RationalLike, delta: RationalLike) -> Poly:
         nxt = (Poly([b_1, b_x]) * cur - c * prev) * (Fraction(1) / a)
         prev, cur = cur, nxt
     return cur
-
-
-def leading_coeff(n: int, gamma: RationalLike, delta: RationalLike) -> Fraction:
-    """Closed form for the x^n coefficient of jacobi_poly(n, gamma, delta)."""
-    g, d = _checked(n, gamma, delta)
-    return pochhammer(n + g + d + 1, n) / (Fraction(2) ** n * factorial(n))

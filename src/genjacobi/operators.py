@@ -12,10 +12,10 @@ _conjugated writes that recipe once: multiply by an endpoint-power weight,
 differentiate k times, multiply by a second weight, differentiate k times
 again, strip a known endpoint factor by exact division, and multiply by an
 endpoint factor, all on integer vectors with one normalization at the end.
-The divergence-form check of the second-order operator is the same recipe
-with k = 1.  The division is exact for every polynomial
-input; a failure raises NotDivisible and signals a genuine bug, not a
-rounding issue.
+The divergence form of the second-order operator, which the tests hold as
+an oracle of apply_L2, is the same recipe with k = 1.  The division is
+exact for every polynomial input; a failure raises NotDivisible and signals
+a genuine bug, not a rounding issue.
 
 For integer alpha and beta every one of them maps x^k to an integer
 polynomial of degree <= k.  So each is also kept as a cached upper-triangular
@@ -94,12 +94,6 @@ class DiffOperator:
         """Highest derivative order with a nonzero coefficient (0 if empty)."""
         return self.terms[-1][0] if self.terms else 0
 
-    def apply(self, y: Poly) -> Poly:
-        out = Poly.zero()
-        for order, coeff in self.terms:
-            out = out + coeff * y.derive(order)
-        return out
-
 
 def apply_L2(y: Poly, alpha: RationalLike, beta: RationalLike) -> Poly:
     """Second-order Jacobi operator (x^2-1)y'' + [alpha-beta+(alpha+beta+2)x]y',
@@ -137,18 +131,6 @@ def _conjugated(y: Poly, v: Poly, k: int, w: Poly, strip: Poly, factor: Poly) ->
     if strip.degree > 0:
         nums, den = exact_quotient(nums, den, strip)
     return Poly._norm(kernel.conv(factor.nums, nums), den * factor.den)
-
-
-def apply_L2_conjugated(y: Poly, alpha: int, beta: int) -> Poly:
-    """Cross-check path for apply_L2 via the divergence form.
-
-    Computes (x-1)^(-alpha) (x+1)^(-beta) * d/dx[(x-1)^(alpha+1)
-    (x+1)^(beta+1) y'] with exact division; integer parameters only.
-    """
-    a = nonneg_int("alpha", alpha)
-    b = nonneg_int("beta", beta)
-    return _conjugated(y, Poly.one(), 1, endpoint_weight(a + 1, b + 1),
-                       endpoint_weight(a, b), Poly.one())
 
 
 def apply_Ltilde(y: Poly, alpha: int, beta: int) -> Poly:

@@ -62,19 +62,6 @@ class Case(NamedTuple):
         """Record a case whose precondition is unmet."""
         return cls(label, params, n, "", False, True, reason)
 
-    def as_record(self) -> dict:
-        rec = {
-            "label": self.label,
-            "params": dict(self.params),
-            "n": self.n,
-            "residual": self.residual,
-            "pass": None if self.skipped else self.passed,
-        }
-        if self.skipped:
-            rec["skipped"] = True
-            rec["reason"] = self.reason
-        return rec
-
 
 def _json_scalar(value) -> str:
     """JSON text of None, a bool or an int, as json.dumps writes it."""
@@ -147,17 +134,12 @@ class VerifyReport:
     def extend(self, cases: Sequence[Case]) -> None:
         self.cases.extend(cases)
 
-    def to_record(self) -> dict:
-        return {
-            "suite": self.suite,
-            "grid": dict(self.grid),
-            "seed": self.seed,
-            "cases": [c.as_record() for c in self.cases],
-            "all_pass": self.all_pass,
-        }
-
     def to_json(self) -> str:
-        """json.dumps(self.to_record(), indent=2), byte for byte.
+        """The report as json.dumps(record, indent=2) writes it, byte for
+        byte, where the record holds "suite", "grid", "seed", "cases" and
+        "all_pass", and each case "label", "params", "n", "residual" and
+        "pass"; a skipped case has "pass" null, then "skipped" true and its
+        "reason".  The tests build that record and compare.
 
         Written directly, one case at a time, with the C string encoder:
         json.dumps with an indent runs the pure-Python encoder, which took

@@ -19,9 +19,6 @@ orthogonality) are stable CLI-facing names:
 - orthogonality: Gram off-diagonals, diagonal positivity, eigenvalue
   monotonicity, and the eigenvalue-gap orthogonality chain.
 
-verify_diff_identities checks the classical Jacobi derivative identities at
-one point; it is a library call, not a suite of the grid runner.
-
 Randomized suites draw from a splitmix64 stream (documented in the README)
 so runs are reproducible from (grid, seed) alone.  run_suite() looks each
 suite up in one table that maps its name to its grid points, each a (key,
@@ -114,47 +111,6 @@ def _point_seed(seed: int, index: int) -> int:
     return SplitMix64((seed ^ (index * 0x9E3779B97F4A7C15)) & _MASK64).next_u64()
 
 
-# ---------------- classical Jacobi derivative identities ----------------
-
-def verify_diff_identities(n: int, gamma: RationalLike, delta: RationalLike) -> VerifyReport:
-    """Check the four derivative/parameter-shift identities at one point.
-
-    Each identity is checked in cofactor form: the common weight factor
-    (x-1)^(gamma-1) (x+1)^(delta-1) is stripped from both sides first, so the
-    check stays inside exact polynomial arithmetic even for fractional
-    parameters.  Identities whose parameter constraint fails are recorded as
-    skipped with the violated constraint.
-    """
-    g, d = as_rational(gamma), as_rational(delta)
-    pstr = params_str(gamma=g, delta=d)
-    report = VerifyReport("diff-identities", grid={"n": str(n), **pstr})
-    P = jacobi_poly(n, g, d)
-    dP = P.derive()
-
-    # plain derivative: lowers the degree, raises both parameters
-    rhs = jacobi_poly(n - 1, g + 1, d + 1) if n >= 1 else Poly.zero()
-    res = dP - Fraction(n + g + d + 1, 2) * rhs
-    report.add(Case.check("derivative raises both parameters", pstr, n, res))
-
-    # (label, precondition, reason it fails, residual): the derivative of the
-    # fully weighted polynomial (raises the degree, lowers both parameters),
-    # then through the (x-1)^gamma and the (x+1)^delta factor alone
-    weighted = (
-        ("weighted derivative, both endpoint factors", g > 0 and d > 0,
-         "needs gamma > 0 and delta > 0",
-         lambda: (g * X_PLUS_1 * P + d * X_MINUS_1 * P + X2_MINUS_1 * dP
-                  - 2 * (n + 1) * jacobi_poly(n + 1, g - 1, d - 1))),
-        ("weighted derivative, x=1 factor", g > 0, "needs gamma > 0",
-         lambda: g * P + X_MINUS_1 * dP - (n + g) * jacobi_poly(n, g - 1, d + 1)),
-        ("weighted derivative, x=-1 factor", d > 0, "needs delta > 0",
-         lambda: d * P + X_PLUS_1 * dP - (n + d) * jacobi_poly(n, g + 1, d - 1)),
-    )
-    for label, holds, reason, residual in weighted:
-        report.add(Case.check(label, pstr, n, residual()) if holds
-                   else Case.skip(label, pstr, n, reason))
-    return report
-
-
 # ---------------- combined eigen-equation suite ----------------
 
 def _thm21_point(nmax: int, params: Params) -> list:
@@ -182,15 +138,6 @@ def _expansion_cases(alpha: int, beta: int) -> list:
         cases.append(Case.check(f"top coefficient of {row.name} operator", pstr, None,
                                 op.terms[-1][1] - endpoint_weight(half, half)))
     return cases
-
-
-def verify_theorem21(nmax: int, params: Params) -> VerifyReport:
-    """Combined eigen-equation for n <= nmax, plus expansion checks."""
-    nonneg_int("nmax", nmax)
-    report = VerifyReport("thm21", grid={"nmax": str(nmax)})
-    report.extend(_thm21_point(nmax, params))
-    report.extend(_expansion_cases(params.alpha, params.beta))
-    return report
 
 
 # ---------------- elementary eigen-equations suite ----------------

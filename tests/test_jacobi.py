@@ -4,17 +4,57 @@ from math import factorial
 
 import pytest
 
-from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1, pochhammer
-from genjacobi.jacobi import jacobi_poly, jacobi_recurrence, leading_coeff
-from genjacobi.verify import verify_diff_identities
+from genjacobi.algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
+                               X_PLUS_1, as_rational, pochhammer)
+from genjacobi.jacobi import jacobi_poly, jacobi_recurrence
+from genjacobi.report import Case, VerifyReport, params_str
 
 GRID = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1, 2),
         Fraction(7, 3)]
 
 
+def verify_diff_identities(n: int, gamma: RationalLike, delta: RationalLike) -> VerifyReport:
+    """Check the four derivative/parameter-shift identities at one point.
+
+    Each identity is checked in cofactor form: the common weight factor
+    (x-1)^(gamma-1) (x+1)^(delta-1) is stripped from both sides first, so the
+    check stays inside exact polynomial arithmetic even for fractional
+    parameters.  Identities whose parameter constraint fails are recorded as
+    skipped with the violated constraint.
+    """
+    g, d = as_rational(gamma), as_rational(delta)
+    pstr = params_str(gamma=g, delta=d)
+    report = VerifyReport("diff-identities", grid={"n": str(n), **pstr})
+    P = jacobi_poly(n, g, d)
+    dP = P.derive()
+
+    # plain derivative: lowers the degree, raises both parameters
+    rhs = jacobi_poly(n - 1, g + 1, d + 1) if n >= 1 else Poly.zero()
+    res = dP - Fraction(n + g + d + 1, 2) * rhs
+    report.add(Case.check("derivative raises both parameters", pstr, n, res))
+
+    # (label, precondition, reason it fails, residual): the derivative of the
+    # fully weighted polynomial (raises the degree, lowers both parameters),
+    # then through the (x-1)^gamma and the (x+1)^delta factor alone
+    weighted = (
+        ("weighted derivative, both endpoint factors", g > 0 and d > 0,
+         "needs gamma > 0 and delta > 0",
+         lambda: (g * X_PLUS_1 * P + d * X_MINUS_1 * P + X2_MINUS_1 * dP
+                  - 2 * (n + 1) * jacobi_poly(n + 1, g - 1, d - 1))),
+        ("weighted derivative, x=1 factor", g > 0, "needs gamma > 0",
+         lambda: g * P + X_MINUS_1 * dP - (n + g) * jacobi_poly(n, g - 1, d + 1)),
+        ("weighted derivative, x=-1 factor", d > 0, "needs delta > 0",
+         lambda: d * P + X_PLUS_1 * dP - (n + d) * jacobi_poly(n, g + 1, d - 1)),
+    )
+    for label, holds, reason, residual in weighted:
+        report.add(Case.check(label, pstr, n, residual()) if holds
+                   else Case.skip(label, pstr, n, reason))
+    return report
+
+
 def test_anchor_values():
     assert jacobi_poly(0, 3, Fraction(1, 2)) == Poly([1])
-    assert jacobi_poly(1, 0, 0) == Poly.x()
+    assert jacobi_poly(1, 0, 0) == Poly([0, 1])
     assert jacobi_poly(2, 0, 0) == Poly([Fraction(-1, 2), 0, Fraction(3, 2)])
 
 
@@ -31,8 +71,7 @@ def test_degree_and_leading_coeff():
             for n in range(21):
                 p = jacobi_poly(n, g, d)
                 assert p.degree == n
-                assert p.leading == leading_coeff(n, g, d)
-                assert p.leading == pochhammer(n + g + d + 1, n) / (2**n * factorial(n))
+                assert p.coeffs[-1] == pochhammer(n + g + d + 1, n) / (2**n * factorial(n))
 
 
 def test_reflection():
@@ -63,13 +102,14 @@ def test_parameter_validation():
 
 
 def test_leading_coeff_checks_its_parameters_as_jacobi_poly():
+    # the closed-form leading coefficient holds where jacobi_poly is defined;
     # (2, -1, 0) has no Jacobi polynomial, so no closed form either
-    assert leading_coeff(2, 1, 0) == jacobi_poly(2, 1, 0).leading
+    assert jacobi_poly(2, 1, 0).coeffs[-1] == pochhammer(2 + 1 + 0 + 1, 2) / (2**2 * factorial(2))
     for args in ((2, -1, 0), (2, 0, Fraction(-3, 2)), (2.0, 0, 0), (True, 0, 0)):
         with pytest.raises(InvalidParam):
-            leading_coeff(*args)
+            jacobi_poly(*args)
     with pytest.raises(InvalidParam, match="polynomial index"):
-        leading_coeff(-1, 0, 0)
+        jacobi_poly(-1, 0, 0)
 
 
 def test_diff_identities_all_pass_on_grid():

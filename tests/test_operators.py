@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genjacobi.algebra import (InvalidParam, NotDivisible, Poly, X_MINUS_1, X_PLUS_1,
-                               X2_MINUS_1, nonneg_int)
+                               X2_MINUS_1, endpoint_weight, nonneg_int)
 from genjacobi.genjacobi import Params, gen_jacobi, poly_Q, poly_R, poly_S
 from genjacobi.jacobi import jacobi_poly
 from genjacobi import operators, verify
 from genjacobi.operators import (DiffOperator, EigenValue, InconsistentExpansion,
-                                 apply_L2, apply_L2_conjugated, apply_Lfull,
+                                 apply_L2, apply_Lfull,
                                  apply_Lhat, apply_Ltilde, apply_combined,
                                  apply_duran, apply_factorized, components, const_b,
                                  const_c, eigen_combined, eigen_high, eigen_lambda2,
@@ -31,7 +31,7 @@ polys = st.lists(rationals, min_size=0, max_size=7).map(Poly)
 
 def test_l2_anchors():
     assert apply_L2(Poly([5]), 0, 0).is_zero
-    assert apply_L2(Poly.x(), 1, 2) == Poly([-1, 5])
+    assert apply_L2(Poly([0, 1]), 1, 2) == Poly([-1, 5])
     assert apply_L2(jacobi_poly(2, 0, 0), 0, 0) == 6 * jacobi_poly(2, 0, 0)
 
 
@@ -41,6 +41,18 @@ def test_l2_eigen_equation_rational_params():
             p = jacobi_poly(n, g, d)
             lam = n * (n + g + d + 1)
             assert apply_L2(p, g, d) == lam * p
+
+
+def apply_L2_conjugated(y, alpha, beta):
+    """apply_L2 through the divergence form, an independent oracle:
+    (x-1)^(-alpha) (x+1)^(-beta) * d/dx[(x-1)^(alpha+1) (x+1)^(beta+1) y'],
+    the conjugated recipe with k = 1 and an exact division; integer
+    parameters only.  operators._conjugated is read at call time, so a test
+    that rebinds it reaches this path too."""
+    a = nonneg_int("alpha", alpha)
+    b = nonneg_int("beta", beta)
+    return operators._conjugated(y, Poly.one(), 1, endpoint_weight(a + 1, b + 1),
+                                 endpoint_weight(a, b), Poly.one())
 
 
 def test_l2_conjugated_agrees():
@@ -225,6 +237,15 @@ def test_expand_rejects_unknown_kind():
         expand_operator("L3", Params(0, 0, 0, 0))
 
 
+def apply_expanded(op, y):
+    """y under an expanded operator, sum of coeff * y^(order) over its terms:
+    the oracle that expand_operator's tables reproduce the operators."""
+    out = Poly.zero()
+    for order, coeff in op.terms:
+        out = out + coeff * y.derive(order)
+    return out
+
+
 @settings(max_examples=20, deadline=None)
 @given(polys)
 def test_expanded_operator_reproduces_direct_application(y):
@@ -238,7 +259,7 @@ def test_expanded_operator_reproduces_direct_application(y):
     }
     for kind, direct in ops.items():
         op = expand_operator(kind, pr)
-        assert op.apply(y) == direct(y)
+        assert apply_expanded(op, y) == direct(y)
 
 
 @settings(max_examples=25, deadline=None)
@@ -257,7 +278,7 @@ def test_diffoperator_validation():
     with pytest.raises(InvalidParam):
         DiffOperator(terms=((0, Poly([1])),))  # order must be >= 1
     with pytest.raises(InvalidParam):
-        DiffOperator(terms=((2, Poly([1])), (1, Poly.x())))  # not increasing
+        DiffOperator(terms=((2, Poly([1])), (1, Poly([0, 1]))))  # not increasing
     with pytest.raises(InvalidParam):
         DiffOperator(terms=((1, Poly.zero()),))  # zero coefficient
 
@@ -272,7 +293,8 @@ def test_diffoperator_rejects_an_order_that_is_not_an_int():
 def test_diffoperator_apply():
     op = DiffOperator(terms=((1, Poly([0, 2])), (2, X2_MINUS_1)))
     y = Poly.monomial(3)
-    assert op.apply(y) == Poly([0, 2]) * (3 * Poly.monomial(2)) + X2_MINUS_1 * Poly([0, 6])
+    assert apply_expanded(op, y) == (Poly([0, 2]) * (3 * Poly.monomial(2))
+                                     + X2_MINUS_1 * Poly([0, 6]))
 
 
 def test_eigenvalue_wraps_exact_rationals():
@@ -390,14 +412,14 @@ def test_expand_operator_probes_only_order_plus_one_columns(monkeypatch, cold_ma
 
 @pytest.mark.parametrize("broken", [
     lambda y, a, b: y * F(1, 2),        # not an integer vector
-    lambda y, a, b: y * Poly.x(),       # degree k + 1
+    lambda y, a, b: y * Poly([0, 1]),       # degree k + 1
 ])
 def test_columns_reject_a_non_triangular_operator(monkeypatch, cold_matrices, broken):
     monkeypatch.setattr(operators, "apply_L2", broken)
     with pytest.raises(InconsistentExpansion):
         expand_operator("L2", Params(1, 0))
     with pytest.raises(InconsistentExpansion):
-        apply_combined(Poly.x(), Params(1, 0))
+        apply_combined(Poly([0, 1]), Params(1, 0))
 
 
 # ---------------- integer passes against their Poly-op oracles ----------------
@@ -452,10 +474,10 @@ def test_conjugated_matches_the_poly_op_recipe(monkeypatch):
 def test_conjugated_raises_when_the_strip_does_not_divide():
     # D[x^2 * D[x]] = 2x leaves remainder -2 on division by x+1
     with pytest.raises(NotDivisible, match=r"remainder Poly\('-2'\)"):
-        _conjugated(Poly.x(), Poly.one(), 1, Poly.x() ** 2, X_PLUS_1, Poly.one())
+        _conjugated(Poly([0, 1]), Poly.one(), 1, Poly([0, 1]) ** 2, X_PLUS_1, Poly.one())
     # D[x * D[x]] = 1 is nonzero and of lower degree than x+1
     with pytest.raises(NotDivisible, match="degree 0 < divisor degree 1"):
-        _conjugated(Poly.x(), Poly.one(), 1, Poly.x(), X_PLUS_1, Poly.one())
+        _conjugated(Poly([0, 1]), Poly.one(), 1, Poly([0, 1]), X_PLUS_1, Poly.one())
 
 
 def poly_op_factorized(kind, y, alpha, beta):

@@ -10,8 +10,35 @@ from genjacobi.report import Case, VerifyReport
 from genjacobi.verify import run_suite
 
 
+def case_record(case):
+    """One case as the JSON report lays it out, as a fresh dict."""
+    rec = {
+        "label": case.label,
+        "params": dict(case.params),
+        "n": case.n,
+        "residual": case.residual,
+        "pass": None if case.skipped else case.passed,
+    }
+    if case.skipped:
+        rec["skipped"] = True
+        rec["reason"] = case.reason
+    return rec
+
+
+def report_record(report):
+    """The whole report as the JSON report lays it out, as fresh dicts."""
+    return {
+        "suite": report.suite,
+        "grid": dict(report.grid),
+        "seed": report.seed,
+        "cases": [case_record(c) for c in report.cases],
+        "all_pass": report.all_pass,
+    }
+
+
 def dumped(report):
-    return json.dumps(report.to_record(), indent=2)
+    """to_json's oracle: the record through the stdlib encoder."""
+    return json.dumps(report_record(report), indent=2)
 
 
 # to_json renders each params mapping once per call, keyed by identity
@@ -58,9 +85,9 @@ def test_cases_hold_the_given_params_and_records_are_fresh():
     assert all(c.params is pstr for c in cases)
     report = VerifyReport("contract", grid={"nmax": "2"}, cases=cases)
     before = report.to_json()
-    record = cases[0].as_record()
+    record = case_record(cases[0])
     record["params"]["alpha"] = "9"
-    full = report.to_record()
+    full = report_record(report)
     full["grid"]["nmax"] = "9"
     for rec in full["cases"]:
         rec["params"]["M"] = "9"

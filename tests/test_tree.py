@@ -1,14 +1,20 @@
 """Repository hygiene that the code itself cannot see."""
 import ast
+import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from genjacobi import algebra
+from genjacobi.cli import FORMATS
+from genjacobi.operators import OPERATOR_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "genjacobi"
 MATH_LAYER = ("kernel", "algebra", "jacobi", "genjacobi", "operators", "inner")
 
 
@@ -121,3 +127,214 @@ def test_every_imported_name_is_read():
                 read.update(ast.literal_eval(node.value))
         unread = bound - read
         assert not unread, path.name
+
+
+# ---------------- src/ holds what the product reaches ----------------
+#
+# The product is the CLI: every command in every format, verify on the tiny
+# grid, and three runs that exit 2.  A probe runs it in a fresh process under
+# sys.setprofile, started before genjacobi is imported, so no lru cache warmed
+# by an earlier test hides a cached function's body.  Serial only: the
+# profiler sees one process, and pool workers run the functions a serial run
+# runs.
+
+_WEIGHTS = ["--alpha", "1", "--beta", "2", "--bigm", "1/3", "--bign", "2"]
+_TINY = ["--nmax", "2", "--alpha-max", "1", "--beta-max", "1", "--bigm", "1",
+         "--bign", "1", "--seed", "0"]
+_COMMANDS = {"poly": ["poly", "--n", "4", *_WEIGHTS],
+             "gram": ["gram", "--nmax", "3", *_WEIGHTS],
+             **{f"operator-table {kind}": ["operator-table", "--kind", kind, *_WEIGHTS]
+                for kind in OPERATOR_KINDS},
+             "verify": ["verify", *_TINY]}
+PRODUCT_RUNS = {f"{name} {fmt}": [*argv, "--format", fmt]
+                for name, argv in _COMMANDS.items() for fmt in FORMATS}
+# name -> (argv, GENJACOBI_THREADS)
+EXIT_2_RUNS = {"decimal mass": (["verify", "--bigm", "0.5"], "1"),
+               "negative index": (["poly", "--n", "-1"], "1"),
+               "zero threads": (["verify", *_TINY], "0")}
+
+_PROBE = r"""
+import hashlib, io, json, os, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+calls = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        calls.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(profile)
+from genjacobi.cli import main
+
+def run(argv, threads):
+    os.environ["GENJACOBI_THREADS"] = threads
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:          # argparse's usage errors
+        code = exc.code
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+runs, errors = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+runs = {name: run(argv, "1") for name, argv in runs.items()}
+errors = {name: run(argv, threads)[0] for name, (argv, threads) in errors.items()}
+sys.setprofile(None)
+package = os.path.dirname(os.path.realpath(sys.modules["genjacobi"].__file__))
+reached = sorted((os.path.basename(f), line) for f, line in calls
+                 if os.path.dirname(os.path.realpath(f)) == package)
+print(json.dumps({"runs": runs, "errors": errors, "reached": reached}))
+"""
+
+# sha256 of the stdout of each product run, taken before the test-only code
+# left src/; the verify json digest is the tiny workload's
+CLI_DIGESTS = {
+    "poly plain": "b8f398ed7074667309c4753e8287dfbca2b90cc695dd5809730eb7fcffc3fd0c",
+    "poly json": "7492b23ecc42b65cb61175b68d5f03d71bfbc2d6e7add29afa1c5b46d710466c",
+    "poly csv": "ee95665f4a299ef973fb79ee11821f70deba6f355ff41db985f0ebc8bb277546",
+    "poly latex": "c8e1f398d082f5f04c9d986f397557b90dd93af19cb0604f82eb3d5c5fd0334d",
+    "gram plain": "5adfb217b92b5b9f85cdf3bec5b38d899150bf517e5a2d548b7b4de2a781677e",
+    "gram json": "8649b6d35355d80974d5c4ca61b14679a4f0a6cbbf41f606212af2e06e519b37",
+    "gram csv": "f046a0fa44de3328511dbc6dfdade20e380a05f3d0592e01670d5bbdcab39d7e",
+    "gram latex": "ee0c1a704bc3c86247de090158e574fed5135002530676cf01e63fcfa8bd5b57",
+    "operator-table L2 plain": "db50f2867caa01c444e09f3283a893799c8f8b33a2202308af370f95ccccffcb",
+    "operator-table L2 json": "add2a855a9774a8ca0281f80436c6220510b3c3826043075a1bd78b71d7ef218",
+    "operator-table L2 csv": "0333ee01a75fe851ac03767a64523d26e0bfee00fb9b05615c8a7cc2f99c5aea",
+    "operator-table L2 latex": "a7c0ab8b7c15ecb0e31809b6f909959de15f73c2b56b8679071410a42fdbdd83",
+    "operator-table Ltilde plain":
+        "72a90ec86d7c783a833673b1506924fd99220bf75b4351767253890b81135c90",
+    "operator-table Ltilde json":
+        "617d239454d437933a1a84a144a83734ec1e2a777dfc382b7f4c0d3708fe5a1d",
+    "operator-table Ltilde csv":
+        "9545cea6769e12aa6dd0812a6ec873358e85619f2fbbb9c67a94e194c298ebb0",
+    "operator-table Ltilde latex":
+        "3a94ab3aa6481ccbd1cd965eb79804c06716bc07bda9647e41e39b5041343453",
+    "operator-table Lhat plain":
+        "4faa2b02e83972d49a3f44425fe4295033f76cd0bc469742d59d8e39cb1d5742",
+    "operator-table Lhat json":
+        "86359cf7fe6258a0aca30801a291043a63560fceeaf4a9de580fd6babba27321",
+    "operator-table Lhat csv":
+        "e245f757418b2fe7208ecfe5678e6cb069212a5f821cee7df5ed9b6c2589f381",
+    "operator-table Lhat latex":
+        "936b1c5198105c9f18a5230e2426b2a6635f8545b944bb92b8110c7701ad2ea7",
+    "operator-table Lfull plain":
+        "6a86b6df44c3b41b5ec252e2b5dd412500feb9beb648154eb20bc11d1efcbf5d",
+    "operator-table Lfull json":
+        "324c9bbbd79169b8722759ca9bb645d13f295ba072d7718957b80ee147b3462c",
+    "operator-table Lfull csv":
+        "0471848dd9c0a57a3e810a6c3da540786d5705eacd0b5ab0d9c39c48fb8cde48",
+    "operator-table Lfull latex":
+        "42c980b8857e8b1a2069bc847cf1ac5460b994d50aef7cbd6b5078b00208899c",
+    "operator-table Combined plain":
+        "bdd72fe69554d1770f479d8cfb2497a6fb23bf629422e03fedbfeb03a13e67c8",
+    "operator-table Combined json":
+        "5d691923dfbfe8c3b92253548697b577042510b4d22e8c81d589a102a2b21372",
+    "operator-table Combined csv":
+        "ed471c16e88919da3ad4af28667895128f4959d54712eae3e6d1012846157a2f",
+    "operator-table Combined latex":
+        "b078f7c7bbdf211b2a02f4d8b9bc1542ecad256200ad77ccea5d7cbabed49306",
+    "verify plain": "1a35e46daca7bbc3672bb2686451d3a43ebedc93e176de1456b9e478eb58e67a",
+    "verify json": "1865cc289c27d8cae23faf5c9fdfdb62f4c61020f83472d993d457df4ea61274",
+    "verify csv": "3003fd0966187fc463a85fc0c444a94d6b6ab0258095f1f7bdb2e1b2c0d1fd8f",
+    "verify latex": "e76cda1ee407c9554248609774262ab9664149d524fe70c58d3077738e94575a",
+}
+
+ACCEPTANCE = "the frozen tests/test_acceptance.py calls it"
+TRACER = "perfbench/tracer.py wraps it (HOT)"
+SCRIPT = "the console script in pyproject.toml"
+# every function in src/ that the product never enters, and why it stays
+UNREACHED = {
+    "algebra.Poly.reflect": ACCEPTANCE,
+    "genjacobi.Params.swapped": ACCEPTANCE,
+    "jacobi.jacobi_recurrence": ACCEPTANCE,
+    "inner.h_norm_integral": ACCEPTANCE,
+    "algebra.Poly.exact_div": TRACER,
+    "inner.weighted_integral": TRACER,
+    "cli.entry": SCRIPT,
+    "algebra.Poly.__setattr__": "the immutability guard",
+    "algebra.Poly.__eq__": "the value protocol",
+    "algebra.Poly.__hash__": "the value protocol",
+    "algebra.Poly.__repr__": "NotDivisible messages render the divisor with it",
+}
+
+
+@pytest.fixture(scope="module")
+def product_run():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(PRODUCT_RUNS),
+                           json.dumps(EXIT_2_RUNS)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _defined_functions() -> dict:
+    """(file name, first line) -> dotted name of every def and lambda in
+    src/genjacobi.  A decorated def is keyed by its first decorator's line,
+    which is the co_firstlineno of its code object."""
+    found = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                first = (getattr(child, "decorator_list", None) or [child])[0]
+                key = (path.name, first.lineno)
+                # the profiler tells code objects apart by their first line only
+                assert key not in found, f"{found.get(key)} and {name} start on one line"
+                found[key] = f"{path.stem}.{prefix}{name}"
+                walk(child, path, f"{prefix}{name}.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, f"{prefix}{child.name}.")
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    return found
+
+
+def test_src_defines_only_what_the_product_reaches(product_run):
+    # a function no product run enters belongs in the tests that use it, or
+    # nowhere, unless UNREACHED says why it stays
+    reached = {tuple(key) for key in product_run["reached"]}
+    unreached = sorted(name for key, name in _defined_functions().items()
+                       if key not in reached)
+    assert unreached == sorted(UNREACHED)
+
+
+def test_cli_output_bytes_are_pinned(product_run):
+    assert product_run["runs"] == {name: [0, digest] for name, digest in CLI_DIGESTS.items()}
+    assert product_run["errors"] == {name: 2 for name in EXIT_2_RUNS}
+
+
+def _names_read(path: Path) -> set:
+    """Every name a file imports, reads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_unreached_function_keeps_its_reason():
+    tomllib = pytest.importorskip("tomllib")
+    acceptance = _names_read(ROOT / "tests" / "test_acceptance.py")
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    hot = next(ast.literal_eval(node.value) for node in tracer.body
+               if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "HOT")
+    wrapped = {(module, attr) for module, attr, _ in hot}
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    scripts = set(pyproject["project"]["scripts"].values())
+    for name, reason in UNREACHED.items():
+        module, attr = name.split(".", 1)
+        if reason == ACCEPTANCE:
+            assert attr.rsplit(".", 1)[-1] in acceptance, name
+        elif reason == TRACER:
+            assert (module, attr) in wrapped, name
+        elif reason == SCRIPT:
+            assert f"genjacobi.{module}:{attr}" in scripts, name

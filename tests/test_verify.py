@@ -20,10 +20,16 @@ from genjacobi.operators import EigenValue
 from genjacobi.verify import (SplitMix64, SUITE_NAMES, random_poly, run_suite,
                               verify_cor24, verify_cor25, verify_duran,
                               verify_orthogonality, verify_prop22,
-                              verify_prop23, verify_symmetry,
-                              verify_theorem21)
+                              verify_prop23, verify_symmetry)
 
 F = Fraction
+
+
+def thm21_cases(nmax, params):
+    """The thm21 cases of one grid point, as run_suite composes them: the
+    combined eigen-equation for n <= nmax, then the expansion checks."""
+    return (verify._thm21_point(nmax, params)
+            + verify._expansion_cases(params.alpha, params.beta))
 
 
 def test_splitmix64_reference_values():
@@ -111,10 +117,9 @@ def test_random_poly_shape():
 
 
 def test_theorem21_passes():
-    rep = verify_theorem21(6, Params(1, 2, F(1, 3), 2))
-    assert rep.all_pass
-    assert rep.counts[0] == len(rep.cases)
-    labels = {c.label for c in rep.cases}
+    cases = thm21_cases(6, Params(1, 2, F(1, 3), 2))
+    assert all(c.passed for c in cases)
+    labels = {c.label for c in cases}
     assert "combined eigen-equation" in labels
     assert "effective order of two-mass operator" in labels
 
@@ -321,7 +326,6 @@ _INDEX_ARGS = {
     "eigen_high side n": (lambda v: gj.eigen_high("side", v, 1, 0), 0),
     "eigen_high full n": (lambda v: gj.eigen_high("full", v, 1, 0), 0),
     "eigen_combined n": (lambda v: gj.eigen_combined(v, _P), 0),
-    "verify_theorem21 nmax": (lambda v: verify_theorem21(v, _P), 0),
     "verify_prop22 nmax": (lambda v: verify_prop22(v, 1, 0), 0),
     "verify_prop23 nmax": (lambda v: verify_prop23(v, 1, 0), 0),
     "verify_cor24 nmax": (lambda v: verify_cor24(v, 1, 1), 0),
@@ -367,9 +371,8 @@ def test_corrupted_eigenvalue_is_caught(monkeypatch):
         return ev
 
     monkeypatch.setattr(verify, "eigen_combined", bad)
-    rep = verify_theorem21(5, Params(0, 0, 1, 1))
-    assert not rep.all_pass
-    failing = [c for c in rep.cases if not c.passed and not c.skipped]
+    cases = thm21_cases(5, Params(0, 0, 1, 1))
+    failing = [c for c in cases if not c.passed and not c.skipped]
     assert failing and all(c.n == 3 for c in failing)
 
 
@@ -530,9 +533,9 @@ def test_thm21_subsumes_cor24_point():
     # the (0,0) grid point of the general suite covers the classical
     # special case checked independently by cor24
     pr = Params(0, 0, 1, 1)
-    general = verify_theorem21(5, pr)
+    general = thm21_cases(5, pr)
     special = verify_cor24(5, 1, 1)
-    assert general.all_pass and special.all_pass
-    gen_ns = {c.n for c in general.cases if c.label == "combined eigen-equation"}
+    assert all(c.passed for c in general) and special.all_pass
+    gen_ns = {c.n for c in general if c.label == "combined eigen-equation"}
     spec_ns = {c.n for c in special.cases if c.n is not None}
     assert spec_ns <= gen_ns
