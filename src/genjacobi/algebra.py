@@ -191,9 +191,6 @@ class Poly:
         """Coefficients ascending by degree, as Fractions."""
         return tuple(Fraction(n, self.den) for n in self.nums)
 
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
     def __hash__(self):
         return hash((self.nums, self.den))
 

@@ -9,9 +9,14 @@ building blocks:
 where P_n is the classical Jacobi polynomial and Q_n, R_n, S_n are
 parameter-shifted Jacobi polynomials times the endpoint factors (x+1),
 (x-1), (x^2-1) with explicit rational coefficients.  Q_0, R_0, S_0, and S_1
-are zero by convention, which keeps every operation total in n.  The four
-blocks of each (n, alpha, beta) are built once and shared by every mass
-point; each gen_jacobi sums them in integers over one denominator.
+are zero by convention, which keeps every operation total in n.
+
+BLOCKS declares each block once, as data in t = x - 1: its scale, its
+parameter shift and its endpoint factor t + 2, t or t(t + 2).  _blocks builds
+the four t-vectors of each (n, alpha, beta) from the hypergeometric data of
+jacobi._jacobi_hyp, once for every mass point.  gen_jacobi sums them with the
+masses in integers over one denominator and makes one Taylor shift into
+powers of x; poly_Q, poly_R and poly_S are one Taylor shift of one block.
 """
 from __future__ import annotations
 
@@ -19,11 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
+from typing import NamedTuple, Optional
 
-from . import kernel
-from .algebra import (InvalidParam, Poly, X2_MINUS_1, X_MINUS_1, X_PLUS_1,
-                      as_rational, nonneg_int, pochhammer)
-from .jacobi import jacobi_poly
+from . import jacobi, kernel
+from .algebra import InvalidParam, Poly, as_rational, nonneg_int, pochhammer
 
 
 @dataclass(frozen=True)
@@ -82,25 +86,23 @@ def coeff_s(n: int, alpha: int, beta: int) -> Fraction:
             / (4 * (alpha + 1) * (beta + 1) * factorial(n - 1) * factorial(n)))
 
 
-def poly_Q(n: int, alpha: int, beta: int) -> Poly:
-    """Block vanishing at x = -1; zero polynomial for n = 0."""
-    if nonneg_int("polynomial index", n) == 0:
-        return Poly.zero()
-    return coeff_q(n, alpha, beta) * X_PLUS_1 * jacobi_poly(n - 1, alpha, beta + 2)
+class Block(NamedTuple):
+    """One building block: scale(n, alpha, beta) * factor(t) * P_m^(alpha+da, beta+db)
+    in t = x - 1, with m = n + 1 - len(factor); the zero polynomial for m < 0."""
+
+    scale: Optional[str]    # name of the scale function in this module, or None for 1
+    shift: tuple            # the parameter shift (da, db)
+    factor: tuple           # the endpoint factor's coefficients in powers of t
 
 
-def poly_R(n: int, alpha: int, beta: int) -> Poly:
-    """Block vanishing at x = +1; zero polynomial for n = 0."""
-    if nonneg_int("polynomial index", n) == 0:
-        return Poly.zero()
-    return coeff_r(n, alpha, beta) * X_MINUS_1 * jacobi_poly(n - 1, alpha + 2, beta)
-
-
-def poly_S(n: int, alpha: int, beta: int) -> Poly:
-    """Block vanishing at both endpoints; zero polynomial for n in {0, 1}."""
-    if nonneg_int("polynomial index", n) <= 1:
-        return Poly.zero()
-    return coeff_s(n, alpha, beta) * X2_MINUS_1 * jacobi_poly(n - 2, alpha + 2, beta + 2)
+# P, Q, R, S.  The scales are looked up by name on each build, so a function
+# rebound on the module is the one that runs.
+BLOCKS = (
+    Block(None, (0, 0), (1,)),
+    Block("coeff_q", (0, 2), (2, 1)),       # x + 1 = t + 2
+    Block("coeff_r", (2, 0), (0, 1)),       # x - 1 = t
+    Block("coeff_s", (2, 2), (0, 2, 1)),    # x^2 - 1 = t(t + 2)
+)
 
 
 # the grid runner visits one (alpha, beta) at a time, and 64 entries hold all
@@ -108,23 +110,59 @@ def poly_S(n: int, alpha: int, beta: int) -> Poly:
 # gen_jacobi's entries on a grid with one mass point, where nothing is shared
 @lru_cache(maxsize=64)
 def _blocks(n: int, alpha: int, beta: int) -> tuple:
-    """(P_n, Q_n, R_n, S_n) at (alpha, beta), built once for every mass point."""
-    return (jacobi_poly(n, alpha, beta), poly_Q(n, alpha, beta),
-            poly_R(n, alpha, beta), poly_S(n, alpha, beta))
+    """(nums, den) of P_n, Q_n, R_n, S_n at (alpha, beta), each block
+    sum nums[k] t^k / den with t = x - 1; built once for every mass point."""
+    out = []
+    for block in BLOCKS:
+        m = n + 1 - len(block.factor)
+        if m < 0:
+            out.append(((), 1))
+            continue
+        da, db = block.shift
+        nums, den = jacobi._jacobi_hyp(m, alpha + da, beta + db)
+        if block.scale:
+            scale = globals()[block.scale](n, alpha, beta)
+            nums = tuple(c * scale.numerator for c in kernel.conv(block.factor, nums))
+            den *= scale.denominator
+        out.append((nums, den))
+    return tuple(out)
+
+
+def _block_poly(index: int, n: int, alpha: int, beta: int) -> Poly:
+    """Block `index` of BLOCKS at (n, alpha, beta), shifted into powers of x."""
+    nums, den = _blocks(nonneg_int("polynomial index", n), nonneg_int("alpha", alpha),
+                        nonneg_int("beta", beta))[index]
+    return Poly._norm(kernel.taylor_shift(nums), den)
+
+
+def poly_Q(n: int, alpha: int, beta: int) -> Poly:
+    """Block vanishing at x = -1; zero polynomial for n = 0."""
+    return _block_poly(1, n, alpha, beta)
+
+
+def poly_R(n: int, alpha: int, beta: int) -> Poly:
+    """Block vanishing at x = +1; zero polynomial for n = 0."""
+    return _block_poly(2, n, alpha, beta)
+
+
+def poly_S(n: int, alpha: int, beta: int) -> Poly:
+    """Block vanishing at both endpoints; zero polynomial for n in {0, 1}."""
+    return _block_poly(3, n, alpha, beta)
 
 
 @lru_cache(maxsize=8192)
 def _gen_jacobi_cached(n: int, params: Params) -> Poly:
-    """P_n + M Q_n + N R_n + M N S_n, summed in integers over one denominator."""
+    """P_n + M Q_n + N R_n + M N S_n, summed in integers over one denominator
+    in powers of t = x - 1, then shifted once into powers of x."""
     nums, den = [], 1
-    for mass, block in zip(params.masses, _blocks(n, params.alpha, params.beta)):
+    for mass, (block, block_den) in zip(params.masses, _blocks(n, params.alpha, params.beta)):
         if mass and block:
-            scale = mass.denominator * block.den
+            scale = mass.denominator * block_den
             total = lcm(den, scale)
-            nums = kernel.add_scaled(nums, total // den, block.nums,
+            nums = kernel.add_scaled(nums, total // den, block,
                                      mass.numerator * (total // scale))
             den = total
-    return Poly._norm(nums, den)
+    return Poly._norm(kernel.taylor_shift(nums), den)
 
 
 def gen_jacobi(n: int, params: Params) -> Poly:

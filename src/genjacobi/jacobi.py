@@ -4,6 +4,11 @@ Two independent construction routes are provided: the terminating
 hypergeometric sum (primary) and the three-term recurrence (oracle).  They
 must agree coefficient for coefficient; the test suite enforces this.
 
+The hypergeometric sum is a sum in powers of t = x - 1.  _jacobi_hyp keeps
+those coefficients, as integers over one denominator, and is the one cached
+source of them: jacobi_poly makes one Taylor shift of them into powers of x,
+and the generalized blocks of genjacobi are built from the same data.
+
 Parameters stay rational (not just integer) because the differentiation
 identities shift them by one in each direction and the polynomials remain
 exact for any rational parameter > -1.
@@ -14,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
+from . import kernel
 from .algebra import InvalidParam, Poly, RationalLike, as_rational, nonneg_int
 
 
@@ -35,14 +41,17 @@ def jacobi_poly(n: int, gamma: RationalLike, delta: RationalLike) -> Poly:
     Evaluates the terminating hypergeometric sum exactly.  The leading
     coefficient is (n+gamma+delta+1)_n / (2^n n!).
     """
-    return _jacobi_hyp(n, *_checked(n, gamma, delta))
+    nums, den = _jacobi_hyp(n, *_checked(n, gamma, delta))
+    return Poly._norm(kernel.taylor_shift(nums), den)
 
 
 @lru_cache(maxsize=8192)
-def _jacobi_hyp(n: int, gamma: Fraction, delta: Fraction) -> Poly:
-    # (gamma+1)_n / n! * sum_k (-n)_k (n+gamma+delta+1)_k / ((gamma+1)_k k!) ((1-x)/2)^k.
+def _jacobi_hyp(n: int, gamma: Fraction, delta: Fraction) -> tuple:
+    """(nums, den) with P_n^(gamma, delta) = sum_k nums[k] t^k / den, t = x - 1,
+    not reduced.  gamma and delta may also be ints."""
+    # (gamma+1)_n / n! * sum_k (-n)_k (n+gamma+delta+1)_k / ((gamma+1)_k k!) (-t/2)^k.
     # Folding the prefactor in, term k is C(n,k) (n+gamma+delta+1)_k
-    # (gamma+k+1)_(n-k) / n! * ((x-1)/2)^k.  With gamma = g/q and delta = d/q
+    # (gamma+k+1)_(n-k) / n! * (t/2)^k.  With gamma = g/q and delta = d/q
     # both Pochhammer products run over integers and share the denominator
     # q^n, so the sum is accumulated in integers over q^n n! 2^n.
     q = lcm(gamma.denominator, delta.denominator)
@@ -51,15 +60,12 @@ def _jacobi_hyp(n: int, gamma: Fraction, delta: Fraction) -> Poly:
     suffix = [1] * (n + 1)          # suffix[k] = prod_{k <= i < n} (g + (i+1) q)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] * (g + (i + 1) * q)
-    coeffs = []                     # coefficients in powers of (x-1)
+    coeffs = []
     prefix = 1                      # prod_{i < k} (s + i q)
     for k in range(n + 1):
         coeffs.append(comb(n, k) * prefix * suffix[k] << (n - k))
         prefix *= s + k * q
-    for i in range(n):              # Taylor shift: powers of (x-1) -> powers of x
-        for j in range(n - 1, i - 1, -1):
-            coeffs[j] -= coeffs[j + 1]
-    return Poly._norm(coeffs, q ** n * factorial(n) << n)
+    return tuple(coeffs), q ** n * factorial(n) << n
 
 
 def jacobi_recurrence(n: int, gamma: RationalLike, delta: RationalLike) -> Poly:

@@ -1,6 +1,6 @@
 """Integer vector kernels.
 
-These three functions are the hot path of every exact polynomial operation:
+These four functions are the hot path of every exact polynomial operation:
 coefficient vectors are sequences of Python ints (numerators over a shared
 denominator, managed by the caller).  The kernels only read their inputs and
 return new lists, so callers pass the tuples a polynomial holds as they are.
@@ -31,6 +31,16 @@ def add_scaled(a, sa, b, sb):
     res = [x * sa for x in a]
     for i in range(lb):
         res[i] += b[i] * sb
+    return res
+
+
+def taylor_shift(a):
+    """Coefficients of sum a[k] (x - 1)^k in powers of x: the Taylor shift
+    by -1, in O(len(a)^2) subtractions."""
+    res = list(a)
+    for i in range(len(res) - 1):
+        for j in range(len(res) - 2, i - 1, -1):
+            res[j] -= res[j + 1]
     return res
 
 

@@ -123,7 +123,7 @@ def _conjugated(y: Poly, v: Poly, k: int, w: Poly, strip: Poly, factor: Poly) ->
     Computed on integer vectors and normalized once."""
     if y.is_zero:
         return y
-    inner = derive_nums(kernel.conv(v.nums, y.nums), k)
+    inner = derive_nums(kernel.conv(y.nums, v.nums), k)
     nums = derive_nums(kernel.conv(w.nums, inner), k) if inner else []
     if not nums:
         return Poly.zero()

@@ -6,10 +6,11 @@ from itertools import product
 import pytest
 
 from genjacobi import genjacobi as gj
-from genjacobi.algebra import InvalidParam, Poly, X_MINUS_1, X_PLUS_1
+from genjacobi import jacobi
+from genjacobi.algebra import InvalidParam, Poly, X2_MINUS_1, X_MINUS_1, X_PLUS_1
 from genjacobi.genjacobi import (Params, coeff_q, coeff_r, coeff_s, gen_jacobi,
                                  poly_Q, poly_R, poly_S)
-from genjacobi.jacobi import jacobi_poly
+from genjacobi.jacobi import jacobi_poly, jacobi_recurrence
 
 F = Fraction
 
@@ -91,6 +92,36 @@ def test_gen_jacobi_is_weighted_sum():
             want = (jacobi_poly(n, a, b) + pr.M * poly_Q(n, a, b)
                     + pr.N * poly_R(n, a, b) + pr.M * pr.N * poly_S(n, a, b))
             assert gen_jacobi(n, pr) == want, (pr, n)
+
+
+def test_gen_jacobi_equals_the_recurrence_recipe():
+    # the blocks as Poly products of recurrence-built Jacobi polynomials, an
+    # independent route to the t-data, the endpoint factors and the Taylor shift
+    masses = (0, F(1, 3), 1, 2)
+    for a, b in product(range(4), range(4)):
+        for n in range(15):
+            blocks = [jacobi_recurrence(n, a, b), Poly.zero(), Poly.zero(), Poly.zero()]
+            if n >= 1:
+                blocks[1] = coeff_q(n, a, b) * X_PLUS_1 * jacobi_recurrence(n - 1, a, b + 2)
+                blocks[2] = coeff_r(n, a, b) * X_MINUS_1 * jacobi_recurrence(n - 1, a + 2, b)
+            if n >= 2:
+                blocks[3] = (coeff_s(n, a, b) * X2_MINUS_1
+                             * jacobi_recurrence(n - 2, a + 2, b + 2))
+            for M, N in product(masses, masses):
+                want = blocks[0] + M * blocks[1] + N * blocks[2] + M * N * blocks[3]
+                assert gen_jacobi(n, Params(a, b, M, N)) == want, (a, b, M, N, n)
+
+
+def test_hypergeometric_t_data_equals_the_recurrence():
+    # sum nums[k] (x - 1)^k / den in Poly operations, without the Taylor shift
+    for g, d in ((F(1, 2), F(-1, 3)), (F(-1, 2), F(7, 3)), (F(0), F(5, 4)), (F(3), F(2))):
+        for n in range(10):
+            nums, den = jacobi._jacobi_hyp(n, g, d)
+            assert len(nums) == n + 1
+            total = Poly.zero()
+            for k, c in enumerate(nums):
+                total = total + F(c, den) * X_MINUS_1 ** k
+            assert total == jacobi_recurrence(n, g, d), (g, d, n)
 
 
 def test_blocks_are_built_once_for_every_mass_point():

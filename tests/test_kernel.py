@@ -13,6 +13,13 @@ def test_add_scaled_basic():
     assert kernel.add_scaled([1], 1, [0, 0, 7], -1) == [1, 0, -7]
 
 
+def test_taylor_shift_basic():
+    assert kernel.taylor_shift([5]) == [5]
+    assert kernel.taylor_shift([0, 0, 1]) == [1, -2, 1]           # (x - 1)^2
+    assert kernel.taylor_shift((1, 2, 3)) == [2, -4, 3]           # 1 + 2(x-1) + 3(x-1)^2
+    assert kernel.taylor_shift(()) == []
+
+
 def test_vec_gcd_basic():
     assert kernel.vec_gcd([]) == 0
     assert kernel.vec_gcd([0, 0]) == 0
@@ -25,9 +32,9 @@ def test_kernels_read_tuples_and_return_new_lists():
     for a, b in (((1, 2, 3), (4, 5)), ((4, 5), (1, 2, 3))):
         la, lb = list(a), list(b)
         from_lists = [kernel.conv(la, lb), kernel.add_scaled(la, 2, lb, -1),
-                      kernel.add_scaled(la, 1, lb, 1)]
+                      kernel.add_scaled(la, 1, lb, 1), kernel.taylor_shift(la)]
         from_tuples = [kernel.conv(a, b), kernel.add_scaled(a, 2, b, -1),
-                       kernel.add_scaled(a, 1, b, 1)]
+                       kernel.add_scaled(a, 1, b, 1), kernel.taylor_shift(a)]
         assert from_tuples == from_lists
         for res in from_lists + from_tuples:
             assert type(res) is list and res is not la and res is not lb

@@ -1,13 +1,13 @@
 """Mutation guard: every deliberately wrong formula must be caught.
 
 A grid of zero residuals is evidence only if a wrong formula would have
-left a nonzero one.  Each mutant below rebinds one function by name in
-every genjacobi module that holds it, with all memo caches cleared, and
-runs every suite serially on a tiny grid.  A mutant is killed when at
-least one suite fails or raises.  The tiny grid has alpha != beta points,
-because several mutants are invisible at alpha = beta, and nmax 3, because
-S_2 multiplies the constant P_0 and 0! = 1!, so a wrong parameter shift or
-factorial in the S block is invisible at nmax 2.
+left a nonzero one.  Each mutant below rebinds one function or table by
+name in every genjacobi module that holds it, with all memo caches
+cleared, and runs every suite serially on a tiny grid.  A mutant is killed
+when at least one suite fails or raises.  The tiny grid has alpha != beta
+points, because several mutants are invisible at alpha = beta, and nmax 3,
+because S_2 multiplies the constant P_0 and 0! = 1!, so a wrong parameter
+shift or factorial in the S block is invisible at nmax 2.
 """
 import contextlib
 import dataclasses
@@ -16,7 +16,7 @@ import sys
 
 from test_caches import _lru_caches
 
-from genjacobi import algebra, cli, genjacobi, inner, jacobi, operators
+from genjacobi import algebra, cli, genjacobi, inner, jacobi, kernel, operators
 from genjacobi.algebra import X2_MINUS_1, X_MINUS_1, X_PLUS_1, Poly, pochhammer
 from genjacobi.operators import EigenValue
 from genjacobi.verify import SUITE_NAMES, run_suite
@@ -83,18 +83,18 @@ def _moments_shifted(orig):
     return mutant
 
 
-def _poly_s_shifted(orig):
-    def mutant(n, alpha, beta):
-        if n <= 1:
-            return orig(n, alpha, beta)
-        return (genjacobi.coeff_s(n, alpha, beta) * X2_MINUS_1
-                * jacobi.jacobi_poly(n - 2, alpha + 2, beta + 3))
+def _hyp_doubled_at_one(orig):
+    def mutant(n, gamma, delta):
+        nums, den = orig(n, gamma, delta)
+        return (tuple(2 * c for c in nums) if n == 1 else nums), den
     return mutant
 
 
-def _jacobi_scaled_at_one(orig):
-    def mutant(n, gamma, delta):
-        return orig(n, gamma, delta) * (2 if n == 1 else 1)
+def _shift_by_plus_one(orig):
+    # sum a_k (x + 1)^k is q(-x) for q(x) = sum (-1)^k a_k (x - 1)^k
+    def mutant(a):
+        shifted = orig([-c if k & 1 else c for k, c in enumerate(a)])
+        return [-c if k & 1 else c for k, c in enumerate(shifted)]
     return mutant
 
 
@@ -111,6 +111,14 @@ def _recipe_outer_short(orig):
     return mutant
 
 
+def _block_replaced(index, **fields):
+    """A factory of genjacobi.BLOCKS with row `index` given new fields."""
+    def factory(orig):
+        return tuple(row._replace(**fields) if i == index else row
+                     for i, row in enumerate(orig))
+    return factory
+
+
 def _component_replaced(kind, change):
     """A factory of operators.components with the row of `kind` replaced by
     change(row, alpha, beta)."""
@@ -122,7 +130,7 @@ def _component_replaced(kind, change):
     return factory
 
 
-# name -> (module that defines the function, attribute, factory(original))
+# name -> (module that defines the function or table, attribute, factory(original))
 MUTANTS = {
     "apply_Lfull with matched exponents": (operators, "apply_Lfull", _lfull_matched),
     "apply_L2 with alpha and beta swapped":
@@ -135,7 +143,7 @@ MUTANTS = {
     # factorial(n - 2) for factorial(n - 1) in the denominator: equal at n = 2
     "coeff_s with factorial(n-2)":
         (genjacobi, "coeff_s", lambda f: lambda n, a, b: (n - 1) * f(n, a, b)),
-    "poly_S with beta+3 for beta+2": (genjacobi, "poly_S", _poly_s_shifted),
+    "poly_S with beta+3 for beta+2": (genjacobi, "BLOCKS", _block_replaced(3, shift=(2, 3))),
     "eigen_combined without the M*N term": (operators, "eigen_combined", _eigen_without_mn),
     "eigen_high side with alpha+1 for alpha+2":
         (operators, "eigen_high", _side_eigen_shifted),
@@ -145,7 +153,7 @@ MUTANTS = {
     "boundary_closed_forms with ltilde_pos1 doubled":
         (inner, "boundary_closed_forms", _ltilde_pos1_doubled),
     "h_norm doubled": (inner, "h_norm", lambda f: lambda a, b: 2 * f(a, b)),
-    "jacobi_poly doubled at degree 1": (jacobi, "jacobi_poly", _jacobi_scaled_at_one),
+    "jacobi_poly doubled at degree 1": (jacobi, "_jacobi_hyp", _hyp_doubled_at_one),
     "moment vector shifted by one": (inner, "_normalized_moments", _moments_shifted),
     "Ltilde's norm as const_b(a, b)": (operators, "components", _component_replaced(
         "Ltilde", lambda row, a, b: row._replace(norm=operators.const_b(a, b)))),
@@ -160,6 +168,9 @@ MUTANTS = {
         (algebra, "endpoint_weight", lambda f: lambda p, q: f(p, q + 1)),
     "endpoint_weight with p and q swapped":
         (algebra, "endpoint_weight", lambda f: lambda p, q: f(q, p)),
+    "Taylor shift by +1 for -1": (kernel, "taylor_shift", _shift_by_plus_one),
+    "Q row's endpoint factor t+1 for t+2":
+        (genjacobi, "BLOCKS", _block_replaced(1, factor=(1, 1))),
 }
 
 
@@ -225,6 +236,8 @@ PINNED_KILLS = {
     "recipe with the outer derivative one short": "EFF.FFE.",
     "endpoint_weight with q+1": "EEEFEEEF",
     "endpoint_weight with p and q swapped": "FFFFFFFF",
+    "Taylor shift by +1 for -1": "FFEFFF.F",
+    "Q row's endpoint factor t+1 for t+2": "FFEFFF.F",
 }
 
 
