@@ -84,7 +84,7 @@ def _canonical(nums: list, den: int) -> tuple:
     if den < 0:
         den = -den
         nums = [-n for n in nums]
-    g = gcd(kernel.vec_gcd(nums), den)
+    g = kernel.vec_gcd(nums, den)
     if g > 1:
         den //= g
         nums = [n // g for n in nums]

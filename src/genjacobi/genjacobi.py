@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import NamedTuple, Optional
 
 from . import jacobi, kernel
-from .algebra import InvalidParam, Poly, as_rational, nonneg_int, pochhammer
+from .algebra import InvalidParam, Poly, as_rational, nonneg_int
 
 
 @dataclass(frozen=True)
@@ -65,25 +65,35 @@ class Params:
         return Fraction(1), self.M, self.N, self.M * self.N
 
 
+# The block scales are ratios of Pochhammer symbols (c)_k = c(c+1)...(c+k-1)
+# at integer c, so each is one Fraction of two integer products.
+
 def coeff_q(n: int, alpha: int, beta: int) -> Fraction:
-    """Scale factor of the (x+1)-block, defined for n >= 1."""
+    """Scale factor of the (x+1)-block, defined for n >= 1:
+    (alpha+beta+2)_n (beta+2)_(n-1) / (2 n! (alpha+1)_(n-1))."""
     nonneg_int("coeff_q index", n, 1)
-    return (pochhammer(alpha + beta + 2, n) * pochhammer(beta + 2, n - 1)
-            / (2 * factorial(n) * pochhammer(alpha + 1, n - 1)))
+    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
+    return Fraction(prod(range(a + b + 2, a + b + 2 + n)) * prod(range(b + 2, b + n + 1)),
+                    2 * factorial(n) * prod(range(a + 1, a + n)))
 
 
 def coeff_r(n: int, alpha: int, beta: int) -> Fraction:
-    """Scale factor of the (x-1)-block, defined for n >= 1."""
+    """Scale factor of the (x-1)-block, defined for n >= 1:
+    (alpha+beta+2)_n (alpha+2)_(n-1) / (2 n! (beta+1)_(n-1))."""
     nonneg_int("coeff_r index", n, 1)
-    return (pochhammer(alpha + beta + 2, n) * pochhammer(alpha + 2, n - 1)
-            / (2 * factorial(n) * pochhammer(beta + 1, n - 1)))
+    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
+    return Fraction(prod(range(a + b + 2, a + b + 2 + n)) * prod(range(a + 2, a + n + 1)),
+                    2 * factorial(n) * prod(range(b + 1, b + n)))
 
 
 def coeff_s(n: int, alpha: int, beta: int) -> Fraction:
-    """Scale factor of the (x^2-1)-block, defined for n >= 2."""
+    """Scale factor of the (x^2-1)-block, defined for n >= 2:
+    (alpha+beta+2)_n (alpha+beta+2)_(n+1) / (4 (alpha+1)(beta+1) (n-1)! n!)."""
     nonneg_int("coeff_s index", n, 2)
-    return (pochhammer(alpha + beta + 2, n) * pochhammer(alpha + beta + 2, n + 1)
-            / (4 * (alpha + 1) * (beta + 1) * factorial(n - 1) * factorial(n)))
+    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
+    rising = prod(range(a + b + 2, a + b + 2 + n))
+    return Fraction(rising * rising * (a + b + 2 + n),
+                    4 * (a + 1) * (b + 1) * factorial(n - 1) * factorial(n))
 
 
 class Block(NamedTuple):

@@ -5,7 +5,10 @@ coefficient vectors are sequences of Python ints (numerators over a shared
 denominator, managed by the caller).  The kernels only read their inputs and
 return new lists, so callers pass the tuples a polynomial holds as they are.
 Callers reach them as attributes of this module (``kernel.conv(...)``), so a
-profiler can wrap them in place.
+profiler can wrap them in place.  conv skips the zeros of its first operand,
+so callers pass the sparser vector first.  vec_gcd takes a seed: normalizing
+a polynomial seeds it with the denominator, so an integer vector (denominator
+1) costs no gcd at all.
 """
 from math import gcd
 
@@ -44,11 +47,8 @@ def taylor_shift(a):
     return res
 
 
-def vec_gcd(a):
-    """gcd of all entries (nonnegative; 0 for an empty or all-zero list)."""
-    g = 0
-    for v in a:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
+def vec_gcd(a, g=0):
+    """gcd of g and all entries (nonnegative; g for an empty list, 0 if all
+    are zero).  One math.gcd call, which stops computing once it reaches 1,
+    so a seed g = 1 costs no gcd at all."""
+    return gcd(g, *a)

@@ -26,7 +26,10 @@ is solved from the same columns.
 Also provided: factorized forms (products of shifted second-order factors),
 an alternative product form for the order-(2*beta+4) operator, expansion of
 any operator into explicit coefficient polynomials per derivative order, and
-the exact eigenvalues of all of them.  The factorized and product forms run
+the exact eigenvalues of all of them; the higher-order eigenvalues are
+integers, products of integer ranges.  eigen_residual forms every
+eigen-equation's residual (L - lambda) y from the image L y in one integer
+pass with one normalization.  The factorized and product forms run
 one integer pass per factor (_shifted_L2): the image from apply_L2 plus a
 constant shift and exact endpoint-pole divisions, summed over one
 denominator and normalized once.  Each factor calls apply_L2 by its module
@@ -43,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import add, sub
 from typing import Callable, NamedTuple
 
@@ -124,7 +127,7 @@ def _conjugated(y: Poly, v: Poly, k: int, w: Poly, strip: Poly, factor: Poly) ->
     if y.is_zero:
         return y
     inner = derive_nums(kernel.conv(y.nums, v.nums), k)
-    nums = derive_nums(kernel.conv(w.nums, inner), k) if inner else []
+    nums = derive_nums(kernel.conv(inner, w.nums), k) if inner else []
     if not nums:
         return Poly.zero()
     den = v.den * y.den * w.den
@@ -160,6 +163,15 @@ def apply_Lfull(y: Poly, alpha: int, beta: int) -> Poly:
     b = nonneg_int("beta", beta)
     return _conjugated(y, endpoint_weight(a + 1, b + 1), a + b + 3,
                        endpoint_weight(b + 1, a + 1), Poly.one(), X2_MINUS_1)
+
+
+def eigen_residual(image: Poly, lam: Fraction, y: Poly) -> Poly:
+    """image - lam * y: the residual of the eigen-equation L y = lam y, given
+    image = L y.  One integer pass over image.den * y.den * lam.denominator
+    and one normalization."""
+    p, q = lam.numerator, lam.denominator
+    return Poly._norm(kernel.add_scaled(image.nums, y.den * q, y.nums, -p * image.den),
+                      image.den * y.den * q)
 
 
 def apply_combined(y: Poly, params: Params) -> Poly:
@@ -384,7 +396,8 @@ def eigen_lambda2(n: int, alpha: RationalLike, beta: RationalLike) -> EigenValue
 
 
 def eigen_high(kind: str, n: int, alpha: int, beta: int) -> EigenValue:
-    """Eigenvalue of a higher-order mass operator.
+    """Eigenvalue of a higher-order mass operator, a product of two integer
+    ranges.
 
     kind "side" is the order-(2*alpha+4) operator paired with poly_R; for
     the mirror operator paired with poly_Q pass swapped parameters.  kind
@@ -393,10 +406,10 @@ def eigen_high(kind: str, n: int, alpha: int, beta: int) -> EigenValue:
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
     nonneg_int("polynomial index", n)
-    if kind == "side":
-        return EigenValue(pochhammer(n, a + 2) * pochhammer(n + b, a + 2))
-    if kind == "full":
-        return EigenValue(pochhammer(n - 1, a + b + 3) * pochhammer(n, a + b + 3))
+    if kind == "side":      # (n)_(alpha+2) (n+beta)_(alpha+2)
+        return EigenValue(prod(range(n, n + a + 2)) * prod(range(n + b, n + b + a + 2)))
+    if kind == "full":      # (n-1)_(alpha+beta+3) (n)_(alpha+beta+3)
+        return EigenValue(prod(range(n - 1, n + a + b + 2)) * prod(range(n, n + a + b + 3)))
     raise InvalidParam(f"kind must be 'side' or 'full', got {kind!r}")
 
 
@@ -456,7 +469,7 @@ class Component(NamedTuple):
     def minus_eigen(self, n: int, a: int, b: int) -> Callable:
         """y -> apply(y) - eigen(n) y, zero on the block of degree n."""
         lam = self.eigen(n)
-        return lambda y: self.apply(y, a, b) - lam * y
+        return lambda y: eigen_residual(self.apply(y, a, b), lam, y)
 
 
 def components(alpha: int, beta: int) -> tuple:

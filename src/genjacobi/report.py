@@ -7,7 +7,8 @@ as skipped with the violated precondition; skipped cases never count as
 passes, and ``all_pass`` quantifies over the non-skipped cases only.
 
 Serialization is lossless: every number is an exact string, so JSON and CSV
-round-trip without approximation.
+round-trip without approximation.  A zero residual, the passing case, renders
+as "0" without formatting any number.
 """
 from __future__ import annotations
 
@@ -24,10 +25,11 @@ ResidualLike = Union[Poly, Fraction, int]
 
 
 def render_value(value: ResidualLike) -> str:
-    """Exact text for a polynomial or rational result."""
+    """Exact text for a polynomial or rational result; "0" for a zero one,
+    before any formatting."""
     if isinstance(value, Poly):
-        return str(value)
-    return format_rational(value)
+        return str(value) if value.nums else "0"
+    return format_rational(value) if value else "0"
 
 
 class Case(NamedTuple):

@@ -2,12 +2,13 @@
 import pickle
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 
 from genjacobi import genjacobi as gj
 from genjacobi import jacobi
-from genjacobi.algebra import InvalidParam, Poly, X2_MINUS_1, X_MINUS_1, X_PLUS_1
+from genjacobi.algebra import InvalidParam, Poly, X2_MINUS_1, X_MINUS_1, X_PLUS_1, pochhammer
 from genjacobi.genjacobi import (Params, coeff_q, coeff_r, coeff_s, gen_jacobi,
                                  poly_Q, poly_R, poly_S)
 from genjacobi.jacobi import jacobi_poly, jacobi_recurrence
@@ -44,6 +45,32 @@ def test_coeff_domain_errors():
         coeff_r(0, 1, 1)
     with pytest.raises(InvalidParam):
         coeff_s(1, 0, 0)
+    # alpha and beta are checked ints: a rational or bool weight exponent is refused
+    for coeff in (coeff_q, coeff_r, coeff_s):
+        for bad in (F(1), F(1, 2), True, -1):
+            with pytest.raises(InvalidParam):
+                coeff(2, bad, 0)
+            with pytest.raises(InvalidParam):
+                coeff(2, 0, bad)
+
+
+# the scales as products and quotients of Pochhammer Fractions, the recipe
+# the integer ratios in src replaced
+ORACLE_SCALES = {
+    coeff_q: (1, lambda n, a, b: pochhammer(a + b + 2, n) * pochhammer(b + 2, n - 1)
+              / (2 * factorial(n) * pochhammer(a + 1, n - 1))),
+    coeff_r: (1, lambda n, a, b: pochhammer(a + b + 2, n) * pochhammer(a + 2, n - 1)
+              / (2 * factorial(n) * pochhammer(b + 1, n - 1))),
+    coeff_s: (2, lambda n, a, b: pochhammer(a + b + 2, n) * pochhammer(a + b + 2, n + 1)
+              / (4 * (a + 1) * (b + 1) * factorial(n - 1) * factorial(n))),
+}
+
+
+def test_coeff_equals_the_pochhammer_recipe():
+    for coeff, (least, oracle) in ORACLE_SCALES.items():
+        for n, a, b in product(range(least, 21), range(7), range(7)):
+            got = coeff(n, a, b)
+            assert type(got) is Fraction and got == oracle(n, a, b), (coeff.__name__, n, a, b)
 
 
 def test_block_anchors():

@@ -1,5 +1,9 @@
-"""The integer vector kernels on small hand-checked inputs."""
+"""The integer vector kernels on small hand-checked inputs, and the seeded gcd
+that normalizes every Poly."""
+from hypothesis import given, settings, strategies as st
+
 from genjacobi import kernel
+from genjacobi.algebra import _canonical
 
 
 def test_conv_basic():
@@ -25,6 +29,27 @@ def test_vec_gcd_basic():
     assert kernel.vec_gcd([0, 0]) == 0
     assert kernel.vec_gcd([-4, 6]) == 2
     assert kernel.vec_gcd([3, 5]) == 1
+
+
+def test_vec_gcd_seeded():
+    assert kernel.vec_gcd([], 5) == 5
+    assert kernel.vec_gcd([6, 9], 4) == 1
+    assert kernel.vec_gcd([6, 9], 12) == 3
+    assert kernel.vec_gcd([-4, 6], 0) == 2
+    assert kernel.vec_gcd([0, 0], 7) == 7
+    assert kernel.vec_gcd((-8, 12), 1) == 1
+
+
+ints = st.integers(min_value=-10**30, max_value=10**30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ints, min_size=1, max_size=8), st.integers(min_value=2, max_value=10**40))
+def test_canonical_is_the_same_over_den_1_and_a_large_den(nums, den):
+    # den 1 takes the seeded gcd's early stop; a large den runs every gcd
+    # step: the pair nums * den / den must come out as nums / 1 either way
+    assert _canonical(list(nums), 1) == _canonical([n * den for n in nums], den)
+    assert _canonical([n * den for n in nums], -den) == _canonical([-n for n in nums], 1)
 
 
 def test_kernels_read_tuples_and_return_new_lists():

@@ -7,13 +7,17 @@ cleared, and runs every suite serially on a tiny grid.  A mutant is killed
 when at least one suite fails or raises.  The tiny grid has alpha != beta
 points, because several mutants are invisible at alpha = beta, and nmax 3,
 because S_2 multiplies the constant P_0 and 0! = 1!, so a wrong parameter
-shift or factorial in the S block is invisible at nmax 2.
+shift or factorial in the S block is invisible at nmax 2.  The JSON report
+of every suite a mutant fails is pinned by its sha256, from the same runs as
+the kill matrix, so a residual computed by a new route must render exactly as
+before.
 """
 import contextlib
 import dataclasses
 import hashlib
 import sys
 
+import pytest
 from test_caches import _lru_caches
 
 from genjacobi import algebra, cli, genjacobi, inner, jacobi, kernel, operators
@@ -201,11 +205,29 @@ def mutated(name):
 
 
 def _outcome(suite):
-    """'F' if the suite fails, 'E' if it raises, '.' if it passes."""
+    """(outcome, digest): 'F' and the sha256 of its JSON report if the suite
+    fails, 'E' if it raises, '.' if it passes; the digest is None but for 'F'."""
     try:
-        return "." if run_suite(suite, **TINY).all_pass else "F"
+        report = run_suite(suite, **TINY)
     except Exception:    # a raise is a kill as much as a failure
-        return "E"
+        return "E", None
+    if report.all_pass:
+        return ".", None
+    return "F", hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def kill_runs():
+    """mutant -> (its row of the kill matrix, {suite: digest} of the suites
+    it fails): one run of every suite under every mutant, which the kill
+    matrix and the failing-report pins share."""
+    runs = {}
+    for name in MUTANTS:
+        with mutated(name):
+            outcomes = [_outcome(s) for s in SUITE_NAMES]
+        runs[name] = ("".join(o for o, _ in outcomes),
+                      {s: d for s, (_, d) in zip(SUITE_NAMES, outcomes) if d})
+    return runs
 
 
 # mutant -> its outcome per suite, in SUITE_NAMES order (thm21 prop22 prop23
@@ -241,11 +263,8 @@ PINNED_KILLS = {
 }
 
 
-def test_every_mutant_is_killed():
-    matrix = {}
-    for name in MUTANTS:
-        with mutated(name):
-            matrix[name] = "".join(_outcome(s) for s in SUITE_NAMES)
+def test_every_mutant_is_killed(kill_runs):
+    matrix = {name: row for name, (row, _) in kill_runs.items()}
     survivors = [name for name, row in matrix.items() if set(row) == {"."}]
     lost = [f"{name}: {suite}" for name, row in matrix.items()
             for suite, pinned, now in zip(SUITE_NAMES, PINNED_KILLS[name], row)
@@ -286,20 +305,173 @@ SYMMETRY_FAILING_DIGESTS = {
 }
 
 
-def test_symmetry_failing_reports_are_pinned():
+def test_symmetry_failing_reports_are_pinned(kill_runs):
     assert set(SYMMETRY_FAILING_DIGESTS) == {
         name for name, row in PINNED_KILLS.items() if row[SUITE_NAMES.index("symmetry")] == "F"}
-    got = {}
-    for name in SYMMETRY_FAILING_DIGESTS:
-        with mutated(name):
-            text = run_suite("symmetry", **TINY).to_json()
-        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    got = {name: kill_runs[name][1].get("symmetry") for name in SYMMETRY_FAILING_DIGESTS}
     assert got == SYMMETRY_FAILING_DIGESTS
+
+
+# mutant -> suite -> sha256 of that suite's JSON report on the tiny grid, for
+# every other suite the mutant fails with 'F' in PINNED_KILLS (the symmetry
+# column is SYMMETRY_FAILING_DIGESTS above).  Like those, they pin every
+# failing residual of every suite, whatever route computes it.
+FAILING_DIGESTS = {
+    "apply_Lfull with matched exponents": {
+        "thm21": "4586feec82a39d486f04c274bac042a58fbeba5e42c6516b2e85fc3962e20180",
+        "prop22": "11d3bdda6594af1f765cfb6de60a6669e12a6dcbdd7f7dc74dbceffaaa67f745",
+        "prop23": "13ab018a72256be93dde2fe0444bc5c1f08e1562ea2c14764cd17ee6f5bf40b9",
+        "cor25": "25d2431e4fb7aeb5d73c071286b6b47db65a4ac7e087ef99744ca0d1e8c1c5b7",
+    },
+    "apply_L2 with alpha and beta swapped": {
+        "thm21": "7b35714a0459f04ac6342a637456c35ddf908083e58fbcc6c1bdfed1c1dbdacd",
+        "prop22": "d2a3089249c7d3330b01dc031c9d4b3f84a5c1f194d6625253f14a996119272c",
+        "cor25": "3b5930ae01c97501aaa04d89da34ed828556f520dbc34cc41d9384cfcdf90d6c",
+        "duran": "59df285e806c1714c849e911189481cacd743f9e7d24d577eb320937ce7cff61",
+    },
+    "const_b off by one": {
+        "thm21": "2bb2ce40f2d24be3230df0ecaa6c89d544c1270a38cf9409fbe666283787c11f",
+        "cor24": "3b4e0df126add2c560d5cebd693459933f5cddcca9f6e69bed805ee1b1c11ff3",
+        "cor25": "57f02e243815e350db30b7d3ffd52b2d00c12c568c6fd74680ff3332f9d77731",
+        "duran": "f110bd1cca9a0134409a3bb58dcda908aeab8e6024808310300706ebb0152045",
+    },
+    "const_c off by one": {
+        "thm21": "0df93ca6b8534bd635665e37d8e7772c3cad2a63973e2cbc43de3528922de69d",
+        "cor24": "dca42b95897b25e34be11e88b7295680c824ff42a74566e45a8742920b34a70d",
+        "cor25": "e32e513110788146f3bb98562a3dde671d6fb843b73fab5354b5de79f51fa3b5",
+    },
+    "coeff_q doubled": {
+        "thm21": "7c7e9d68438d4595a50f93f6e0d191903a99460c2da3f4052e282c1a11737e1c",
+        "cor24": "407d9c3280d779c96afc4154bd8b2e76aa29776e384ce405e30ab3824a81eb9e",
+        "cor25": "97cea48953381a1efe762bdfb74a2c262f93bd9666955fcb39fe623cad4511c7",
+        "duran": "781546bedbd484554f414881044ce22bb5f8d855e64bbc4a956cae92edd60904",
+        "orthogonality": "b5a6f30ab4d99a94b117b320b15b8f7076e34ec47829660c3c790f8ff6b5bdf0",
+    },
+    "coeff_r doubled": {
+        "thm21": "955f481a3a86edc8cb28a00821231be0506406d75231d7f315b72defa30deac6",
+        "cor24": "f8b06e3873bcb910783641b77b8fd766060599dbc1577cbc170c97f4a915eced",
+        "cor25": "4942c973c9552ee90e201c05e097a0c16ab13a5b507e386a34c74d8a9fc27760",
+        "orthogonality": "f781b760f7ca8824cd6a0321e83f42d94d21b631979c980f5c5967dc49c9f03c",
+    },
+    "coeff_s doubled": {
+        "thm21": "01e1db34e0ef026994198b47a3facda7894bfab2b3e2ec936791b308d811f103",
+        "cor24": "78df1cedbebc21e143c4f0e1fb549dfd81391f138bb964cdd571ce803f970a05",
+        "cor25": "3f60e4383feff51fc9587bd86632305ca37d23712722b92f8dc729c0433730a3",
+        "orthogonality": "140ea7aaf7fbfa8475ec6215e8d79f16a79f42fc707645b47ca700f31b2a5d9f",
+    },
+    "coeff_s with factorial(n-2)": {
+        "thm21": "742fcd19730a148dc6d20d1c01935568507ad85c6e71bf516b178fe847959d86",
+        "cor24": "43a8dea5e2f462e57e5b951f838a00aac1fb8eff50e40c15c2b5fc8e3f08468c",
+        "cor25": "662de1f4d05cd6aa7a5018f7c06a61fa43acc5aaa1d67aeea12e41d8ec13702d",
+        "orthogonality": "83ea3d325be4b737d1c22cf52093b3b66f730c0d64018135002936f5e74a847a",
+    },
+    "poly_S with beta+3 for beta+2": {
+        "thm21": "27030668965675bcff7965eb6194d162976c10be5163e1fa34a24c1cda5ec63f",
+        "prop22": "11dc59d6a3c512e710211c5cfd3a6f1915d87de41abe136d888207fd35014906",
+        "prop23": "ca75eda50d37f7d8fe36a036b866da45d8409eb5fdb722f025195775345da429",
+        "cor24": "805e67a9303feb12321f3571d2b676b9a42ecabf5b7b8d95247ca84e24bde56e",
+        "cor25": "3fff7f9ec16f4ab2339d0157e305bb6a4c2e6fc4fd0bb187a1077b1cc6eb5427",
+        "orthogonality": "8300292ea03c4c1093349e062543934c439f81fa50b5f156e41b73f0339f26e8",
+    },
+    "eigen_combined without the M*N term": {
+        "thm21": "c4201ec123c0f4d852e4f35f4a4a0f31802427df612858e08fafacd83737cab6",
+    },
+    "eigen_high side with alpha+1 for alpha+2": {
+        "thm21": "8b688df2a4be4ecaf95a56eef42d11f90db589b614860a9b4597ec31308c1992",
+        "prop22": "41d3d5228ffabb9c39ddf5590f26445e12da4b2d9d45307a10e6ada8c2e20522",
+        "prop23": "7956cc6067ac89984558622fafc47099a91799f311fd00ef9a35536d898bab63",
+        "cor25": "6d7c7090d0ed8310907189a005b595c8535a3ff025a4f1ee6c0fb52b17404639",
+        "duran": "f591db24298a3ac769a5ca652a16c6e9444f98e69b1382ab81bc8b6c434fa9dd",
+    },
+    "apply_combined with M and N normalizations swapped": {
+        "thm21": "7b0c05c3a7823b0e3fd85224c0f871ec4f1c8f9f0d271c57e8da20d9122cb9b9",
+    },
+    "moment vector without the N mass": {
+        "orthogonality": "60e3e457f483f698e0582b2502762a57fef2683526283c96143bd672a56571a6",
+    },
+    "h_norm doubled": {
+        "orthogonality": "8a2f6daf160b9904e2ff13b970663a8a91f6753174a73635a5766c662af7d97e",
+    },
+    "jacobi_poly doubled at degree 1": {
+        "thm21": "5d22916d4cbcde938526f97adc99fbecd6c1f992c4d6b0005cbc6829a76f30ae",
+        "prop22": "0fb160817adb955db02ce77289737a170d2572b63ba567d700e88eac4694ed57",
+        "cor24": "25d05c2aa2e609dffb55b8713aa6f1f52fdf4524ef6152d43f59e381e4ab9df2",
+        "cor25": "438bc2d2284fec92a91a5c3d9b07c1274831dc47f1becb2dfe3fc7e7edf2a985",
+        "duran": "f9900b7997f573c5c5f8035f688555e33290b674bf558821d8da30b40b521d62",
+        "orthogonality": "a6129de28f21dc68176719965ca3e15e44a5aaee117e084a4f6c46e8c3ffe12c",
+    },
+    "moment vector shifted by one": {
+        "orthogonality": "d5b675c1810c82e1348671bcc652973fa13395cdc76938522185c75f998c4bfa",
+    },
+    "Ltilde's norm as const_b(a, b)": {
+        "thm21": "8081a3f73bb559178603fa59b536977b04e119924c4ba98d24b3ff6d8f634e12",
+        "cor25": "5275314a516df998a25f82dacf921225d7a0e87c7a5a1817dfa2061b84d9f2c6",
+        "duran": "326b4dbc08c3b49578c563206a24fdaece6662892c29b7d236cd77504b8011c1",
+    },
+    "Ltilde's order minus 1": {
+        "thm21": "671de79675ef7e8dcf89b906cc4c16279dbe2c41295bb9851dc2def437da6e20",
+    },
+    "Lfull's order plus 2": {
+        "thm21": "a72103e7bd4a792e13cc227616417ade162a129d32debff764d6eb5bf4f153b8",
+    },
+    "recipe without the strip division": {
+        "prop22": "2bb38f21211e57f5a1e4e8e306b3183b55fd6f19b999b0aac2ec35fc02648487",
+        "prop23": "543d11809b3579d85a05726333f0ed562da2ee4d320bf7b43947d5f5edd41fea",
+        "cor25": "be445e0f57d325a938bd9512d1b1c6690a0c1db6cc8b518b3678d8a9a0e7f106",
+        "duran": "7ddf9a16fc59da52cb9e4551aa3ab50018b3d95c2d7b6ae233d2ddd43e19b723",
+    },
+    "recipe with the outer derivative one short": {
+        "prop22": "3184a87234ddc5273438d9cf5a67054417b78adf056efa71b8588f508cdaffd1",
+        "prop23": "1ff20edc5a1c9127af23e1812daae48bbe2964f27fd77594e5f72b3567a55adc",
+        "cor25": "b5eb8f7133afcca137670a3b26b3bd04bce59f994d606b61bdc4fefa3d25672c",
+        "duran": "88efc132e2c77c41dcf01f6d1612b3708f02c368a83433f1fa8c128695f1f12d",
+    },
+    "endpoint_weight with q+1": {
+        "cor24": "f70179b2eb4b3d56d5afd6274bab9fc9d2e4bcc257664dd059c751aaaffc501b",
+        "orthogonality": "5aa526844074128dfdbbb87b20544736d936d6f09b084d5244028a94db363cc3",
+    },
+    "endpoint_weight with p and q swapped": {
+        "thm21": "9ac4d2aab7a900e98659deee367a7ec120e44d48b5add0e566f01a5323ace21d",
+        "prop22": "95475629b9dd17774e3192b76738ae5b70ad428bcd3d3c26ff76b6a040a8379d",
+        "prop23": "2f0d1350e1d60d97776423dbd3f14a34235824d053776b2368c6d42fcc0f2b10",
+        "cor24": "0158d813ec03f270c7c6b63cb45481ba0a8d060c1a7aae7417c27516a270dd52",
+        "cor25": "4e6cd170e2ec9742487700953ff59bf9e46e678e4edeaf724b45ef0f3311fc67",
+        "duran": "951bfe4d656731f0634c72d8a540249c4910ba0544eb75c6abe84b514405e312",
+        "orthogonality": "274f5a236ce253acf0184dbc34d9654e331f12577b20427a0fe8a78231e0a02e",
+    },
+    "Taylor shift by +1 for -1": {
+        "thm21": "277fb34e32fca4206c83681b3848f43cd469b552232d6d693d26c20987d35ac0",
+        "prop22": "1bdfee36b6f6c4e4b7f2430a890d0c54dd9b85fc93a3dd3e0f86ff64658d316f",
+        "cor24": "3b688fb7c8e127ea1e96a2e77d1c98d2748abd9f3486f87442aadee017c9ec93",
+        "cor25": "e946cf5498d66110c63d6bfaa5cfa35260c18aa2d20022f8fb56a85dbad2547d",
+        "duran": "68f2aaf9b379dc4d4d69113d7b0686f03e92e9c046362277b2d8814b5dbd853f",
+        "orthogonality": "7651051d1d85b223e57b55bfad712692f61645753d5a308125dd1a27d9e2a91a",
+    },
+    "Q row's endpoint factor t+1 for t+2": {
+        "thm21": "84d0f51b669ea2931f9e50383f62d5fab9f8ea3f74c77b44777f9b1c6f388bde",
+        "prop22": "aefb12df073b98c7bbf447ea227a807476f1be174015869a72e9bee4570e1e09",
+        "cor24": "eaf665c17bd521bf4d1b619bc1e2718466926a1dd4e3812454fc94e6df786179",
+        "cor25": "6891b9c1192c3ba99db13a4f93f022e4e196d8e7935ad3c2d12178a554917846",
+        "duran": "7635167c5de8b5deef10e065b3a33b1aa328bccf940525e513693f391c429d17",
+        "orthogonality": "259a69ebf457cfe3b7132ad627aac1bb818ceb6e2110b5f69bb7852c4de8f655",
+    },
+}
+
+
+def test_failing_reports_are_pinned(kill_runs):
+    pinned = {(name, suite) for name, row in PINNED_KILLS.items()
+              for suite, outcome in zip(SUITE_NAMES, row)
+              if outcome == "F" and suite != "symmetry"}
+    assert pinned == {(name, suite) for name, suites in FAILING_DIGESTS.items()
+                      for suite in suites}
+    got = {name: {suite: kill_runs[name][1].get(suite) for suite in suites}
+           for name, suites in FAILING_DIGESTS.items()}
+    assert got == FAILING_DIGESTS
 
 
 def test_unmutated_tiny_grid_passes():
     # the kills above mean something only if the same grid passes unmutated
-    assert all(_outcome(s) == "." for s in SUITE_NAMES)
+    assert all(_outcome(s) == (".", None) for s in SUITE_NAMES)
 
 
 def test_cli_exits_1_under_a_mutant(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genjacobi.algebra import (InvalidParam, NotDivisible, Poly, X_MINUS_1, X_PLUS_1,
-                               X2_MINUS_1, endpoint_weight, nonneg_int)
+                               X2_MINUS_1, endpoint_weight, nonneg_int, pochhammer)
 from genjacobi.genjacobi import Params, gen_jacobi, poly_Q, poly_R, poly_S
 from genjacobi.jacobi import jacobi_poly
 from genjacobi import operators, verify
@@ -16,6 +16,7 @@ from genjacobi.operators import (DiffOperator, EigenValue, InconsistentExpansion
                                  apply_Lhat, apply_Ltilde, apply_combined,
                                  apply_duran, apply_factorized, components, const_b,
                                  const_c, eigen_combined, eigen_high, eigen_lambda2,
+                                 eigen_residual,
                                  expand_operator, FACTORIZED_KINDS, _column_list,
                                  _columns, _combined_entry, _combined_matrix,
                                  _conjugated, _image)
@@ -108,6 +109,30 @@ def test_eigen_anchors():
     assert eigen_high("full", 1, 2, 3).value == 0
     with pytest.raises(InvalidParam):
         eigen_high("diag", 1, 0, 0)
+
+
+# the eigenvalues as products of Pochhammer Fractions, the recipe the
+# integer ranges in src replaced
+ORACLE_EIGENS = {
+    "side": lambda n, a, b: pochhammer(n, a + 2) * pochhammer(n + b, a + 2),
+    "full": lambda n, a, b: pochhammer(n - 1, a + b + 3) * pochhammer(n, a + b + 3),
+}
+
+
+def test_eigen_high_equals_the_pochhammer_recipe():
+    for kind, oracle in ORACLE_EIGENS.items():
+        for n, a, b in product(range(21), range(7), range(7)):
+            got = eigen_high(kind, n, a, b).value
+            assert type(got) is Fraction and got == oracle(n, a, b), (kind, n, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, rationals, polys)
+def test_eigen_residual_is_image_minus_lam_y(image, lam, y):
+    want = image - lam * y
+    assert eigen_residual(image, lam, y) == want
+    # a zero residual, from an image with a non-unit denominator
+    assert eigen_residual(lam * y, lam, y) == Poly.zero()
 
 
 def test_constants():

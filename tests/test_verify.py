@@ -317,6 +317,8 @@ _INDEX_ARGS = {
     "coeff_q n": (lambda v: gj.coeff_q(v, 1, 0), 1),
     "coeff_r n": (lambda v: gj.coeff_r(v, 1, 0), 1),
     "coeff_s n": (lambda v: gj.coeff_s(v, 1, 0), 2),
+    "coeff_q alpha": (lambda v: gj.coeff_q(2, v, 0), 0),
+    "coeff_q beta": (lambda v: gj.coeff_q(2, 0, v), 0),
     "poly_Q n": (lambda v: gj.poly_Q(v, 1, 0), 0),
     "poly_R n": (lambda v: gj.poly_R(v, 1, 0), 0),
     "poly_S n": (lambda v: gj.poly_S(v, 1, 0), 0),
