@@ -88,15 +88,17 @@ def _json_strings(mapping: Mapping[str, str], depth: int) -> str:
 
 def _case_json(case: Case, params: str) -> str:
     """One case of a report's "cases" list, as to_json lays it out, with
-    params the JSON text of its params mapping."""
+    params the JSON text of its params mapping.  n is None or an int, and
+    passed a bool, so their scalars are written inline."""
+    n = "null" if case.n is None else int.__repr__(case.n)
     text = (f'    {{\n      "label": {_json_str(case.label)},\n'
             f'      "params": {params},\n'
-            f'      "n": {_json_scalar(case.n)},\n'
+            f'      "n": {n},\n'
             f'      "residual": {_json_str(case.residual)},\n')
     if case.skipped:
         return (f'{text}      "pass": null,\n      "skipped": true,\n'
                 f'      "reason": {_json_str(case.reason)}\n    }}')
-    return f'{text}      "pass": {_json_scalar(case.passed)}\n    }}'
+    return f'{text}      "pass": {"true" if case.passed else "false"}\n    }}'
 
 
 def params_str(**kwargs) -> dict:

@@ -102,7 +102,9 @@ def random_poly(rng: SplitMix64, degmax: int) -> Poly:
     coefficients p/q with |p| <= 20 and 1 <= q <= 10, drawn p first, from
     the constant term up."""
     deg = rng.randint(0, nonneg_int("degmax", degmax))
-    pairs = [(rng.randint(-20, 20), rng.randint(1, 10)) for _ in range(deg + 1)]
+    # randint(-20, 20) and randint(1, 10), their arithmetic inlined: the same draws
+    draw = rng.next_u64
+    pairs = [(draw() % 41 - 20, draw() % 10 + 1) for _ in range(deg + 1)]
     den = lcm(*(q for _, q in pairs))
     return Poly._norm([p * (den // q) for p, q in pairs], den)
 
@@ -299,9 +301,10 @@ def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
 # ---------------- symmetry suite ----------------
 
 def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
-                         n: int) -> list:
+                         n: int, table: tuple, plain: Params) -> list:
+    """The cases of one random pair (f, g) at params, given the point's
+    components table and its mass-free Params(alpha, beta)."""
     a, b = params.alpha, params.beta
-    table = components(a, b)
     l2, lt, lh, lf = (_image(row.kind, f, a, b) for row in table)
     _, b_ba, b_ab, c_ab = (row.norm for row in table)
     want = boundary_closed_forms(f, a, b)
@@ -319,7 +322,7 @@ def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
         ("two-mass form pairing", bilinear_W,
          -c_ab * (want.lhat_neg1 * g_neg / b_ab + want.ltilde_pos1 * g_pos / b_ba)),
     )
-    products = inner_products((l2, lt, lh, lf), g, Params(a, b))
+    products = inner_products((l2, lt, lh, lf), g, plain)
     for (label, form, boundary), product in zip(pairings, products):
         cases.append(Case.check(label, pstr, n, product - form(f, g, a, b) - boundary))
 
@@ -342,10 +345,13 @@ def verify_symmetry(trials: int, degmax: int, params: Params,
     report = VerifyReport("symmetry", seed=seed,
                           grid={"trials": str(trials), "degmax": str(degmax), **pstr})
     rng = SplitMix64(seed)
+    # one components table and one mass-free Params per point, not per pair
+    table = components(params.alpha, params.beta)
+    plain = Params(params.alpha, params.beta)
     for t in range(trials):
         f = random_poly(rng, degmax)
         g = random_poly(rng, degmax)
-        report.extend(_symmetry_pair_cases(f, g, params, pstr, t))
+        report.extend(_symmetry_pair_cases(f, g, params, pstr, t, table, plain))
     direct, via_pos, via_neg = mass_constant_identity(params.alpha, params.beta)
     report.add(Case.check("mass normalization constant identity (+1 route)", pstr,
                           None, direct - via_pos))
@@ -373,10 +379,11 @@ def verify_orthogonality(nmax: int, params: Params) -> VerifyReport:
         gap = lams[n + 1] - lams[n]
         report.add(Case.holds("combined eigenvalue strictly increasing", pstr, n,
                               gap > 0, gap))
+    # a zero gram entry is its own product: only a nonzero one is multiplied
     for i in range(nmax + 1):
         for j in range(i + 1, nmax + 1):
             report.add(Case.check(f"eigen-gap times gram entry ({i},{j})", pstr, None,
-                                  (lams[i] - lams[j]) * gram[i][j]))
+                                  gram[i][j] and (lams[i] - lams[j]) * gram[i][j]))
     return report
 
 
@@ -451,7 +458,7 @@ def _run_point(point) -> list:
     out = worker(*args)
     cases = out.cases if isinstance(out, VerifyReport) else out
     if prefix:
-        cases = [c._replace(label=prefix + c.label) for c in cases]
+        cases = [Case(prefix + c.label, *c[1:]) for c in cases]
     return cases
 
 

@@ -17,6 +17,7 @@ import genjacobi.verify as verify
 from genjacobi.algebra import InvalidParam, Poly, endpoint_weight
 from genjacobi.genjacobi import Params
 from genjacobi.operators import EigenValue
+from genjacobi.report import Case, render_value
 from genjacobi.verify import (SplitMix64, SUITE_NAMES, random_poly, run_suite,
                               verify_cor24, verify_cor25, verify_duran,
                               verify_orthogonality, verify_prop22,
@@ -208,6 +209,36 @@ def test_failing_orthogonality_predicates_carry_the_offending_value(monkeypatch)
             assert c.residual == "0"
 
 
+def test_a_nonzero_gram_entry_fails_both_of_its_cases(monkeypatch):
+    # a zero gram entry is its own eigen-gap product; a nonzero one must
+    # still be multiplied and rendered, so the shortcut hides no failure
+    real_gram = verify.gram_matrix
+
+    def bad_gram(nmax, params):
+        gram = [list(row) for row in real_gram(nmax, params)]
+        gram[1][3] = F(-2, 7)
+        return gram
+
+    monkeypatch.setattr(verify, "gram_matrix", bad_gram)
+    pr = Params(1, 0, F(1, 3), 2)
+    rep = verify_orthogonality(4, pr)
+    failing = {c.label: c for c in rep.cases if not c.passed}
+    assert set(failing) == {"gram entry (1,3)", "eigen-gap times gram entry (1,3)"}
+    assert failing["gram entry (1,3)"].residual == "-2/7"
+    gap = verify.eigen_combined(1, pr).value - verify.eigen_combined(3, pr).value
+    assert failing["eigen-gap times gram entry (1,3)"].residual == render_value(gap * F(-2, 7))
+
+
+def test_symmetry_builds_one_components_table_per_point(monkeypatch):
+    tables = []
+    real = verify.components
+    monkeypatch.setattr(verify, "components",
+                        lambda a, b: tables.append((a, b)) or real(a, b))
+    rep = verify_symmetry(5, 7, Params(2, 1, 1, F(1, 3)), seed=3)
+    assert rep.all_pass
+    assert tables == [(2, 1)]
+
+
 def test_run_suite_each_name_reduced_grid():
     for name in SUITE_NAMES:
         rep = run_suite(name, nmax=3, alpha_max=1, beta_max=1,
@@ -230,6 +261,16 @@ def test_run_suite_all_merges():
                         masses_m=(F(1),), masses_n=(F(1),), seed=0, trials=1)
         expected += [c._replace(label=f"{sub}: {c.label}") for c in own.cases]
     assert rep.cases == expected
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_suite_all_returns_plain_cases(threads):
+    # the "<suite>: " relabel builds a Case, serially and in the pool
+    rep = run_suite("all", nmax=2, alpha_max=1, beta_max=1, masses_m=(F(1),),
+                    masses_n=(F(1),), seed=0, threads=threads)
+    assert rep.all_pass
+    assert len(rep.cases) == 721
+    assert all(type(c) is Case for c in rep.cases)
 
 
 def test_run_suite_all_opens_one_pool(monkeypatch):
