@@ -306,28 +306,25 @@ class Poly:
 
     # ---------------- rendering ----------------
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
+    def render(self, coeff, exponent) -> str:
+        """The one term walk behind every text of a polynomial: the nonzero
+        terms from the highest degree down, each signed ("+" only after the
+        first), coeff(c, k) for the magnitude c of the x^k term (left out if
+        c is 1 and k > 0), then x at k = 1, or x^ and exponent(k) at k >= 2.
+        "0" for the zero polynomial."""
         parts = []
         for k in range(len(self.nums) - 1, -1, -1):
-            c = Fraction(self.nums[k], self.den)
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if k == 0:
-                body = format_rational(mag)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                if mag == 1:
-                    body = xs
-                elif mag.denominator == 1:
-                    body = f"{mag}{xs}"
-                else:
-                    body = f"({format_rational(mag)}){xs}"
-            parts.append(f"{sign}{body}")
-        return "".join(parts)
+            num = self.nums[k]
+            if num:
+                mag = Fraction(abs(num), self.den)
+                sign = "-" if num < 0 else ("+" if parts else "")
+                body = "" if k and mag == 1 else coeff(mag, k)
+                power = "" if k == 0 else "x" if k == 1 else f"x^{exponent(k)}"
+                parts.append(sign + body + power)
+        return "".join(parts) or "0"
+
+    def __str__(self) -> str:
+        return self.render(_plain_coeff, str)
 
     def __repr__(self) -> str:
         return f"Poly('{self}')"
@@ -339,6 +336,12 @@ def format_rational(value: RationalLike) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _plain_coeff(mag: Fraction, k: int) -> str:
+    """Plain text of a coefficient: p/q, in parentheses before a power of x."""
+    text = format_rational(mag)
+    return f"({text})" if k and mag.denominator != 1 else text
 
 
 # handy fixed polynomials

@@ -7,12 +7,16 @@ Subcommands:
 - verify: run an identity suite over a parameter grid
 - gram: print the Gram matrix of the first nmax+1 polynomials
 
+One table, COMMANDS, maps each subcommand but verify to its body; main
+builds one Params from the weight flags for all of them.
+
 All formats (plain, json, csv, latex) render every number as an exact
-rational "p/q" (or "p"); decimals are rejected on input and never produced
-on output.  Exit codes: 0 success / all identities pass, 1 verification
-failure or an exact-arithmetic failure (an ArithmeticError such as
-NotDivisible or InconsistentExpansion, which means a bug), 2 usage or
-validation error.
+rational "p/q" (or "p"; "\\frac{p}{q}" in LaTeX) and every polynomial
+through the one term walk, Poly.render; decimals are rejected on input and
+never produced on output.  Exit codes: 0 success / all identities pass,
+1 verification failure or an exact-arithmetic failure (an ArithmeticError
+such as NotDivisible or InconsistentExpansion, which means a bug), 2 usage
+or validation error.
 """
 from __future__ import annotations
 
@@ -47,28 +51,22 @@ def rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
 
 
+def latex_rational(value: Fraction) -> str:
+    """LaTeX of an exact rational: p, or \\frac{p}{q}."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return rf"\frac{{{value.numerator}}}{{{value.denominator}}}"
+
+
 def poly_latex(p: Poly) -> str:
     """LaTeX body for a polynomial, exact fractions via \\frac."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    coeffs = p.coeffs
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        if mag.denominator == 1:
-            body = str(mag.numerator)
-        else:
-            body = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        if k > 0:
-            if body == "1":
-                body = ""
-            body += "x" if k == 1 else f"x^{{{k}}}"
-        parts.append(f"{sign}{body}")
-    return "".join(parts)
+    return p.render(lambda mag, k: latex_rational(mag), "{{{}}}".format)
+
+
+def _tabular(spec: str, rows: list) -> str:
+    """A LaTeX tabular, one line per row; each row is LaTeX without its \\\\."""
+    return "\n".join([rf"\begin{{tabular}}{{{spec}}}", *(f"{row} \\\\" for row in rows),
+                      r"\end{tabular}"])
 
 
 def _coeff_strings(p: Poly) -> list:
@@ -99,11 +97,7 @@ def cmd_poly(n: int, params: Params, fmt: str) -> str:
             lines.append(f"\"{name}\",\"{p}\",\"{';'.join(_coeff_strings(p))}\"")
         return "\n".join(lines)
     if fmt == "latex":
-        lines = [r"\begin{tabular}{ll}"]
-        for name, p in components:
-            lines.append(f"{name} & ${poly_latex(p)}$ \\\\")
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines)
+        return _tabular("ll", [f"{name} & ${poly_latex(p)}$" for name, p in components])
     lines = [str(full)]
     for name, p in components[1:]:
         lines.append(f"{name}: {p}")
@@ -128,11 +122,8 @@ def cmd_operator_table(kind: str, params: Params, fmt: str) -> str:
             lines.append(f"{o},\"{c}\",\"{';'.join(_coeff_strings(c))}\"")
         return "\n".join(lines)
     if fmt == "latex":
-        lines = [r"\begin{tabular}{rl}", r"$i$ & coefficient of $D^i$ \\"]
-        for o, c in op.terms:
-            lines.append(f"{o} & ${poly_latex(c)}$ \\\\")
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines)
+        return _tabular("rl", [r"$i$ & coefficient of $D^i$",
+                               *(f"{o} & ${poly_latex(c)}$" for o, c in op.terms)])
     head = " ".join(f"{k}={v}" for k, v in pstr.items())
     lines = [f"kind: {kind}  {head}", f"effective order: {op.effective_order}"]
     for o, c in op.terms:
@@ -149,15 +140,17 @@ def cmd_gram(nmax: int, params: Params, fmt: str) -> str:
     if fmt == "csv":
         return "\n".join(",".join(row) for row in rows)
     if fmt == "latex":
-        lines = [r"\begin{tabular}{" + "r" * (nmax + 1) + "}"]
-        for row in rows:
-            cells = [rf"$\frac{{{v.split('/')[0]}}}{{{v.split('/')[1]}}}$"
-                     if "/" in v else f"${v}$" for v in row]
-            lines.append(" & ".join(cells) + r" \\")
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines)
+        return _tabular("r" * (nmax + 1),
+                        [" & ".join(f"${latex_rational(v)}$" for v in row) for row in matrix])
     width = max(len(v) for row in rows for v in row)
     return "\n".join(" ".join(v.rjust(width) for v in row) for row in rows)
+
+
+# every command but verify: its body, and the flag it reads besides the weight
+# flags and --format
+COMMANDS = {"poly": (cmd_poly, "n"),
+            "operator-table": (cmd_operator_table, "kind"),
+            "gram": (cmd_gram, "nmax")}
 
 
 # ---------------- argument plumbing ----------------
@@ -217,17 +210,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "poly":
+        if args.command in COMMANDS:
+            cmd, flag = COMMANDS[args.command]
             params = Params(args.alpha, args.beta, args.bigm, args.bign)
-            print(cmd_poly(args.n, params, args.format))
-            return 0
-        if args.command == "operator-table":
-            params = Params(args.alpha, args.beta, args.bigm, args.bign)
-            print(cmd_operator_table(args.kind, params, args.format))
-            return 0
-        if args.command == "gram":
-            params = Params(args.alpha, args.beta, args.bigm, args.bign)
-            print(cmd_gram(args.nmax, params, args.format))
+            print(cmd(getattr(args, flag), params, args.format))
             return 0
         # verify
         report = run_suite(

@@ -219,8 +219,8 @@ def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
         image = apply(Poly.monomial(k), alpha, beta)
         if image.den != 1 or image.degree > k:
             raise InconsistentExpansion(
-                f"{kind}: image {image} of x^{k} is not an integer polynomial "
-                f"of degree <= {k}")
+                f"{kind}: image {image} of {Poly.monomial(k)} is not an integer "
+                f"polynomial of degree <= {k}")
         columns.append(image.nums)
     return columns
 

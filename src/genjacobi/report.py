@@ -8,7 +8,8 @@ passes, and ``all_pass`` quantifies over the non-skipped cases only.
 
 Serialization is lossless: every number is an exact string, so JSON and CSV
 round-trip without approximation.  A zero residual, the passing case, renders
-as "0" without formatting any number.
+as "0" without formatting any number.  Parameters render through
+format_rational, which refuses a float as every exact input does.
 """
 from __future__ import annotations
 
@@ -65,17 +66,6 @@ class Case(NamedTuple):
         return cls(label, params, n, "", False, True, reason)
 
 
-def _json_scalar(value) -> str:
-    """JSON text of None, a bool or an int, as json.dumps writes it."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return int.__repr__(value)
-
-
 def _json_strings(mapping: Mapping[str, str], depth: int) -> str:
     """A str -> str mapping as json.dumps(..., indent=2) lays it out when
     it opens `depth` spaces in."""
@@ -102,14 +92,9 @@ def _case_json(case: Case, params: str) -> str:
 
 
 def params_str(**kwargs) -> dict:
-    """Render a parameter mapping with exact rational strings."""
-    out = {}
-    for key, value in kwargs.items():
-        if isinstance(value, (int, Fraction)):
-            out[key] = format_rational(value)
-        else:
-            out[key] = str(value)
-    return out
+    """Render a parameter mapping with exact rational strings; a float is
+    refused (InvalidParam), as everywhere."""
+    return {key: format_rational(value) for key, value in kwargs.items()}
 
 
 @dataclass
@@ -155,11 +140,12 @@ class VerifyReport:
         params = {key: _json_strings(p, 6) for key, p in params.items()}
         cases = ",\n".join([_case_json(c, params[id(c.params)]) for c in self.cases])
         cases = f"[\n{cases}\n  ]" if cases else "[]"
+        seed = "null" if self.seed is None else int.__repr__(self.seed)
         return (f'{{\n  "suite": {_json_str(self.suite)},\n'
                 f'  "grid": {_json_strings(self.grid, 2)},\n'
-                f'  "seed": {_json_scalar(self.seed)},\n'
+                f'  "seed": {seed},\n'
                 f'  "cases": {cases},\n'
-                f'  "all_pass": {_json_scalar(self.all_pass)}\n}}')
+                f'  "all_pass": {"true" if self.all_pass else "false"}\n}}')
 
     def to_csv(self) -> str:
         buf = io.StringIO()

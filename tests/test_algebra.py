@@ -42,6 +42,44 @@ def test_str_rendering():
     assert format_rational(4) == "4"
 
 
+def str_oracle(p: Poly) -> str:
+    """Poly.__str__ as its own term walk, before the walk was shared with
+    the LaTeX renderer: the reference the shared walk must reproduce."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for k in range(len(p.nums) - 1, -1, -1):
+        c = Fraction(p.nums[k], p.den)
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        if k == 0:
+            body = format_rational(mag)
+        else:
+            xs = "x" if k == 1 else f"x^{k}"
+            if mag == 1:
+                body = xs
+            elif mag.denominator == 1:
+                body = f"{mag}{xs}"
+            else:
+                body = f"({format_rational(mag)}){xs}"
+        parts.append(f"{sign}{body}")
+    return "".join(parts)
+
+
+# degree 0-8, each coefficient 0, a unit or a rational: unit coefficients at
+# every degree, a leading minus, gaps of zeros, constants and the zero poly
+render_polys = st.lists(st.one_of(st.just(0), st.sampled_from((1, -1)), rationals),
+                        min_size=1, max_size=9).map(Poly)
+
+
+@settings(max_examples=400)
+@given(render_polys)
+def test_str_matches_its_own_term_walk(p):
+    assert str(p) == str_oracle(p)
+
+
 def test_simple_identities():
     x = Poly([0, 1])
     assert (x + 1) + (x - 1) == 2 * x

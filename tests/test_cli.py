@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, formats, exit codes."""
+import argparse
 import csv
 import hashlib
 import importlib
@@ -11,12 +12,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import genjacobi
 from genjacobi import operators
-from genjacobi.cli import main, poly_latex, rational_flag
+from genjacobi.cli import (COMMANDS, build_parser, latex_rational, main, poly_latex,
+                           rational_flag)
 from genjacobi.algebra import Poly
 from genjacobi.verify import _thread_count
+from test_algebra import render_polys
 from test_mutants import TINY_ARGS, mutated
 
 
@@ -285,7 +289,7 @@ def test_gram_json(capsys):
 def test_gram_latex_fractions(capsys):
     code, out, _ = run(capsys, "gram", "--nmax", "1", "--format", "latex")
     assert code == 0
-    assert r"\frac" in out
+    assert out.splitlines()[1:3] == [r"$1$ & $0$ \\", r"$0$ & $\frac{1}{3}$ \\"]
 
 
 def test_poly_latex_rendering():
@@ -293,6 +297,53 @@ def test_poly_latex_rendering():
     assert poly_latex(Poly([Fraction(-1, 2), 0, Fraction(3, 2)])) \
         == r"\frac{3}{2}x^{2}-\frac{1}{2}"
     assert poly_latex(Poly.zero()) == "0"
+
+
+def latex_oracle(p: Poly) -> str:
+    """poly_latex as its own term walk, before the walk was shared with
+    Poly.__str__: the reference the shared walk must reproduce."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    coeffs = p.coeffs
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        if mag.denominator == 1:
+            body = str(mag.numerator)
+        else:
+            body = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        if k > 0:
+            if body == "1":
+                body = ""
+            body += "x" if k == 1 else f"x^{{{k}}}"
+        parts.append(f"{sign}{body}")
+    return "".join(parts)
+
+
+@settings(max_examples=400)
+@given(render_polys)
+def test_poly_latex_matches_its_own_term_walk(p):
+    assert poly_latex(p) == latex_oracle(p)
+
+
+def test_latex_rational():
+    assert latex_rational(Fraction(-1, 3)) == r"\frac{-1}{3}"
+    assert latex_rational(Fraction(4)) == "4"
+    assert latex_rational(Fraction(-7)) == "-7"
+    assert latex_rational(0) == "0"
+
+
+def test_every_command_but_verify_has_one_table_entry():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(COMMANDS) == set(subs.choices) - {"verify"}
+    for name, (cmd, flag) in COMMANDS.items():
+        assert cmd.__name__ == "cmd_" + name.replace("-", "_")
+        assert flag in {a.dest for a in subs.choices[name]._actions}
 
 
 def test_unknown_subcommand_exits_2():

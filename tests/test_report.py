@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from genjacobi.algebra import Poly
-from genjacobi.report import Case, VerifyReport
+from genjacobi.algebra import InvalidParam, Poly
+from genjacobi.report import Case, VerifyReport, params_str
 from genjacobi.verify import run_suite
 
 
@@ -94,3 +94,9 @@ def test_cases_hold_the_given_params_and_records_are_fresh():
     assert pstr == {"alpha": "1", "M": "1/3"}
     assert report.grid == {"nmax": "2"}
     assert report.to_json() == before
+
+
+def test_params_str_renders_exact_rationals_and_refuses_floats():
+    assert params_str(alpha=1, M=Fraction(1, 3), N=0) == {"alpha": "1", "M": "1/3", "N": "0"}
+    with pytest.raises(InvalidParam):
+        params_str(M=0.5)

@@ -109,6 +109,33 @@ def test_only_algebra_raises_a_poly_constant_to_a_power():
         assert not powers, (path.name, powers)
 
 
+def _monomial_spellers(path: Path) -> set:
+    """(file name, dotted def) of every def in the file with a string
+    literal, or an f-string piece, that ends in x^ or x^{: it is about to
+    spell a power of x."""
+    found = set()
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, f"{prefix}{child.name}.")
+            elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                  and child.value.endswith(("x^", "x^{"))):
+                found.add((path.name, prefix.rstrip(".")))
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_only_the_term_walk_spells_a_monomial():
+    # Poly.__str__ and the LaTeX renderer share Poly.render; a second walk
+    # over the terms would spell x^k again
+    spellers = set().union(*map(_monomial_spellers, sorted(PACKAGE.glob("*.py"))))
+    assert spellers == {("algebra.py", "Poly.render")}
+
+
 def test_every_imported_name_is_read():
     # an import no code reads is dead weight; a re-export counts as a
     # read when __all__ lists it
