@@ -17,6 +17,7 @@ division fails loudly when the remainder is nonzero.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm, prod
@@ -45,11 +46,17 @@ def nonneg_int(name: str, value, least: int = 0) -> int:
     return value
 
 
+# the one grammar of exact rational text: "p" or "p/q", no decimal or exponent
+_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to Fraction.
 
     Floats are rejected: they would silently break exactness.  So are
     bools, although a bool is an int: True is a flag, not the rational 1.
+    A string must read "p" or "p/q" with q nonzero, as on the command line:
+    "0.5", "1e3" and " 1" are refused.
     """
     if isinstance(value, Fraction):
         return value
@@ -58,7 +65,13 @@ def as_rational(value: RationalLike) -> Fraction:
             raise InvalidParam(f"not an exact rational: {value!r} (bools are not accepted)")
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if not _RATIONAL_RE.fullmatch(value):
+            raise InvalidParam(
+                f"expected an exact rational like 2 or 7/3 (no decimals), got {value!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise InvalidParam(f"zero denominator in {value!r}") from None
     raise InvalidParam(f"not an exact rational: {value!r} (floats are not accepted)")
 
 

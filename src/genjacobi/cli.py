@@ -7,8 +7,10 @@ Subcommands:
 - verify: run an identity suite over a parameter grid
 - gram: print the Gram matrix of the first nmax+1 polynomials
 
-One table, COMMANDS, maps each subcommand but verify to its body; main
-builds one Params from the weight flags for all of them.
+One table, COMMANDS, maps each subcommand but verify to its body, its help
+and the one flag it adds to the weight flags; build_parser builds their
+subparsers from it, and main builds one Params from the weight flags for
+all of them.  Every LaTeX table, these and verify's, is report.tabular.
 
 All formats (plain, json, csv, latex) render every number as an exact
 rational "p/q" (or "p"; "\\frac{p}{q}" in LaTeX) and every polynomial
@@ -22,33 +24,28 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
-from .algebra import InvalidParam, Poly, format_rational
+from .algebra import InvalidParam, Poly, as_rational, format_rational
 from .genjacobi import Params, gen_jacobi, poly_Q, poly_R, poly_S
 from .inner import gram_matrix
 from .jacobi import jacobi_poly
 from .operators import OPERATOR_KINDS, expand_operator
-from .report import params_str
+from .report import params_str, tabular
 from .verify import (DEFAULT_ALPHA_MAX, DEFAULT_BETA_MAX, DEFAULT_MASSES,
                      DEFAULT_NMAX, DEFAULT_SEED, SUITE_NAMES, run_suite)
 
 FORMATS = ("plain", "json", "csv", "latex")
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
-
 
 def rational_flag(text: str) -> Fraction:
-    """Parse "p" or "p/q"; decimals are rejected to preserve exactness."""
-    if not _RATIONAL_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(
-            f"expected an exact rational like 2 or 7/3 (no decimals), got {text!r}")
+    """Parse "p" or "p/q" by as_rational's grammar; decimals are rejected to
+    preserve exactness."""
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+        return as_rational(text)
+    except InvalidParam as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def latex_rational(value: Fraction) -> str:
@@ -61,12 +58,6 @@ def latex_rational(value: Fraction) -> str:
 def poly_latex(p: Poly) -> str:
     """LaTeX body for a polynomial, exact fractions via \\frac."""
     return p.render(lambda mag, k: latex_rational(mag), "{{{}}}".format)
-
-
-def _tabular(spec: str, rows: list) -> str:
-    """A LaTeX tabular, one line per row; each row is LaTeX without its \\\\."""
-    return "\n".join([rf"\begin{{tabular}}{{{spec}}}", *(f"{row} \\\\" for row in rows),
-                      r"\end{tabular}"])
 
 
 def _coeff_strings(p: Poly) -> list:
@@ -97,7 +88,7 @@ def cmd_poly(n: int, params: Params, fmt: str) -> str:
             lines.append(f"\"{name}\",\"{p}\",\"{';'.join(_coeff_strings(p))}\"")
         return "\n".join(lines)
     if fmt == "latex":
-        return _tabular("ll", [f"{name} & ${poly_latex(p)}$" for name, p in components])
+        return tabular("ll", [f"{name} & ${poly_latex(p)}$" for name, p in components])
     lines = [str(full)]
     for name, p in components[1:]:
         lines.append(f"{name}: {p}")
@@ -122,8 +113,8 @@ def cmd_operator_table(kind: str, params: Params, fmt: str) -> str:
             lines.append(f"{o},\"{c}\",\"{';'.join(_coeff_strings(c))}\"")
         return "\n".join(lines)
     if fmt == "latex":
-        return _tabular("rl", [r"$i$ & coefficient of $D^i$",
-                               *(f"{o} & ${poly_latex(c)}$" for o, c in op.terms)])
+        return tabular("rl", [r"$i$ & coefficient of $D^i$",
+                              *(f"{o} & ${poly_latex(c)}$" for o, c in op.terms)])
     head = " ".join(f"{k}={v}" for k, v in pstr.items())
     lines = [f"kind: {kind}  {head}", f"effective order: {op.effective_order}"]
     for o, c in op.terms:
@@ -140,17 +131,19 @@ def cmd_gram(nmax: int, params: Params, fmt: str) -> str:
     if fmt == "csv":
         return "\n".join(",".join(row) for row in rows)
     if fmt == "latex":
-        return _tabular("r" * (nmax + 1),
-                        [" & ".join(f"${latex_rational(v)}$" for v in row) for row in matrix])
+        return tabular("r" * (nmax + 1),
+                       [" & ".join(f"${latex_rational(v)}$" for v in row) for row in matrix])
     width = max(len(v) for row in rows for v in row)
     return "\n".join(" ".join(v.rjust(width) for v in row) for row in rows)
 
 
-# every command but verify: its body, and the flag it reads besides the weight
-# flags and --format
-COMMANDS = {"poly": (cmd_poly, "n"),
-            "operator-table": (cmd_operator_table, "kind"),
-            "gram": (cmd_gram, "nmax")}
+# every command but verify: its body, its help, the flag it reads besides the
+# weight flags and --format, and that flag's argparse options
+COMMANDS = {"poly": (cmd_poly, "print gen_jacobi(n) and its blocks",
+                     "n", dict(type=int, required=True, help="polynomial index")),
+            "operator-table": (cmd_operator_table, "print expanded operator coefficients",
+                               "kind", dict(choices=OPERATOR_KINDS, required=True)),
+            "gram": (cmd_gram, "print the Gram matrix", "nmax", dict(type=int, default=5))}
 
 
 # ---------------- argument plumbing ----------------
@@ -166,26 +159,16 @@ def _add_weight_flags(sub: argparse.ArgumentParser) -> None:
                      help="point mass N at x=+1, exact rational like 1/3")
 
 
-def _add_format_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=FORMATS, default="plain")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genjacobi",
         description="Exact generalized Jacobi polynomials, their "
                     "differential operators, and identity verification.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("poly", help="print gen_jacobi(n) and its blocks")
-    p.add_argument("--n", type=int, required=True, help="polynomial index")
-    _add_weight_flags(p)
-    _add_format_flag(p)
-
-    p = subs.add_parser("operator-table", help="print expanded operator coefficients")
-    p.add_argument("--kind", choices=OPERATOR_KINDS, required=True)
-    _add_weight_flags(p)
-    _add_format_flag(p)
+    for name, (_, help_, flag, options) in COMMANDS.items():
+        p = subs.add_parser(name, help=help_)
+        p.add_argument(f"--{flag}", **options)
+        _add_weight_flags(p)
 
     p = subs.add_parser("verify", help="run an identity suite over a grid")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
@@ -197,12 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin the M grid to one exact rational")
     p.add_argument("--bign", type=rational_flag, default=None,
                    help="pin the N grid to one exact rational")
-    _add_format_flag(p)
-
-    p = subs.add_parser("gram", help="print the Gram matrix")
-    p.add_argument("--nmax", type=int, default=5)
-    _add_weight_flags(p)
-    _add_format_flag(p)
+    for p in subs.choices.values():
+        p.add_argument("--format", choices=FORMATS, default="plain")
     return parser
 
 
@@ -211,7 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command in COMMANDS:
-            cmd, flag = COMMANDS[args.command]
+            cmd, _, flag, _ = COMMANDS[args.command]
             params = Params(args.alpha, args.beta, args.bigm, args.bign)
             print(cmd(getattr(args, flag), params, args.format))
             return 0

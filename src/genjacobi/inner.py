@@ -1,12 +1,14 @@
 """Exact weighted inner products with endpoint point masses.
 
-Every integral here is an exact polynomial integral over [-1, 1]; there is
-no quadrature and no tolerance.  The mass-augmented scalar product is
-stated once, by its moment vector h_k = mu_k + M (-1)^k + N, which the
-weight integral, the scalar product (a plain Fraction) and the Gram
-matrices all read.  The four symmetric bilinear forms that mirror the
-operators integrate directly, an independent route; the module also gives
-the closed-form endpoint values of the operators, which the symmetry suite
+Every integral here is an exact polynomial integral over [-1, 1], with no
+quadrature and no tolerance, and comes from one route: the moments of a
+weight, built from the monomial integrals.  The mass-augmented scalar
+product is stated once, by its moment vector h_k = mu_k + M (-1)^k + N, and
+computed once, by one Hankel product (inner_products), which the weight
+integral, the scalar product (a plain Fraction) and the Gram matrices all
+read.  The four symmetric bilinear forms that mirror the operators dot their
+integrands with the moments of their own weights; the module also gives the
+closed-form endpoint values of the operators, which the symmetry suite
 checks, and the combined operator's symmetry defect.
 """
 from __future__ import annotations
@@ -29,7 +31,6 @@ def integrate(f: Poly) -> Fraction:
     return Fraction(sum(map(mul, f.nums[::2], weights)), wden * f.den)
 
 
-@lru_cache(maxsize=256)
 def _monomial_integrals(length: int) -> tuple:
     """(w, L) with w[j] / L the integral of x^(2j), for every even 2j < length."""
     den = lcm(*range(1, length + 1, 2))
@@ -54,7 +55,6 @@ def h_norm_integral(alpha: int, beta: int) -> Fraction:
     return integrate(weight_poly(alpha, beta))
 
 
-@lru_cache(maxsize=256, typed=True)
 def weight_poly(alpha: int, beta: int) -> Poly:
     """(1-x)^alpha (1+x)^beta as an explicit polynomial."""
     a = nonneg_int("alpha", alpha)
@@ -62,13 +62,12 @@ def weight_poly(alpha: int, beta: int) -> Poly:
     return (-1) ** a * endpoint_weight(a, b)
 
 
-@lru_cache(maxsize=256, typed=True)
 def _normalized_moments(alpha: int, beta: int, size: int) -> tuple:
-    """(m, D) with m[k] / D the weight integral of x^k over h_norm, k < size."""
-    w, h = weight_poly(alpha, beta), h_norm(alpha, beta)
-    moments = [integrate(Poly.monomial(k) * w) / h for k in range(size)]
-    den = lcm(*(m.denominator for m in moments))
-    return tuple(m.numerator * (den // m.denominator) for m in moments), den
+    """(m, D) with m[k] / D the weight integral of x^k over h_norm, k < size:
+    the weight moments, scaled by 1 / h_norm in integers."""
+    h = h_norm(alpha, beta)
+    moments, den = _weight_moments(alpha, beta, size)
+    return tuple(m * h.denominator for m in moments), den * h.numerator
 
 
 def _moment_vector(params: Params, size: int) -> tuple:
@@ -136,8 +135,8 @@ def _form(f: Poly, g: Poly, v: Poly, k: int, weight: tuple, alpha: int,
 @lru_cache(maxsize=256)
 def _weight_moments(p: int, q: int, size: int) -> tuple:
     """(m, D) with m[k] / D the integral of x^k weight_poly(p, q) over [-1, 1]
-    for k < size, from the monomial integrals alone: a route to the forms'
-    integrals that does not pass through h_norm or the moment vector."""
+    for k < size, from the monomial integrals alone: the one route to every
+    weight integral, the forms' and the moment vector's."""
     w = weight_poly(p, q)
     ints, den = _monomial_integrals(size + len(w.nums) - 1)
     # x^k w integrates to the sum over j of w_j times the integral of x^(k+j)
@@ -246,18 +245,13 @@ def symmetry_defect(f: Poly, g: Poly, params: Params) -> Fraction:
 
 
 def gram_matrix(nmax: int, params: Params) -> list:
-    """Pairwise scalar products of gen_jacobi(0..nmax), entry (i, j) being
-    c_i . (H c_j) with c the coefficients and H the Hankel matrix of the
-    moment vector; diagonal iff the polynomials are orthogonal.  H is
-    symmetric, so each entry with j >= i is computed once and mirrored, and
-    H c_j is needed only in its first j + 1 rows."""
+    """Pairwise scalar products of gen_jacobi(0..nmax); diagonal iff the
+    polynomials are orthogonal.  The product is symmetric, so column j is
+    scored for i <= j by one inner_products call and mirrored."""
     nonneg_int("nmax", nmax)
     polys = [gen_jacobi(n, params) for n in range(nmax + 1)]
-    h, den = _moment_vector(params, 2 * nmax + 1)
-    hc = [[sum(map(mul, g.nums, h[k:])) for k in range(j + 1)] for j, g in enumerate(polys)]
     gram = [[None] * (nmax + 1) for _ in polys]
-    for i, f in enumerate(polys):
-        for j in range(i, nmax + 1):
-            gram[i][j] = gram[j][i] = Fraction(sum(map(mul, f.nums, hc[j])),
-                                               den * f.den * polys[j].den)
+    for j, g in enumerate(polys):
+        for i, entry in enumerate(inner_products(polys[:j + 1], g, params)):
+            gram[i][j] = gram[j][i] = entry
     return gram

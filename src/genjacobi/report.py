@@ -91,6 +91,12 @@ def _case_json(case: Case, params: str) -> str:
     return f'{text}      "pass": {"true" if case.passed else "false"}\n    }}'
 
 
+def tabular(spec: str, rows: list) -> str:
+    """A LaTeX tabular, one line per row; each row is LaTeX without its \\\\."""
+    return "\n".join([rf"\begin{{tabular}}{{{spec}}}", *(f"{row} \\\\" for row in rows),
+                      r"\end{tabular}"])
+
+
 def params_str(**kwargs) -> dict:
     """Render a parameter mapping with exact rational strings; a float is
     refused (InvalidParam), as everywhere."""
@@ -178,16 +184,13 @@ class VerifyReport:
     def to_latex(self) -> str:
         def esc(s: str) -> str:
             return s.replace("^", r"\^{}").replace("_", r"\_")
-        lines = [r"\begin{tabular}{llrll}",
-                 r"label & params & $n$ & residual & result \\"]
+        rows = [r"label & params & $n$ & residual & result"]
         for c in self.cases:
             pstr = ", ".join(f"{k}={v}" for k, v in c.params.items())
             status = "skip" if c.skipped else ("pass" if c.passed else "fail")
             nstr = "" if c.n is None else str(c.n)
-            lines.append(
-                f"{esc(c.label)} & {esc(pstr)} & {nstr} & {esc(c.residual)} & {status} \\\\")
-        lines.append(r"\end{tabular}")
-        return "\n".join(lines)
+            rows.append(f"{esc(c.label)} & {esc(pstr)} & {nstr} & {esc(c.residual)} & {status}")
+        return tabular("llrll", rows)
 
     def render(self, fmt: str) -> str:
         """The report in one format; any format not named is plain text."""

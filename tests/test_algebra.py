@@ -144,6 +144,18 @@ def test_as_rational_rejects_floats():
         as_rational(0.5)
 
 
+def test_as_rational_reads_only_exact_rational_text():
+    # the CLI's grammar: "p" or "p/q", no decimal, exponent or padding
+    from genjacobi.jacobi import jacobi_poly
+    assert as_rational("-7/3") == Fraction(-7, 3) and as_rational("+4") == 4
+    for bad in ("0.5", "1e3", " 1", "1/0", "1/-2", "", "1/"):
+        with pytest.raises(InvalidParam):
+            as_rational(bad)
+    for call in (lambda: Poly(["0.25", 1]), lambda: jacobi_poly(1, "0.5", 0)):
+        with pytest.raises(InvalidParam):
+            call()
+
+
 def test_bools_are_not_rationals():
     # a bool is an int, but True is a flag, not the rational 1
     from genjacobi.jacobi import jacobi_poly

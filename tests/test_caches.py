@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 
 import genjacobi
+from genjacobi import inner
 
 
 def _lru_caches():
@@ -18,9 +19,16 @@ def _lru_caches():
 def test_every_lru_cache_has_a_finite_maxsize():
     caches = _lru_caches()
     assert {"jacobi._jacobi_hyp", "genjacobi._gen_jacobi_cached", "genjacobi._blocks",
-            "algebra.pochhammer", "inner._normalized_moments", "inner._moment_block",
+            "algebra.pochhammer", "inner.h_norm", "inner._moment_block",
             "inner._weight_moments",
             "operators._column_list", "operators._combined_entry",
             "algebra.endpoint_weight"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
+
+
+def test_the_moment_vector_has_one_cached_route():
+    # the moment vector is the cached weight moments scaled by 1 / h_norm;
+    # the steps under a miss of those caches keep no cache of their own
+    for func in (inner._normalized_moments, inner.weight_poly, inner._monomial_integrals):
+        assert not hasattr(func, "cache_info"), func.__name__

@@ -110,6 +110,16 @@ def test_rational_flag_parsing():
         rational_flag("1/0")
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e3", " 1", "1/0"])
+def test_rational_flag_keeps_its_messages(text):
+    # the flag reads as_rational's grammar and reports its refusal as a usage error
+    with pytest.raises(argparse.ArgumentTypeError) as exc:
+        rational_flag(text)
+    assert str(exc.value) == (f"zero denominator in {text!r}" if text == "1/0" else
+                              f"expected an exact rational like 2 or 7/3 (no decimals), "
+                              f"got {text!r}")
+
+
 def test_decimal_mass_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["poly", "--n", "1", "--bigm", "0.5"])
@@ -341,9 +351,12 @@ def test_every_command_but_verify_has_one_table_entry():
     subs = next(a for a in build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
     assert set(COMMANDS) == set(subs.choices) - {"verify"}
-    for name, (cmd, flag) in COMMANDS.items():
+    for name, (cmd, help_, flag, options) in COMMANDS.items():
         assert cmd.__name__ == "cmd_" + name.replace("-", "_")
-        assert flag in {a.dest for a in subs.choices[name]._actions}
+        assert help_ == next(a.help for a in subs._choices_actions if a.dest == name)
+        action = next(a for a in subs.choices[name]._actions if a.dest == flag)
+        assert action.option_strings == [f"--{flag}"]
+        assert {key: getattr(action, key) for key in options} == options
 
 
 def test_unknown_subcommand_exits_2():

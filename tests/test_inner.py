@@ -371,6 +371,11 @@ def _inner_product_by_conv(f: Poly, g: Poly, params: Params) -> Fraction:
     return Fraction(sum(map(mul, fg, h)), den * f.den * g.den)
 
 
+def _normalized_moments_by_poly_ops(alpha: int, beta: int, size: int) -> list:
+    w, h = weight_poly(alpha, beta), h_norm(alpha, beta)
+    return [integrate(Poly.monomial(k) * w) / h for k in range(size)]
+
+
 def _oracle_inputs(seed: int) -> list:
     # zero, constants, and random polynomials of the degrees the suite draws
     rng = SplitMix64(seed)
@@ -394,6 +399,15 @@ def test_forms_match_the_convolution_with_the_weight():
         for (form, v, k, w), f, g in product(_forms(a, b), fs, fs[::3] + fs[-1:]):
             want = _form_by_conv(f, g, v, k, w, a, b)
             assert form(f, g, a, b) == want, (form.__name__, a, b, f, g)
+
+
+def test_normalized_moments_match_the_poly_route():
+    # the moment vector's moments are the cached weight moments over h_norm
+    for a, b in product(range(9), range(9)):
+        want = _normalized_moments_by_poly_ops(a, b, 64)
+        for size in range(65):
+            moments, den = inner._normalized_moments(a, b, size)
+            assert [F(m, den) for m in moments] == want[:size], (a, b, size)
 
 
 def test_boundary_closed_forms_match_poly_ops():

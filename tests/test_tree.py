@@ -109,31 +109,50 @@ def test_only_algebra_raises_a_poly_constant_to_a_power():
         assert not powers, (path.name, powers)
 
 
-def _monomial_spellers(path: Path) -> set:
-    """(file name, dotted def) of every def in the file with a string
-    literal, or an f-string piece, that ends in x^ or x^{: it is about to
-    spell a power of x."""
+def _defs_holding(match) -> set:
+    """(file name, dotted def) of every def in src/genjacobi whose own body,
+    not a nested def's, holds a node for which match(node) is true."""
     found = set()
 
-    def walk(node, prefix):
+    def walk(node, path, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                walk(child, f"{prefix}{child.name}.")
-            elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
-                  and child.value.endswith(("x^", "x^{"))):
+                walk(child, path, f"{prefix}{child.name}.")
+                continue
+            if match(child):
                 found.add((path.name, prefix.rstrip(".")))
-            else:
-                walk(child, prefix)
+            walk(child, path, prefix)
 
-    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path, "")
     return found
+
+
+def _string(node) -> str:
+    """The text of a string literal or an f-string piece; "" for any other node."""
+    is_text = isinstance(node, ast.Constant) and isinstance(node.value, str)
+    return node.value if is_text else ""
 
 
 def test_only_the_term_walk_spells_a_monomial():
     # Poly.__str__ and the LaTeX renderer share Poly.render; a second walk
-    # over the terms would spell x^k again
-    spellers = set().union(*map(_monomial_spellers, sorted(PACKAGE.glob("*.py"))))
+    # over the terms would spell x^k again (a string ending in x^ or x^{)
+    spellers = _defs_holding(lambda node: _string(node).endswith(("x^", "x^{")))
     assert spellers == {("algebra.py", "Poly.render")}
+
+
+def test_only_report_tabular_frames_a_latex_table():
+    # the CLI tables and VerifyReport.to_latex share report.tabular
+    framers = _defs_holding(lambda node: r"\begin{tabular}" in _string(node))
+    assert framers == {("report.py", "tabular")}
+
+
+def test_only_inner_products_reads_the_moment_vector():
+    # the mass-augmented product has one Hankel product; gram_matrix and
+    # inner_product score through it rather than keep a copy
+    callers = _defs_holding(lambda node: isinstance(node, ast.Call) and "_moment_vector"
+                            in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+    assert callers == {("inner.py", "inner_products")}
 
 
 def test_every_imported_name_is_read():
@@ -277,6 +296,7 @@ UNREACHED = {
     "inner.h_norm_integral": ACCEPTANCE,
     "algebra.Poly.exact_div": TRACER,
     "inner.weighted_integral": TRACER,
+    "inner.integrate": TRACER,
     "cli.entry": SCRIPT,
     "algebra.Poly.__setattr__": "the immutability guard",
     "algebra.Poly.__eq__": "the value protocol",
