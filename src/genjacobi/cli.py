@@ -32,7 +32,7 @@ from .genjacobi import Params, gen_jacobi, poly_Q, poly_R, poly_S
 from .inner import gram_matrix
 from .jacobi import jacobi_poly
 from .operators import OPERATOR_KINDS, expand_operator
-from .report import params_str, tabular
+from .report import point_str, tabular
 from .verify import (DEFAULT_ALPHA_MAX, DEFAULT_BETA_MAX, DEFAULT_MASSES,
                      DEFAULT_NMAX, DEFAULT_SEED, SUITE_NAMES, run_suite)
 
@@ -75,7 +75,7 @@ def cmd_poly(n: int, params: Params, fmt: str) -> str:
         ("mass(+1) block", poly_R(n, params.alpha, params.beta)),
         ("two-mass block", poly_S(n, params.alpha, params.beta)),
     ]
-    pstr = params_str(alpha=params.alpha, beta=params.beta, M=params.M, N=params.N)
+    pstr = point_str(params)
     if fmt == "json":
         rec = {"n": n, "params": pstr}
         for name, p in components:
@@ -97,7 +97,7 @@ def cmd_poly(n: int, params: Params, fmt: str) -> str:
 
 def cmd_operator_table(kind: str, params: Params, fmt: str) -> str:
     op = expand_operator(kind, params)
-    pstr = params_str(alpha=params.alpha, beta=params.beta, M=params.M, N=params.N)
+    pstr = point_str(params)
     if fmt == "json":
         rec = {
             "kind": kind,
@@ -125,7 +125,7 @@ def cmd_operator_table(kind: str, params: Params, fmt: str) -> str:
 def cmd_gram(nmax: int, params: Params, fmt: str) -> str:
     matrix = gram_matrix(nmax, params)
     rows = [[format_rational(v) for v in row] for row in matrix]
-    pstr = params_str(alpha=params.alpha, beta=params.beta, M=params.M, N=params.N)
+    pstr = point_str(params)
     if fmt == "json":
         return json.dumps({"nmax": nmax, "params": pstr, "matrix": rows}, indent=2)
     if fmt == "csv":

@@ -103,6 +103,11 @@ def params_str(**kwargs) -> dict:
     return {key: format_rational(value) for key, value in kwargs.items()}
 
 
+def point_str(params) -> dict:
+    """The label of one mass point, read from the Params it ran with."""
+    return params_str(alpha=params.alpha, beta=params.beta, M=params.M, N=params.N)
+
+
 @dataclass
 class VerifyReport:
     """All cases from one suite run, plus the grid that generated them."""

@@ -13,20 +13,21 @@ orthogonality) are stable CLI-facing names:
   agreement on divisible monomial probes.
 - cor24: the literal sixth-order equation at alpha = beta = 0.
 - cor25: the five mixed cross identities between blocks.
-- duran: the alternative product form of the mass(-1) operator.
+- duran: the alternative product form of the operator of the mass at x = -1.
 - symmetry: the operator-vs-bilinear-form pairings, boundary closed forms,
   and the symmetry defect of the combined operator on random inputs.
 - orthogonality: Gram off-diagonals, diagonal positivity, eigenvalue
   monotonicity, and the eigenvalue-gap orthogonality chain.
 
 Randomized suites draw from a splitmix64 stream (documented in the README)
-so runs are reproducible from (grid, seed) alone.  run_suite() looks each
-suite up in one table that maps its name to its grid points, each a (key,
-worker, args) triple keyed by the point's (alpha, beta), and runs the points
-of all its suites grouped by key, largest alpha + beta first, so the points
-of one (alpha, beta) share its cached operator columns: serially, or in one
-process pool under GENJACOBI_THREADS when there is more than one group.
-Cases are emitted in point order
+so runs are reproducible from (grid, seed) alone.  run_suite() builds each
+mass point's Params once, before any suite runs, and the suites share it and
+label its cases from it (report.point_str).  One table maps each suite name
+to its grid points, each a (key, worker, args) triple keyed by the point's
+(alpha, beta); the points of all the suites run grouped by key, largest
+alpha + beta first, so the points of one (alpha, beta) share its cached
+operator columns: serially, or in one process pool under GENJACOBI_THREADS
+when there is more than one group.  Cases are emitted in point order
 whatever order the groups ran in, so the report is the same regardless of
 parallelism.
 """
@@ -35,12 +36,12 @@ from __future__ import annotations
 import os
 import reprlib
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
-                      X_PLUS_1, as_rational, endpoint_weight, nonneg_int, pochhammer)
+                      X_PLUS_1, endpoint_weight, format_rational, nonneg_int, pochhammer)
 from .genjacobi import Params, coeff_q, gen_jacobi
 from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
                     boundary_closed_forms, gram_matrix, inner_products,
@@ -49,7 +50,7 @@ from .jacobi import jacobi_poly
 from .operators import (_image, apply_combined, apply_duran, apply_factorized,
                         components, const_b, const_c, eigen_combined, eigen_residual,
                         expand_operator)
-from .report import Case, VerifyReport, params_str
+from .report import Case, VerifyReport, params_str, point_str
 
 DEFAULT_NMAX = 12
 DEFAULT_ALPHA_MAX = 3
@@ -118,7 +119,7 @@ def _point_seed(seed: int, index: int) -> int:
 
 def _thm21_point(nmax: int, params: Params) -> list:
     """Combined eigen-equation cases of one grid point (the tracer counts this name)."""
-    pstr = params_str(alpha=params.alpha, beta=params.beta, M=params.M, N=params.N)
+    pstr = point_str(params)
     cases = []
     for n in range(nmax + 1):
         y = gen_jacobi(n, params)
@@ -215,9 +216,8 @@ def verify_prop23(nmax: int, alpha: int, beta: int) -> VerifyReport:
 def verify_cor24(nmax: int, M: RationalLike, N: RationalLike) -> VerifyReport:
     """Literal sixth-order equation for the alpha = beta = 0 polynomials."""
     nonneg_int("nmax", nmax)
-    M, N = as_rational(M), as_rational(N)
     params = Params(0, 0, M, N)
-    pstr = params_str(alpha=0, beta=0, M=M, N=N)
+    M, N, pstr = params.M, params.N, point_str(params)
     report = VerifyReport("cor24", grid={"nmax": str(nmax), **pstr})
     for n in range(nmax + 1):
         y = gen_jacobi(n, params)
@@ -266,8 +266,8 @@ def verify_cor25(nmax: int, alpha: int, beta: int) -> VerifyReport:
 # ---------------- alternative product form suite ----------------
 
 def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
-    """Product form of the mass(-1) operator: monomial agreement, the
-    two-term block identity, and the reduced eigen-equation at N = 0."""
+    """Product form of the operator of the mass at x = -1: monomial agreement,
+    the two-term block identity, and the reduced eigen-equation at N = 0."""
     a, b = alpha, beta
     nonneg_int("dmax", dmax)
     pstr = params_str(alpha=a, beta=b)
@@ -286,12 +286,11 @@ def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
         report.add(Case.check("x+1 block as two-term Jacobi combination", pstr, n,
                               lhs - rhs))
 
-    for mass in (Fraction(1), Fraction(1, 3)):
-        params = Params(a, b, mass, Fraction(0))
-        mstr = params_str(alpha=a, beta=b, M=mass, N=0)
+    for params in (Params(a, b, 1), Params(a, b, Fraction(1, 3))):
+        mstr = point_str(params)
         for n in range(11):
             y = gen_jacobi(n, params)
-            lhs = (second.minus_eigen(n, a, b)(y) + mass / side.norm
+            lhs = (second.minus_eigen(n, a, b)(y) + params.M / side.norm
                    * eigen_residual(apply_duran(y, a, b), side.eigen(n), y))
             report.add(Case.check("reduced eigen-equation via product form",
                                   mstr, n, lhs))
@@ -311,20 +310,21 @@ def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
     g_neg, g_pos = g.eval(-1), g.eval(1)
     cases = [Case.check("combined operator symmetry defect", pstr, n,
                         symmetry_defect(f, g, params))]
-    # (label, its symmetric form, boundary term) of the images of f in order;
-    # the boundary terms are endpoint values of the lower-order operators,
-    # in closed form.  The images are scored against g through one Hankel
-    # product of the plain moment vector.
+    # (symmetric form, boundary term) of the images of f, in the order of the
+    # components rows that name them; the boundary terms are endpoint values
+    # of the lower-order operators, in closed form.  The images are scored
+    # against g through one Hankel product of the plain moment vector.
     pairings = (
-        ("second-order form pairing", bilinear_U, 0),
-        ("mass(-1) form pairing", bilinear_Vt, -b_ba * want.l2_neg1 * g_neg),
-        ("mass(+1) form pairing", bilinear_V, -b_ab * want.l2_pos1 * g_pos),
-        ("two-mass form pairing", bilinear_W,
+        (bilinear_U, 0),
+        (bilinear_Vt, -b_ba * want.l2_neg1 * g_neg),
+        (bilinear_V, -b_ab * want.l2_pos1 * g_pos),
+        (bilinear_W,
          -c_ab * (want.lhat_neg1 * g_neg / b_ab + want.ltilde_pos1 * g_pos / b_ba)),
     )
     products = inner_products((l2, lt, lh, lf), g, plain)
-    for (label, form, boundary), product in zip(pairings, products):
-        cases.append(Case.check(label, pstr, n, product - form(f, g, a, b) - boundary))
+    for row, (form, boundary), product in zip(table, pairings, products):
+        cases.append(Case.check(f"{row.name} form pairing", pstr, n,
+                                product - form(f, g, a, b) - boundary))
 
     # the eight endpoint values in BoundaryValues field order, compared for
     # equality first: the sum of squares is built only to render a mismatch
@@ -340,8 +340,7 @@ def verify_symmetry(trials: int, degmax: int, params: Params,
     """Randomized symmetry checks at one parameter point."""
     nonneg_int("trials", trials, 1)
     nonneg_int("degmax", degmax)
-    pstr = params_str(alpha=params.alpha, beta=params.beta,
-                      M=params.M, N=params.N)
+    pstr = point_str(params)
     report = VerifyReport("symmetry", seed=seed,
                           grid={"trials": str(trials), "degmax": str(degmax), **pstr})
     rng = SplitMix64(seed)
@@ -364,8 +363,7 @@ def verify_symmetry(trials: int, degmax: int, params: Params,
 
 def verify_orthogonality(nmax: int, params: Params) -> VerifyReport:
     """Gram structure and eigenvalue monotonicity for one parameter point."""
-    pstr = params_str(alpha=params.alpha, beta=params.beta,
-                      M=params.M, N=params.N)
+    pstr = point_str(params)
     report = VerifyReport("orthogonality", grid={"nmax": str(nmax), **pstr})
     gram = gram_matrix(nmax, params)
     for i in range(nmax + 1):
@@ -411,8 +409,10 @@ def _symmetry_point(trials: int, degmax: int, params: Params, seed: int) -> list
     return verify_symmetry(trials, degmax, params, seed).cases
 
 
-class _Grid(NamedTuple):
-    """The parameter grid of one run_suite call."""
+@dataclass
+class _Grid:
+    """The parameter grid of one run_suite call; it builds (and so checks)
+    the Params of each mass point once, for every suite to share."""
 
     nmax: int
     seed: int
@@ -420,9 +420,8 @@ class _Grid(NamedTuple):
     ab: list            # (alpha, beta) pairs
     masses: list        # (M, N) pairs
 
-    @property
-    def params(self) -> list:
-        return [Params(a, b, M, N) for a, b in self.ab for M, N in self.masses]
+    def __post_init__(self):
+        self.params = [Params(a, b, M, N) for a, b in self.ab for M, N in self.masses]
 
 
 # Suite name -> the grid points of that suite, each a (key, worker, args)
@@ -452,20 +451,17 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _run_point(point) -> list:
-    """The cases of one (label prefix, worker, args) point; runs in a pool too."""
-    prefix, worker, args = point
-    out = worker(*args)
-    cases = out.cases if isinstance(out, VerifyReport) else out
-    if prefix:
-        cases = [Case(prefix + c.label, *c[1:]) for c in cases]
-    return cases
-
-
 def _run_task(task) -> list:
-    """(index, cases) of each (index, point) of one task, in order; runs in a
-    pool too."""
-    return [(index, _run_point(point)) for index, point in task]
+    """(index, cases) of each (index, (label prefix, worker, args)) point of
+    one task, in order; runs in a pool too."""
+    done = []
+    for index, (prefix, worker, args) in task:
+        out = worker(*args)
+        cases = out.cases if isinstance(out, VerifyReport) else out
+        if prefix:
+            cases = [Case(prefix + c.label, *c[1:]) for c in cases]
+        done.append((index, cases))
+    return done
 
 
 def _tasks(points) -> list:
@@ -510,10 +506,12 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
     masses_m / masses_n are the grids of the masses at x = -1 and x = +1.
     A grid bound that is not a nonnegative int, a `trials` or `threads`
     that is not a positive int, a `seed` that is not an int (negative ints
-    are valid), or an empty mass axis raises InvalidParam.
+    are valid), an empty or str mass axis, or a mass that is not an exact
+    rational >= 0 (whatever the suite) raises InvalidParam.
     """
-    masses_m = tuple(as_rational(m) for m in masses_m)
-    masses_n = tuple(as_rational(m) for m in masses_n)
+    if isinstance(masses_m, str) or isinstance(masses_n, str):
+        raise InvalidParam("a mass axis is a sequence of masses, not a str")
+    masses_m, masses_n = tuple(masses_m), tuple(masses_n)
     for key, bound in (("nmax", nmax), ("alpha_max", alpha_max), ("beta_max", beta_max)):
         nonneg_int(key, bound)
     nonneg_int("trials", trials, 1)
@@ -522,8 +520,8 @@ def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,
     _seed(seed)
     grid = {"nmax": str(nmax), "alpha_max": str(alpha_max),
             "beta_max": str(beta_max),
-            "masses_m": ",".join(str(m) for m in masses_m),
-            "masses_n": ",".join(str(m) for m in masses_n)}
+            "masses_m": ",".join(map(format_rational, masses_m)),
+            "masses_n": ",".join(map(format_rational, masses_n))}
     threads = _thread_count(threads)
     if name != "all" and name not in _SUITES:
         raise InvalidParam(f"unknown suite {name!r}; choose from "

@@ -11,7 +11,7 @@ import pytest
 
 from genjacobi import algebra
 from genjacobi.cli import FORMATS
-from genjacobi.operators import OPERATOR_KINDS
+from genjacobi.operators import OPERATOR_KINDS, components
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "genjacobi"
@@ -155,6 +155,24 @@ def test_only_inner_products_reads_the_moment_vector():
     assert callers == {("inner.py", "inner_products")}
 
 
+def test_only_report_point_str_labels_a_mass_point():
+    # every mass point's label is read from the Params it ran with; a second
+    # spelling of its four keys could state other values than those that ran
+    spellers = _defs_holding(lambda node: isinstance(node, ast.Call)
+                             and "params_str" in (getattr(node.func, "id", None),
+                                                  getattr(node.func, "attr", None))
+                             and any(k.arg == "M" for k in node.keywords))
+    assert spellers == {("report.py", "point_str")}
+
+
+def test_verify_names_no_operator_in_its_own_text():
+    # the suites name an operator by its components row, so no label in
+    # verify.py restates one of the four names
+    names = [row.name for row in components(0, 0)]
+    holders = _defs_holding(lambda node: any(name in _string(node) for name in names))
+    assert not {name for path, name in holders if path == "verify.py"}
+
+
 def test_every_imported_name_is_read():
     # an import no code reads is dead weight; a re-export counts as a
     # read when __all__ lists it
@@ -197,7 +215,9 @@ PRODUCT_RUNS = {f"{name} {fmt}": [*argv, "--format", fmt]
 # name -> (argv, GENJACOBI_THREADS)
 EXIT_2_RUNS = {"decimal mass": (["verify", "--bigm", "0.5"], "1"),
                "negative index": (["poly", "--n", "-1"], "1"),
-               "zero threads": (["verify", *_TINY], "0")}
+               "zero threads": (["verify", *_TINY], "0"),
+               "negative mass, mass-free suite": (["verify", "--suite", "prop22",
+                                                   "--bigm", "-1"], "1")}
 
 _PROBE = r"""
 import hashlib, io, json, os, sys

@@ -330,6 +330,13 @@ def test_run_suite_rejects_unknown_name():
     ("symmetry", dict(seed=True)),
     ("symmetry", dict(seed=2.5)),
     ("symmetry", dict(seed="3")),
+    # a str axis ran cor24 at M = 1 and M = 2, one character at a time
+    ("cor24", dict(masses_m="12")),
+    ("cor24", dict(masses_n="12")),
+    # a negative mass is bad input whatever the suite: prop22, prop23, cor25
+    # and duran read no mass and ran
+    *[(name, {axis: (-1,)}) for name in SUITE_NAMES + ("all",)
+      for axis in ("masses_m", "masses_n")],
 ])
 def test_run_suite_rejects_grids_that_check_nothing(name, grid):
     with pytest.raises(InvalidParam):
@@ -401,6 +408,17 @@ def test_run_suite_mass_axis_pinning():
     for c in rep.cases:
         if c.label == "combined eigen-equation":
             assert c.params["M"] == "1" and c.params["N"] == "2"
+
+
+def test_the_mass_point_suites_share_one_params_per_point():
+    grid = verify._Grid(2, 0, 1, ab=[(0, 1), (1, 0)], masses=[(F(0), F(1)), (1, "1/3")])
+    thm21 = [args[1] for _, worker, args in verify._SUITES["thm21"](grid)
+             if worker is verify._thm21_point]
+    symmetry = [args[2] for _, _, args in verify._SUITES["symmetry"](grid)]
+    orthogonality = [args[1] for _, _, args in verify._SUITES["orthogonality"](grid)]
+    assert len(grid.params) == len(thm21) == len(symmetry) == len(orthogonality) == 4
+    for point, *shared in zip(grid.params, thm21, symmetry, orthogonality):
+        assert all(p is point for p in shared)
 
 
 def test_corrupted_eigenvalue_is_caught(monkeypatch):
