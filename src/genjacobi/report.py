@@ -1,6 +1,6 @@
 """Structured verification results.
 
-A check run produces a :class:`VerifyReport`: one :class:`Case` per identity
+A suite run produces a :class:`VerifyReport`: one :class:`Case` per identity
 instance, each carrying the exact residual as a string (rationals as "p/q",
 polynomials in plain text).  A case whose precondition is not met is recorded
 as skipped with the violated precondition; skipped cases never count as
@@ -18,7 +18,7 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .algebra import Poly, format_rational
 
@@ -110,7 +110,8 @@ def point_str(params) -> dict:
 
 @dataclass
 class VerifyReport:
-    """All cases from one suite run, plus the grid that generated them."""
+    """All cases from one suite run, plus the grid that generated them; the
+    grid points return plain lists of cases, and only a run builds a report."""
 
     suite: str
     grid: Mapping[str, str] = field(default_factory=dict)
@@ -127,12 +128,6 @@ class VerifyReport:
         passed = sum(1 for c in self.cases if c.passed)
         skipped = sum(1 for c in self.cases if c.skipped)
         return passed, len(self.cases) - passed - skipped, skipped
-
-    def add(self, case: Case) -> None:
-        self.cases.append(case)
-
-    def extend(self, cases: Sequence[Case]) -> None:
-        self.cases.extend(cases)
 
     def to_json(self) -> str:
         """The report as json.dumps(record, indent=2) writes it, byte for

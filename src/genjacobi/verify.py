@@ -1,7 +1,7 @@
 """Identity-verification suites.
 
-Each suite evaluates a family of exact identities and returns a
-:class:`VerifyReport` whose cases pass iff their residuals are exactly zero.
+A suite's grid point returns a list of :class:`Case`, each passing iff its
+residual is exactly zero; only run_suite() builds a :class:`VerifyReport`.
 Suite ids (thm21, prop22, prop23, cor24, cor25, duran, symmetry,
 orthogonality) are stable CLI-facing names:
 
@@ -118,7 +118,7 @@ def _point_seed(seed: int, index: int) -> int:
 # ---------------- combined eigen-equation suite ----------------
 
 def _thm21_point(nmax: int, params: Params) -> list:
-    """Combined eigen-equation cases of one grid point (the tracer counts this name)."""
+    """The combined eigen-equation cases, n = 0..nmax, of one mass point."""
     pstr = point_str(params)
     cases = []
     for n in range(nmax + 1):
@@ -153,19 +153,19 @@ _CHAINS = ("raised-weight derivative chain",
            "swapped-weight derivative chain, raised-parameter form")
 
 
-def verify_prop22(nmax: int, alpha: int, beta: int) -> VerifyReport:
+def verify_prop22(nmax: int, alpha: int, beta: int) -> list:
     """Eigen-equations of the four blocks and the derivative chains."""
     a, b = alpha, beta
     nonneg_int("nmax", nmax)
     pstr = params_str(alpha=a, beta=b)
-    report = VerifyReport("prop22", grid={"nmax": str(nmax), **pstr})
+    cases = []
     table = components(a, b)
     for n in range(nmax + 1):
         for row in table:
             res = row.minus_eigen(n, a, b)(row.poly(n, a, b))
-            report.add(Case.check(f"{row.name} eigen-equation", pstr, n, res))
+            cases.append(Case.check(f"{row.name} eigen-equation", pstr, n, res))
         if n < 2:
-            report.extend(Case.skip(label, pstr, n, "needs n >= 2") for label in _CHAINS)
+            cases.extend(Case.skip(label, pstr, n, "needs n >= 2") for label in _CHAINS)
             continue
         raised = (endpoint_weight(a + 2, b + 2)
                   * jacobi_poly(n - 2, a + 2, b + 2)).derive(a + b + 3)
@@ -177,48 +177,48 @@ def verify_prop22(nmax: int, alpha: int, beta: int) -> VerifyReport:
             swapped - mid,
             mid - Fraction(1, 2) * pochhammer(n, a + b + 3) * jacobi_poly(n - 2, a + 2, b + 2))
         for label, res in zip(_CHAINS, residuals):
-            report.add(Case.check(label, pstr, n, res))
-    return report
+            cases.append(Case.check(label, pstr, n, res))
+    return cases
 
 
 # ---------------- factorized forms suite ----------------
 
-def verify_prop23(nmax: int, alpha: int, beta: int) -> VerifyReport:
+def verify_prop23(nmax: int, alpha: int, beta: int) -> list:
     """Factorized eigen-equations and factorized = elementary on probes."""
     a, b = alpha, beta
     nonneg_int("nmax", nmax)
     pstr = params_str(alpha=a, beta=b)
-    report = VerifyReport("prop23", grid={"nmax": str(nmax), **pstr})
+    cases = []
     higher = components(a, b)[1:]
     for n in range(1, nmax + 1):
         for row in higher:
             y = row.poly(n, a, b)
             res = eigen_residual(apply_factorized(row.factorized, y, a, b), row.eigen(n), y)
-            report.add(Case.check(f"factorized eigen-equation, {row.where} block",
-                                  pstr, n, res))
+            cases.append(Case.check(f"factorized eigen-equation, {row.where} block",
+                                    pstr, n, res))
     for row in higher:
         for k in range(row.order + 5):
             y = row.factor * Poly.monomial(k)
             res = apply_factorized(row.factorized, y, a, b) - row.apply(y, a, b)
-            report.add(Case.check(f"factorized matches elementary, kind {row.factorized}",
-                                  pstr, k, res))
+            cases.append(Case.check(f"factorized matches elementary, kind {row.factorized}",
+                                    pstr, k, res))
     # each annihilates the polynomials of degree below its factor's
     kernels = (("constants", Poly.one()), ("linear polynomials", Poly([3, -2])))
     for row in higher:
         what, y = kernels[row.factor.degree - 1]
-        report.add(Case.check(f"{row.name} operator annihilates {what}", pstr, None,
-                              row.apply(y, a, b)))
-    return report
+        cases.append(Case.check(f"{row.name} operator annihilates {what}", pstr, None,
+                                row.apply(y, a, b)))
+    return cases
 
 
 # ---------------- literal sixth-order equation suite ----------------
 
-def verify_cor24(nmax: int, M: RationalLike, N: RationalLike) -> VerifyReport:
+def verify_cor24(nmax: int, M: RationalLike, N: RationalLike) -> list:
     """Literal sixth-order equation for the alpha = beta = 0 polynomials."""
     nonneg_int("nmax", nmax)
     params = Params(0, 0, M, N)
     M, N, pstr = params.M, params.N, point_str(params)
-    report = VerifyReport("cor24", grid={"nmax": str(nmax), **pstr})
+    cases = []
     for n in range(nmax + 1):
         y = gen_jacobi(n, params)
         lhs = (X2_MINUS_1 * y.derive()).derive()
@@ -230,61 +230,61 @@ def verify_cor24(nmax: int, M: RationalLike, N: RationalLike) -> VerifyReport:
                                               * (X2_MINUS_1 * y).derive(3)).derive(3)
         scale = pochhammer(n, 2) * (1 + (M + N) / 2 * pochhammer(n, 2)
                                     + M * N / 3 * pochhammer(n - 1, 4))
-        report.add(Case.check("sixth-order equation, literal form", pstr, n,
-                              lhs - scale * y))
-    report.add(Case.check("normalization constant b at (0,0)", pstr, None,
-                          const_b(0, 0) - 2))
-    report.add(Case.check("normalization constant c at (0,0)", pstr, None,
-                          const_c(0, 0) - 3))
-    return report
+        cases.append(Case.check("sixth-order equation, literal form", pstr, n,
+                                lhs - scale * y))
+    cases.append(Case.check("normalization constant b at (0,0)", pstr, None,
+                            const_b(0, 0) - 2))
+    cases.append(Case.check("normalization constant c at (0,0)", pstr, None,
+                            const_c(0, 0) - 3))
+    return cases
 
 
 # ---------------- mixed cross identities suite ----------------
 
-def verify_cor25(nmax: int, alpha: int, beta: int) -> VerifyReport:
+def verify_cor25(nmax: int, alpha: int, beta: int) -> list:
     """The five cross identities mixing the P/Q/R/S blocks."""
     a, b = alpha, beta
     nonneg_int("nmax", nmax)
     pstr = params_str(alpha=a, beta=b)
-    report = VerifyReport("cor25", grid={"nmax": str(nmax), **pstr})
+    cases = []
     table = components(a, b)
     _, inv_bq, inv_br, inv_c = (1 / row.norm for row in table)
     for n in range(nmax + 1):
         P, Q, R, S = (row.poly(n, a, b) for row in table)
         d2, dq, dr, ds = (row.minus_eigen(n, a, b) for row in table)
-        report.add(Case.check("cross identity P/Q", pstr, n, d2(Q) + inv_bq * dq(P)))
-        report.add(Case.check("cross identity P/R", pstr, n, d2(R) + inv_br * dr(P)))
-        report.add(Case.check("cross identity Q/S", pstr, n,
-                              inv_bq * dq(S) + inv_c * ds(Q)))
-        report.add(Case.check("cross identity R/S", pstr, n,
-                              inv_br * dr(S) + inv_c * ds(R)))
-        report.add(Case.check("four-term cross identity", pstr, n,
-                              d2(S) + inv_bq * dq(R) + inv_br * dr(Q) + inv_c * ds(P)))
-    return report
+        cases.append(Case.check("cross identity P/Q", pstr, n, d2(Q) + inv_bq * dq(P)))
+        cases.append(Case.check("cross identity P/R", pstr, n, d2(R) + inv_br * dr(P)))
+        cases.append(Case.check("cross identity Q/S", pstr, n,
+                                inv_bq * dq(S) + inv_c * ds(Q)))
+        cases.append(Case.check("cross identity R/S", pstr, n,
+                                inv_br * dr(S) + inv_c * ds(R)))
+        cases.append(Case.check("four-term cross identity", pstr, n,
+                                d2(S) + inv_bq * dq(R) + inv_br * dr(Q) + inv_c * ds(P)))
+    return cases
 
 
 # ---------------- alternative product form suite ----------------
 
-def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
+def verify_duran(dmax: int, alpha: int, beta: int) -> list:
     """Product form of the operator of the mass at x = -1: monomial agreement,
     the two-term block identity, and the reduced eigen-equation at N = 0."""
     a, b = alpha, beta
     nonneg_int("dmax", dmax)
     pstr = params_str(alpha=a, beta=b)
-    report = VerifyReport("duran", grid={"dmax": str(dmax), **pstr})
+    cases = []
     second, side = components(a, b)[:2]
     for k in range(dmax + 1):
         y = Poly.monomial(k)
         res = apply_duran(y, a, b) - side.apply(y, a, b)
-        report.add(Case.check("product form matches elementary on x^k", pstr, k, res))
+        cases.append(Case.check("product form matches elementary on x^k", pstr, k, res))
 
     for n in range(1, 11):
         qn = coeff_q(n, a, b)
         lhs = qn * X_PLUS_1 * jacobi_poly(n - 1, a, b + 2)
         rhs = qn * (2 * (n + b + 1) * jacobi_poly(n - 1, a, b + 1)
                     + 2 * n * jacobi_poly(n, a, b + 1)) / (2 * n + a + b + 1)
-        report.add(Case.check("x+1 block as two-term Jacobi combination", pstr, n,
-                              lhs - rhs))
+        cases.append(Case.check("x+1 block as two-term Jacobi combination", pstr, n,
+                                lhs - rhs))
 
     for params in (Params(a, b, 1), Params(a, b, Fraction(1, 3))):
         mstr = point_str(params)
@@ -292,97 +292,96 @@ def verify_duran(dmax: int, alpha: int, beta: int) -> VerifyReport:
             y = gen_jacobi(n, params)
             lhs = (second.minus_eigen(n, a, b)(y) + params.M / side.norm
                    * eigen_residual(apply_duran(y, a, b), side.eigen(n), y))
-            report.add(Case.check("reduced eigen-equation via product form",
-                                  mstr, n, lhs))
-    return report
+            cases.append(Case.check("reduced eigen-equation via product form",
+                                    mstr, n, lhs))
+    return cases
 
 
 # ---------------- symmetry suite ----------------
 
-def _symmetry_pair_cases(f: Poly, g: Poly, params: Params, pstr: dict,
-                         n: int, table: tuple, plain: Params) -> list:
-    """The cases of one random pair (f, g) at params, given the point's
-    components table and its mass-free Params(alpha, beta)."""
+def _symmetry_point(trials: int, degmax: int, params: Params, seed: int) -> list:
+    """The cases of one symmetry grid point: for each of `trials` random pairs
+    (f, g) of degree <= degmax drawn from seed, the combined operator's
+    symmetry defect, the four form pairings and the boundary closed forms;
+    then the two routes to the mass normalization constant."""
+    nonneg_int("trials", trials, 1)
+    nonneg_int("degmax", degmax)
     a, b = params.alpha, params.beta
-    l2, lt, lh, lf = (_image(row.kind, f, a, b) for row in table)
+    pstr = point_str(params)
+    rng = SplitMix64(seed)
+    # one components table and one mass-free Params per point, not per pair
+    table = components(a, b)
+    plain = Params(a, b)
     _, b_ba, b_ab, c_ab = (row.norm for row in table)
-    want = boundary_closed_forms(f, a, b)
-    g_neg, g_pos = g.eval(-1), g.eval(1)
-    cases = [Case.check("combined operator symmetry defect", pstr, n,
-                        symmetry_defect(f, g, params))]
-    # (symmetric form, boundary term) of the images of f, in the order of the
-    # components rows that name them; the boundary terms are endpoint values
-    # of the lower-order operators, in closed form.  The images are scored
-    # against g through one Hankel product of the plain moment vector.
-    pairings = (
-        (bilinear_U, 0),
-        (bilinear_Vt, -b_ba * want.l2_neg1 * g_neg),
-        (bilinear_V, -b_ab * want.l2_pos1 * g_pos),
-        (bilinear_W,
-         -c_ab * (want.lhat_neg1 * g_neg / b_ab + want.ltilde_pos1 * g_pos / b_ba)),
-    )
-    products = inner_products((l2, lt, lh, lf), g, plain)
-    for row, (form, boundary), product in zip(table, pairings, products):
-        cases.append(Case.check(f"{row.name} form pairing", pstr, n,
-                                product - form(f, g, a, b) - boundary))
-
-    # the eight endpoint values in BoundaryValues field order, compared for
-    # equality first: the sum of squares is built only to render a mismatch
-    got = [image.eval(x) for image in (l2, lt, lh, lf) for x in (-1, 1)]
-    wanted = list(vars(want).values())
-    defect = 0 if got == wanted else sum((gv - wv) ** 2 for gv, wv in zip(got, wanted))
-    cases.append(Case.check("boundary closed forms (8 values)", pstr, n, defect))
+    cases = []
+    for n in range(trials):
+        f = random_poly(rng, degmax)
+        g = random_poly(rng, degmax)
+        images = [_image(row.kind, f, a, b) for row in table]
+        want = boundary_closed_forms(f, a, b)
+        g_neg, g_pos = g.eval(-1), g.eval(1)
+        cases.append(Case.check("combined operator symmetry defect", pstr, n,
+                                symmetry_defect(f, g, params)))
+        # (symmetric form, boundary term) of the images of f, in the order of
+        # the components rows that name them; the boundary terms are endpoint
+        # values of the lower-order operators, in closed form.  The images are
+        # scored against g through one Hankel product of the plain moment vector.
+        pairings = (
+            (bilinear_U, 0),
+            (bilinear_Vt, -b_ba * want.l2_neg1 * g_neg),
+            (bilinear_V, -b_ab * want.l2_pos1 * g_pos),
+            (bilinear_W,
+             -c_ab * (want.lhat_neg1 * g_neg / b_ab + want.ltilde_pos1 * g_pos / b_ba)),
+        )
+        products = inner_products(images, g, plain)
+        for row, (form, boundary), product in zip(table, pairings, products):
+            cases.append(Case.check(f"{row.name} form pairing", pstr, n,
+                                    product - form(f, g, a, b) - boundary))
+        # the eight endpoint values in BoundaryValues field order, compared for
+        # equality first: the sum of squares is built only to render a mismatch
+        got = [image.eval(x) for image in images for x in (-1, 1)]
+        wanted = list(vars(want).values())
+        defect = 0 if got == wanted else sum((gv - wv) ** 2 for gv, wv in zip(got, wanted))
+        cases.append(Case.check("boundary closed forms (8 values)", pstr, n, defect))
+    direct, via_pos, via_neg = mass_constant_identity(a, b)
+    cases.append(Case.check("mass normalization constant identity (+1 route)", pstr,
+                            None, direct - via_pos))
+    cases.append(Case.check("mass normalization constant identity (-1 route)", pstr,
+                            None, direct - via_neg))
     return cases
 
 
 def verify_symmetry(trials: int, degmax: int, params: Params,
                     seed: int) -> VerifyReport:
-    """Randomized symmetry checks at one parameter point."""
-    nonneg_int("trials", trials, 1)
-    nonneg_int("degmax", degmax)
-    pstr = point_str(params)
-    report = VerifyReport("symmetry", seed=seed,
-                          grid={"trials": str(trials), "degmax": str(degmax), **pstr})
-    rng = SplitMix64(seed)
-    # one components table and one mass-free Params per point, not per pair
-    table = components(params.alpha, params.beta)
-    plain = Params(params.alpha, params.beta)
-    for t in range(trials):
-        f = random_poly(rng, degmax)
-        g = random_poly(rng, degmax)
-        report.extend(_symmetry_pair_cases(f, g, params, pstr, t, table, plain))
-    direct, via_pos, via_neg = mass_constant_identity(params.alpha, params.beta)
-    report.add(Case.check("mass normalization constant identity (+1 route)", pstr,
-                          None, direct - via_pos))
-    report.add(Case.check("mass normalization constant identity (-1 route)", pstr,
-                          None, direct - via_neg))
-    return report
+    """One symmetry grid point's cases as a report, its arguments as the grid."""
+    grid = {"trials": str(trials), "degmax": str(degmax), **point_str(params)}
+    return VerifyReport("symmetry", grid, seed, _symmetry_point(trials, degmax, params, seed))
 
 
 # ---------------- orthogonality suite ----------------
 
-def verify_orthogonality(nmax: int, params: Params) -> VerifyReport:
+def verify_orthogonality(nmax: int, params: Params) -> list:
     """Gram structure and eigenvalue monotonicity for one parameter point."""
     pstr = point_str(params)
-    report = VerifyReport("orthogonality", grid={"nmax": str(nmax), **pstr})
+    cases = []
     gram = gram_matrix(nmax, params)
     for i in range(nmax + 1):
         for j in range(i + 1, nmax + 1):
-            report.add(Case.check(f"gram entry ({i},{j})", pstr, None, gram[i][j]))
+            cases.append(Case.check(f"gram entry ({i},{j})", pstr, None, gram[i][j]))
     for i in range(nmax + 1):
-        report.add(Case.holds("gram diagonal entry positive", pstr, i,
-                              gram[i][i] > 0, gram[i][i]))
+        cases.append(Case.holds("gram diagonal entry positive", pstr, i,
+                                gram[i][i] > 0, gram[i][i]))
     lams = [eigen_combined(n, params).value for n in range(nmax + 6)]
     for n in range(nmax + 5):
         gap = lams[n + 1] - lams[n]
-        report.add(Case.holds("combined eigenvalue strictly increasing", pstr, n,
-                              gap > 0, gap))
+        cases.append(Case.holds("combined eigenvalue strictly increasing", pstr, n,
+                                gap > 0, gap))
     # a zero gram entry is its own product: only a nonzero one is multiplied
     for i in range(nmax + 1):
         for j in range(i + 1, nmax + 1):
-            report.add(Case.check(f"eigen-gap times gram entry ({i},{j})", pstr, None,
-                                  gram[i][j] and (lams[i] - lams[j]) * gram[i][j]))
-    return report
+            cases.append(Case.check(f"eigen-gap times gram entry ({i},{j})", pstr, None,
+                                    gram[i][j] and (lams[i] - lams[j]) * gram[i][j]))
+    return cases
 
 
 # ---------------- grid runners ----------------
@@ -402,11 +401,6 @@ def _thread_count(threads=None) -> int:
         raise InvalidParam(f"{name} must be a positive integer, "
                            f"got {reprlib.repr(threads)}")
     return min(count, os.cpu_count() or 1)
-
-
-def _symmetry_point(trials: int, degmax: int, params: Params, seed: int) -> list:
-    """The cases of one symmetry grid point, under the name the tracer counts."""
-    return verify_symmetry(trials, degmax, params, seed).cases
 
 
 @dataclass
@@ -456,8 +450,7 @@ def _run_task(task) -> list:
     one task, in order; runs in a pool too."""
     done = []
     for index, (prefix, worker, args) in task:
-        out = worker(*args)
-        cases = out.cases if isinstance(out, VerifyReport) else out
+        cases = worker(*args)
         if prefix:
             cases = [Case(prefix + c.label, *c[1:]) for c in cases]
         done.append((index, cases))

@@ -18,7 +18,7 @@ from genjacobi.inner import (BoundaryValues, bilinear_U,
                              weight_poly, weighted_integral)
 from genjacobi.jacobi import jacobi_poly
 from genjacobi.operators import (apply_L2, apply_Lfull, apply_Lhat,
-                                 apply_Ltilde, components, const_b, const_c)
+                                 apply_Ltilde, const_b, const_c)
 from genjacobi.verify import SplitMix64, random_poly
 
 F = Fraction
@@ -440,10 +440,12 @@ def test_one_moment_lookup_per_pair_and_no_convolution_with_a_weight(monkeypatch
     monkeypatch.setattr(inner, "_moment_vector",
                         lambda p, size: lookups.append(size) or moment_vector(p, size))
     monkeypatch.setattr(verify, "symmetry_defect", lambda f, g, params: F(0))
-    pstr = {"alpha": str(a), "beta": str(b)}
-    cases = verify._symmetry_pair_cases(f, g, Params(a, b, 1, F(1, 3)), pstr, 0,
-                                        components(a, b), Params(a, b))
+    # one symmetry point of one trial, its pair drawn as this f and g
+    draws = iter((f, g))
+    monkeypatch.setattr(verify, "random_poly", lambda rng, degmax: next(draws))
+    cases = verify._symmetry_point(1, 9, Params(a, b, 1, F(1, 3)), 0)
     assert all(c.passed for c in cases)
+    assert {c.n for c in cases} == {0, None}
     assert len(lookups) == 1
     # a form convolves (v f)^(k) with (v g)^(k) and nothing with its weight
     calls = []

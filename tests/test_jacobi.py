@@ -31,7 +31,7 @@ def verify_diff_identities(n: int, gamma: RationalLike, delta: RationalLike) -> 
     # plain derivative: lowers the degree, raises both parameters
     rhs = jacobi_poly(n - 1, g + 1, d + 1) if n >= 1 else Poly.zero()
     res = dP - Fraction(n + g + d + 1, 2) * rhs
-    report.add(Case.check("derivative raises both parameters", pstr, n, res))
+    report.cases.append(Case.check("derivative raises both parameters", pstr, n, res))
 
     # (label, precondition, reason it fails, residual): the derivative of the
     # fully weighted polynomial (raises the degree, lowers both parameters),
@@ -47,8 +47,8 @@ def verify_diff_identities(n: int, gamma: RationalLike, delta: RationalLike) -> 
          lambda: d * P + X_PLUS_1 * dP - (n + d) * jacobi_poly(n, g + 1, d - 1)),
     )
     for label, holds, reason, residual in weighted:
-        report.add(Case.check(label, pstr, n, residual()) if holds
-                   else Case.skip(label, pstr, n, reason))
+        report.cases.append(Case.check(label, pstr, n, residual()) if holds
+                            else Case.skip(label, pstr, n, reason))
     return report
 
 

@@ -165,6 +165,15 @@ def test_only_report_point_str_labels_a_mass_point():
     assert spellers == {("report.py", "point_str")}
 
 
+def test_only_a_run_builds_a_report():
+    # a grid point returns a list of cases; run_suite merges them into the one
+    # report, and verify_symmetry wraps one symmetry point for the acceptance tests
+    builders = _defs_holding(lambda node: isinstance(node, ast.Call)
+                             and "VerifyReport" in (getattr(node.func, "id", None),
+                                                    getattr(node.func, "attr", None)))
+    assert builders == {("verify.py", "run_suite"), ("verify.py", "verify_symmetry")}
+
+
 def test_verify_names_no_operator_in_its_own_text():
     # the suites name an operator by its components row, so no label in
     # verify.py restates one of the four names
@@ -196,7 +205,7 @@ def test_every_imported_name_is_read():
 # ---------------- src/ holds what the product reaches ----------------
 #
 # The product is the CLI: every command in every format, verify on the tiny
-# grid, and three runs that exit 2.  A probe runs it in a fresh process under
+# grid, and four runs that exit 2.  A probe runs it in a fresh process under
 # sys.setprofile, started before genjacobi is imported, so no lru cache warmed
 # by an earlier test hides a cached function's body.  Serial only: the
 # profiler sees one process, and pool workers run the functions a serial run
@@ -314,6 +323,7 @@ UNREACHED = {
     "genjacobi.Params.swapped": ACCEPTANCE,
     "jacobi.jacobi_recurrence": ACCEPTANCE,
     "inner.h_norm_integral": ACCEPTANCE,
+    "verify.verify_symmetry": ACCEPTANCE,
     "algebra.Poly.exact_div": TRACER,
     "inner.weighted_integral": TRACER,
     "inner.integrate": TRACER,

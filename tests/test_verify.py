@@ -17,7 +17,7 @@ import genjacobi.verify as verify
 from genjacobi.algebra import InvalidParam, Poly, endpoint_weight
 from genjacobi.genjacobi import Params
 from genjacobi.operators import EigenValue
-from genjacobi.report import Case, render_value
+from genjacobi.report import Case, VerifyReport, render_value
 from genjacobi.verify import (SplitMix64, SUITE_NAMES, random_poly, run_suite,
                               verify_cor24, verify_cor25, verify_duran,
                               verify_orthogonality, verify_prop22,
@@ -31,6 +31,11 @@ def thm21_cases(nmax, params):
     combined eigen-equation for n <= nmax, then the expansion checks."""
     return (verify._thm21_point(nmax, params)
             + verify._expansion_cases(params.alpha, params.beta))
+
+
+def point_report(worker, *args) -> VerifyReport:
+    """The cases of one grid point, worker(*args), in a report of their own."""
+    return VerifyReport(worker.__name__, cases=worker(*args))
 
 
 def test_splitmix64_reference_values():
@@ -126,7 +131,7 @@ def test_theorem21_passes():
 
 
 def test_prop22_passes_and_records_skips():
-    rep = verify_prop22(5, 1, 1)
+    rep = point_report(verify_prop22, 5, 1, 1)
     assert rep.all_pass
     skipped = [c for c in rep.cases if c.skipped]
     assert skipped, "low-degree chain rows must be skipped, not dropped"
@@ -136,14 +141,14 @@ def test_prop22_passes_and_records_skips():
 
 
 def test_prop23_passes():
-    assert verify_prop23(4, 0, 0).all_pass
-    assert verify_prop23(4, 2, 1).all_pass
+    assert point_report(verify_prop23, 4, 0, 0).all_pass
+    assert point_report(verify_prop23, 4, 2, 1).all_pass
 
 
 def test_cor24_passes():
-    rep = verify_cor24(6, 1, 1)
+    rep = point_report(verify_cor24, 6, 1, 1)
     assert rep.all_pass
-    rep = verify_cor24(6, F(1, 2), F(7, 3))
+    rep = point_report(verify_cor24, 6, F(1, 2), F(7, 3))
     assert rep.all_pass
     labels = [c.label for c in rep.cases]
     assert "normalization constant b at (0,0)" in labels
@@ -151,14 +156,14 @@ def test_cor24_passes():
 
 
 def test_cor25_passes():
-    rep = verify_cor25(6, 1, 2)
+    rep = point_report(verify_cor25, 6, 1, 2)
     assert rep.all_pass
     labels = {c.label for c in rep.cases}
     assert "four-term cross identity" in labels
 
 
 def test_duran_passes():
-    rep = verify_duran(8, 2, 1)
+    rep = point_report(verify_duran, 8, 2, 1)
     assert rep.all_pass
     labels = {c.label for c in rep.cases}
     assert "product form matches elementary on x^k" in labels
@@ -175,7 +180,7 @@ def test_symmetry_passes_and_is_deterministic():
 
 
 def test_orthogonality_passes():
-    rep = verify_orthogonality(6, Params(0, 0, 1, 1))
+    rep = point_report(verify_orthogonality, 6, Params(0, 0, 1, 1))
     assert rep.all_pass
     labels = {c.label for c in rep.cases}
     assert any(l.startswith("gram entry") for l in labels)
@@ -196,7 +201,7 @@ def test_failing_orthogonality_predicates_carry_the_offending_value(monkeypatch)
     monkeypatch.setattr(verify, "gram_matrix", bad_gram)
     monkeypatch.setattr(verify, "eigen_combined", bad_eigen)
     pr = Params(0, 0, 1, 1)
-    rep = verify_orthogonality(5, pr)
+    rep = point_report(verify_orthogonality, 5, pr)
     failing = {(c.label, c.n): c for c in rep.cases if not c.passed}
     diag = failing.pop(("gram diagonal entry positive", 2))
     assert diag.residual == "-3/5"
@@ -221,7 +226,7 @@ def test_a_nonzero_gram_entry_fails_both_of_its_cases(monkeypatch):
 
     monkeypatch.setattr(verify, "gram_matrix", bad_gram)
     pr = Params(1, 0, F(1, 3), 2)
-    rep = verify_orthogonality(4, pr)
+    rep = point_report(verify_orthogonality, 4, pr)
     failing = {c.label: c for c in rep.cases if not c.passed}
     assert set(failing) == {"gram entry (1,3)", "eigen-gap times gram entry (1,3)"}
     assert failing["gram entry (1,3)"].residual == "-2/7"
@@ -445,7 +450,7 @@ def test_corrupted_block_is_caught(monkeypatch):
         return p + Poly([0, F(1, 7)]) if n == 2 else p
 
     monkeypatch.setattr(operators, "poly_Q", bad)
-    rep = verify_prop22(4, 0, 0)
+    rep = point_report(verify_prop22, 4, 0, 0)
     assert not rep.all_pass
 
 
@@ -464,7 +469,7 @@ def test_report_json_shape():
 
 
 def test_report_csv_round_trip():
-    rep = verify_prop22(3, 0, 0)
+    rep = point_report(verify_prop22, 3, 0, 0)
     rows = list(csv.reader(io.StringIO(rep.to_csv())))
     assert rows[0] == ["suite", "label", "params", "n", "residual", "pass", "reason"]
     body = rows[1:]
@@ -476,7 +481,7 @@ def test_report_csv_round_trip():
 
 
 def test_report_plain_summary_line():
-    rep = verify_cor24(3, 1, 0)
+    rep = point_report(verify_cor24, 3, 1, 0)
     text = rep.to_plain()
     assert text.strip().endswith("-> PASS")
     assert "PASS " in text or "PASS\t" in text or "PASS" in text
@@ -573,6 +578,17 @@ def test_tracer_point_workers_are_the_suite_workers():
         assert getattr(verify, attr) in workers, name
 
 
+def test_every_point_returns_a_list_of_cases():
+    # a grid point has one result shape; only a run builds a report
+    grid = verify._Grid(2, 0, 1, ab=[(a, b) for a in range(2) for b in range(2)],
+                        masses=[(F(1), F(1))])
+    for name in SUITE_NAMES:
+        for _, worker, args in verify._SUITES[name](grid):
+            cases = worker(*args)
+            assert type(cases) is list and cases, (name, worker.__name__)
+            assert all(type(c) is Case for c in cases), (name, worker.__name__)
+
+
 def test_every_point_is_keyed_by_its_alpha_beta():
     # the runner groups points by key; a point under another pair's key would
     # run apart from the operator columns it shares with that pair
@@ -595,7 +611,7 @@ def test_thm21_subsumes_cor24_point():
     # special case checked independently by cor24
     pr = Params(0, 0, 1, 1)
     general = thm21_cases(5, pr)
-    special = verify_cor24(5, 1, 1)
+    special = point_report(verify_cor24, 5, 1, 1)
     assert all(c.passed for c in general) and special.all_pass
     gen_ns = {c.n for c in general if c.label == "combined eigen-equation"}
     spec_ns = {c.n for c in special.cases if c.n is not None}
