@@ -132,7 +132,8 @@ def _blocks(n: int, alpha: int, beta: int) -> tuple:
         nums, den = jacobi._jacobi_hyp(m, alpha + da, beta + db)
         if block.scale:
             scale = globals()[block.scale](n, alpha, beta)
-            nums = tuple(c * scale.numerator for c in kernel.conv(block.factor, nums))
+            num = scale.numerator
+            nums = tuple(c * num for c in kernel.conv(block.factor, nums))
             den *= scale.denominator
         out.append((nums, den))
     return tuple(out)

@@ -76,19 +76,18 @@ def _json_strings(mapping: Mapping[str, str], depth: int) -> str:
     return f"{{{sep}{body}\n{' ' * depth}}}"
 
 
-def _case_json(case: Case, params: str) -> str:
-    """One case of a report's "cases" list, as to_json lays it out, with
-    params the JSON text of its params mapping.  n is None or an int, and
-    passed a bool, so their scalars are written inline."""
-    n = "null" if case.n is None else int.__repr__(case.n)
-    text = (f'    {{\n      "label": {_json_str(case.label)},\n'
-            f'      "params": {params},\n'
-            f'      "n": {n},\n'
-            f'      "residual": {_json_str(case.residual)},\n')
+def _case_tail(case: Case) -> str:
+    """A case's JSON text from its residual to its closing brace, as to_json
+    lays it out; passed is a bool, so it is written inline."""
+    residual = _json_str(case.residual)
     if case.skipped:
-        return (f'{text}      "pass": null,\n      "skipped": true,\n'
+        return (f'{residual},\n      "pass": null,\n      "skipped": true,\n'
                 f'      "reason": {_json_str(case.reason)}\n    }}')
-    return f'{text}      "pass": {"true" if case.passed else "false"}\n    }}'
+    return f'{residual},\n      "pass": {"true" if case.passed else "false"}\n    }}'
+
+
+# the tail of every passing case whose residual is "0", most of a report
+_PASS_TAIL = _case_tail(Case("", {}, None, "0", True))
 
 
 def tabular(spec: str, rows: list) -> str:
@@ -136,22 +135,41 @@ class VerifyReport:
         "pass"; a skipped case has "pass" null, then "skipped" true and its
         "reason".  The tests build that record and compare.
 
-        Written directly, one case at a time, with the C string encoder:
-        json.dumps with an indent runs the pure-Python encoder, which took
-        most of the rendering time of a large report.  Each params mapping
-        is rendered once per call, however many cases share it; the report
-        holds every case alive meanwhile, so no id is reused.
+        Written directly with the C string encoder (json.dumps with an
+        indent runs the pure-Python encoder) as one join of pieces, each
+        rendered once per call: a case's head up to its params, per distinct
+        label; its params block up to n, per mapping (the report holds every
+        case alive meanwhile, so no id is reused); n up to the residual, per
+        value; and one tail for a passing case with residual "0".  Only the
+        other cases' tails are rendered one by one.
         """
-        params = {id(c.params): c.params for c in self.cases}
-        params = {key: _json_strings(p, 6) for key, p in params.items()}
-        cases = ",\n".join([_case_json(c, params[id(c.params)]) for c in self.cases])
-        cases = f"[\n{cases}\n  ]" if cases else "[]"
         seed = "null" if self.seed is None else int.__repr__(self.seed)
-        return (f'{{\n  "suite": {_json_str(self.suite)},\n'
-                f'  "grid": {_json_strings(self.grid, 2)},\n'
-                f'  "seed": {seed},\n'
-                f'  "cases": {cases},\n'
-                f'  "all_pass": {"true" if self.all_pass else "false"}\n}}')
+        parts = [f'{{\n  "suite": {_json_str(self.suite)},\n'
+                 f'  "grid": {_json_strings(self.grid, 2)},\n'
+                 f'  "seed": {seed},\n'
+                 f'  "cases": [']
+        heads, blocks, nums = {}, {}, {}
+        for case in self.cases:
+            label, params, n, residual, passed, skipped, _ = case
+            head = heads.get(label)
+            if head is None:
+                head = heads[label] = (f',\n    {{\n      "label": {_json_str(label)},\n'
+                                       f'      "params": ')
+            block = blocks.get(id(params))
+            if block is None:
+                block = blocks[id(params)] = f'{_json_strings(params, 6)},\n      "n": '
+            num = nums.get(n)
+            if num is None:
+                num = nums[n] = (f'{"null" if n is None else int.__repr__(n)},\n'
+                                 f'      "residual": ')
+            passing = passed and not skipped and residual == "0"
+            parts += (head, block, num, _PASS_TAIL if passing else _case_tail(case))
+        if self.cases:
+            # each head opens with the separator; the first case drops its comma
+            parts[1] = parts[1][1:]
+            parts.append("\n  ")
+        parts.append(f'],\n  "all_pass": {"true" if self.all_pass else "false"}\n}}')
+        return "".join(parts)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

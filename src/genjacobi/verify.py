@@ -27,17 +27,19 @@ to its grid points, each a (key, worker, args) triple keyed by the point's
 (alpha, beta); the points of all the suites run grouped by key, largest
 alpha + beta first, so the points of one (alpha, beta) share its cached
 operator columns: serially, or in one process pool under GENJACOBI_THREADS
-when there is more than one group.  Cases are emitted in point order
-whatever order the groups ran in, so the report is the same regardless of
-parallelism.
+when there is more than one group (the pool is imported only then).  A group
+returns its cases as plain tuples, and the runner rebuilds them in point
+order whatever order the groups ran in, so the report is the same regardless
+of parallelism.
 """
 from __future__ import annotations
 
 import os
 import reprlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from math import lcm
 
 from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
@@ -446,14 +448,17 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_task(task) -> list:
-    """(index, cases) of each (index, (label prefix, worker, args)) point of
-    one task, in order; runs in a pool too."""
+    """(index, rows) of each (index, (label prefix, worker, args)) point of
+    one task, in order; runs in a pool too.  A row is a case as a plain tuple
+    in Case field order, which pickle writes without a Python call, and each
+    distinct label is one object per task, which pickle writes once."""
+    labels = {}
     done = []
     for index, (prefix, worker, args) in task:
-        cases = worker(*args)
-        if prefix:
-            cases = [Case(prefix + c.label, *c[1:]) for c in cases]
-        done.append((index, cases))
+        own = labels.setdefault(prefix, {})
+        rows = [(own.get(c[0]) or own.setdefault(c[0], prefix + c[0]),) + c[1:]
+                for c in worker(*args)]
+        done.append((index, rows))
     return done
 
 
@@ -466,20 +471,34 @@ def _tasks(points) -> list:
     return [groups[key] for key in sorted(groups, key=lambda key: -sum(key))]
 
 
+# The pool class, imported on first use, so that a serial run never loads
+# multiprocessing; the tests and the benchmark's tracer rebind it.
+ProcessPoolExecutor = None
+
+
 def _map_points(points, threads: int) -> list:
     """The cases of every (key, point), concatenated in point order whatever
     order the tasks ran in; a single task runs serially."""
     tasks = _tasks(points)
     if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            done = list(ex.map(_run_task, tasks))
-    else:
-        done = map(_run_task, tasks)
-    chunks = [None] * len(points)
+        pool = ProcessPoolExecutor
+        if pool is None:
+            from concurrent.futures import ProcessPoolExecutor as pool
+        with pool(max_workers=threads) as ex:
+            return _cases(ex.map(_run_task, tasks), len(points))
+    return _cases(map(_run_task, tasks), len(points))
+
+
+def _cases(done, count: int) -> list:
+    """The Cases of `count` points in point order, from the tasks' rows; each
+    task's Cases are rebuilt as it arrives, so its rows go before the next
+    task's come."""
+    chunks = [None] * count
+    make = partial(tuple.__new__, Case)     # Case._make without its Python frame
     for task in done:
-        for index, cases in task:
-            chunks[index] = cases
-    return [case for chunk in chunks for case in chunk]
+        for index, rows in task:
+            chunks[index] = list(map(make, rows))
+    return list(chain.from_iterable(chunks))
 
 
 def run_suite(name: str, *, nmax: int = DEFAULT_NMAX,

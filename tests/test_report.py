@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genjacobi.algebra import InvalidParam, Poly
 from genjacobi.report import Case, VerifyReport, params_str
@@ -68,6 +70,43 @@ _SHARED, _EQUAL = {"alpha": "1", "M": "1/3"}, {"alpha": "1", "M": "1/3"}
     ]),
 ])
 def test_to_json_matches_json_dumps(report):
+    assert report.to_json() == dumped(report)
+
+
+_text = st.text(max_size=6)          # any code point: non-ASCII, quotes, controls
+_mapping = st.dictionaries(_text, _text, max_size=3)
+# each kind of case the writer tells apart, from (label, params, n, text)
+_CASE_KINDS = (
+    lambda label, params, n, text: Case.check(label, params, n, 0),
+    lambda label, params, n, text: Case.check(label, params, n, Fraction(len(text) + 1, 3)),
+    # passing with a nonzero residual, built directly
+    lambda label, params, n, text: Case(label, params, n, text or "1", True),
+    # failing with residual "0"
+    lambda label, params, n, text: Case.holds(label, params, n, False, 0),
+    lambda label, params, n, text: Case.skip(label, params, n, text),
+    # skipped, though built passing with residual "0"
+    lambda label, params, n, text: Case(label, params, n, "0", True, True, text),
+)
+
+
+@st.composite
+def _reports(draw):
+    shared = draw(_mapping)
+    # one mapping shared by many cases, an equal but distinct one, and another
+    pool = [shared, dict(shared), draw(_mapping)]
+    labels = draw(st.lists(_text, min_size=1, max_size=3))
+    ns = st.one_of(st.none(), st.just(0), st.integers(0, 2 ** 80))
+    cases = [draw(st.sampled_from(_CASE_KINDS))(draw(st.sampled_from(labels)),
+                                                draw(st.sampled_from(pool)), draw(ns),
+                                                draw(_text))
+             for _ in range(draw(st.integers(0, 12)))]
+    return VerifyReport(draw(_text), grid=draw(_mapping),
+                        seed=draw(st.none() | st.integers()), cases=cases)
+
+
+@settings(max_examples=300)
+@given(_reports())
+def test_to_json_matches_json_dumps_on_any_mix_of_cases(report):
     assert report.to_json() == dumped(report)
 
 

@@ -205,11 +205,11 @@ def test_every_imported_name_is_read():
 # ---------------- src/ holds what the product reaches ----------------
 #
 # The product is the CLI: every command in every format, verify on the tiny
-# grid, and four runs that exit 2.  A probe runs it in a fresh process under
-# sys.setprofile, started before genjacobi is imported, so no lru cache warmed
-# by an earlier test hides a cached function's body.  Serial only: the
-# profiler sees one process, and pool workers run the functions a serial run
-# runs.
+# grid, serially and with two workers, and four runs that exit 2.  A probe
+# runs it in a fresh process under sys.setprofile, started before genjacobi is
+# imported, so no lru cache warmed by an earlier test hides a cached
+# function's body.  The profiler sees the parent process only; pool workers
+# run the functions a serial run runs.
 
 _WEIGHTS = ["--alpha", "1", "--beta", "2", "--bigm", "1/3", "--bign", "2"]
 _TINY = ["--nmax", "2", "--alpha-max", "1", "--beta-max", "1", "--bigm", "1",
@@ -221,6 +221,9 @@ _COMMANDS = {"poly": ["poly", "--n", "4", *_WEIGHTS],
              "verify": ["verify", *_TINY]}
 PRODUCT_RUNS = {f"{name} {fmt}": [*argv, "--format", fmt]
                 for name, argv in _COMMANDS.items() for fmt in FORMATS}
+# a product run again with GENJACOBI_THREADS=2: the pool's report is the
+# serial one, byte for byte
+POOLED_RUN = "verify json"
 # name -> (argv, GENJACOBI_THREADS)
 EXIT_2_RUNS = {"decimal mass": (["verify", "--bigm", "0.5"], "1"),
                "negative index": (["poly", "--n", "-1"], "1"),
@@ -251,14 +254,15 @@ def run(argv, threads):
         code = exc.code
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
-runs, errors = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-runs = {name: run(argv, "1") for name, argv in runs.items()}
+argvs, errors = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+runs = {name: run(argv, "1") for name, argv in argvs.items()}
+pooled = run(argvs[sys.argv[3]], "2")
 errors = {name: run(argv, threads)[0] for name, (argv, threads) in errors.items()}
 sys.setprofile(None)
 package = os.path.dirname(os.path.realpath(sys.modules["genjacobi"].__file__))
 reached = sorted((os.path.basename(f), line) for f, line in calls
                  if os.path.dirname(os.path.realpath(f)) == package)
-print(json.dumps({"runs": runs, "errors": errors, "reached": reached}))
+print(json.dumps({"runs": runs, "pooled": pooled, "errors": errors, "reached": reached}))
 """
 
 # sha256 of the stdout of each product run, taken before the test-only code
@@ -339,7 +343,7 @@ UNREACHED = {
 def product_run():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(PRODUCT_RUNS),
-                           json.dumps(EXIT_2_RUNS)],
+                           json.dumps(EXIT_2_RUNS), POOLED_RUN],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -382,6 +386,7 @@ def test_src_defines_only_what_the_product_reaches(product_run):
 
 def test_cli_output_bytes_are_pinned(product_run):
     assert product_run["runs"] == {name: [0, digest] for name, digest in CLI_DIGESTS.items()}
+    assert product_run["pooled"] == [0, CLI_DIGESTS[POOLED_RUN]]
     assert product_run["errors"] == {name: 2 for name in EXIT_2_RUNS}
 
 

@@ -5,6 +5,8 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -269,13 +271,45 @@ def test_run_suite_all_merges():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_run_suite_all_returns_plain_cases(threads):
-    # the "<suite>: " relabel builds a Case, serially and in the pool
+def test_run_suite_all_returns_plain_cases(threads, monkeypatch):
+    # the tasks return plain rows in Case field order, one label object per
+    # distinct label in a task; the runner rebuilds the Cases from them,
+    # serially and in the pool (which runs even on a 1-CPU host), so both
+    # runs equal the rows
+    grid = verify._Grid(2, 0, verify.DEFAULT_TRIALS, ab=[(0, 0), (0, 1), (1, 0), (1, 1)],
+                        masses=[(F(1), F(1))])
+    points = [(key, (f"{name}: ", worker, args)) for name in SUITE_NAMES
+              for key, worker, args in verify._SUITES[name](grid)]
+    rows = [None] * len(points)
+    for task in verify._tasks(points):
+        labels = {}
+        for index, point_rows in verify._run_task(task):
+            rows[index] = point_rows
+            for row in point_rows:
+                assert type(row) is tuple
+                assert labels.setdefault(row[0], row[0]) is row[0]
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
     rep = run_suite("all", nmax=2, alpha_max=1, beta_max=1, masses_m=(F(1),),
                     masses_n=(F(1),), seed=0, threads=threads)
     assert rep.all_pass
     assert len(rep.cases) == 721
     assert all(type(c) is Case for c in rep.cases)
+    assert rep.cases == [Case(*row) for point_rows in rows for row in point_rows]
+
+
+def test_a_serial_run_never_imports_the_pool():
+    code = ("import sys, genjacobi.cli\n"
+            "pool = {'multiprocessing', 'concurrent.futures.process'}\n"
+            "print(sorted(pool & set(sys.modules)))\n"
+            "genjacobi.cli.main(['verify', '--suite', 'cor24', '--nmax', '1'])\n"
+            "print(sorted(pool & set(sys.modules)))\n")
+    env = dict(os.environ, GENJACOBI_THREADS="1",
+               PYTHONPATH=str(Path(verify.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
 
 
 def test_run_suite_all_opens_one_pool(monkeypatch):
