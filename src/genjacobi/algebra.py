@@ -105,8 +105,9 @@ def _canonical(nums: list, den: int) -> tuple:
 
 
 def derive_nums(nums, k: int) -> list:
-    """Integer coefficients of the k-th derivative of sum nums[i] x^i."""
-    return [nums[i] * perm(i, k) for i in range(k, len(nums))]
+    """Integer coefficients of the k-th derivative of sum nums[i] x^i.  A zero
+    coefficient (the leading zeros of a monomial probe) costs no perm call."""
+    return [nums[i] * perm(i, k) if nums[i] else 0 for i in range(k, len(nums))]
 
 
 def exact_quotient(nums: list, den: int, d: "Poly") -> tuple:
@@ -116,20 +117,24 @@ def exact_quotient(nums: list, den: int, d: "Poly") -> tuple:
 
     Integer synthetic division: the numerators are scaled by lead**m (lead =
     the divisor's leading numerator, m = the number of quotient terms), so
-    every step r[i] // lead is exact.  The quotient is not normalized.
+    every step r[i] // lead is exact.  A monic divisor (every endpoint power)
+    skips both the scaling pass and the divisions.  The quotient is not
+    normalized.
     """
     dn = d.nums
     dd = len(dn) - 1
     if len(nums) <= dd:
         raise NotDivisible(f"degree {len(nums) - 1} < divisor degree {dd}")
     lead = dn[-1]
-    scale = lead ** (len(nums) - dd)
-    r = [n * scale for n in nums]
+    monic = lead == 1
+    scale = 1 if monic else lead ** (len(nums) - dd)
+    r = list(nums) if monic else [n * scale for n in nums]
     q = [0] * (len(r) - dd)
     for i in range(len(r) - 1, dd - 1, -1):
         c = r[i]
         if c:
-            c //= lead
+            if not monic:
+                c //= lead
             q[i - dd] = c
             for j in range(dd + 1):
                 r[i - dd + j] -= c * dn[j]

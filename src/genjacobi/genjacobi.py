@@ -61,8 +61,11 @@ class Params:
 
     @property
     def masses(self) -> tuple:
-        """The weights 1, M, N, M*N of the P, Q, R, S blocks and operators."""
-        return Fraction(1), self.M, self.N, self.M * self.N
+        """The weights 1, M, N, M*N of the P, Q, R, S blocks and operators,
+        built on the first read, as the hash is."""
+        if "_masses" not in self.__dict__:
+            object.__setattr__(self, "_masses", (Fraction(1), self.M, self.N, self.M * self.N))
+        return self._masses
 
 
 # The block scales are ratios of Pochhammer symbols (c)_k = c(c+1)...(c+k-1)

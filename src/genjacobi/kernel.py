@@ -6,9 +6,11 @@ denominator, managed by the caller).  The kernels only read their inputs and
 return new lists, so callers pass the tuples a polynomial holds as they are.
 Callers reach them as attributes of this module (``kernel.conv(...)``), so a
 profiler can wrap them in place.  conv skips the zeros of its first operand,
-so callers pass the sparser vector first.  vec_gcd takes a seed: normalizing
-a polynomial seeds it with the denominator, so an integer vector (denominator
-1) costs no gcd at all.
+so callers pass the sparser vector first.  add_scaled copies its longer
+operand when that operand's scale is 1, so a running sum kept at scale 1
+costs no multiplication of its own entries.  vec_gcd takes a seed:
+normalizing a polynomial seeds it with the denominator, so an integer vector
+(denominator 1) costs no gcd at all.
 """
 from math import gcd
 
@@ -27,11 +29,12 @@ def conv(a, b):
 
 
 def add_scaled(a, sa, b, sb):
-    """Elementwise sa*a + sb*b, the shorter sequence padded with zeros."""
+    """Elementwise sa*a + sb*b, the shorter sequence padded with zeros.  The
+    longer operand is copied, not multiplied, when its scale is 1."""
     la, lb = len(a), len(b)
     if la < lb:
         a, sa, la, b, sb, lb = b, sb, lb, a, sa, la
-    res = [x * sa for x in a]
+    res = list(a) if sa == 1 else [x * sa for x in a]
     for i in range(lb):
         res[i] += b[i] * sb
     return res

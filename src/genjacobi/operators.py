@@ -108,11 +108,16 @@ def apply_L2(y: Poly, alpha: RationalLike, beta: RationalLike) -> Poly:
     in integers over the common denominator of alpha and beta.
 
     Parameters may be any exact rationals; the pencil needs no endpoint
-    powers, so nothing restricts them to integers here.
+    powers, so nothing restricts them to integers here.  Int alpha and beta
+    (every call of the verifier, Duran's beta = -1 too) stay ints, over
+    denominator 1; any other value, a bool included, goes through
+    as_rational.
     """
-    a, b = as_rational(alpha), as_rational(beta)
-    q = lcm(a.denominator, b.denominator)
-    aq, bq = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+    if type(alpha) is not int or type(beta) is not int:
+        alpha, beta = as_rational(alpha), as_rational(beta)
+    q = lcm(alpha.denominator, beta.denominator)
+    aq = alpha.numerator * (q // alpha.denominator)
+    bq = beta.numerator * (q // beta.denominator)
     s, d = aq + bq + q, aq - bq
     c = y.nums + (0, 0)
     nums = [j * (j * q + s) * c[j] + (j + 1) * (d * c[j + 1] - q * (j + 2) * c[j + 2])
@@ -208,7 +213,8 @@ def _column_list(kind: str, alpha: int, beta: int) -> tuple:
 
 def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
     """Integer coefficient vectors of the images of x^0, x^1, ..., probed up
-    to at least x^(dim-1).
+    to at least x^(dim-1).  Each x^k is built directly in canonical form;
+    Poly.monomial, with its checks, only names it in the error message.
 
     A column that is not an integer vector of degree <= k raises
     InconsistentExpansion: it would break the triangular structure
@@ -216,7 +222,7 @@ def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
     """
     apply, columns, _ = _column_list(kind, alpha, beta)
     for k in range(len(columns), dim):
-        image = apply(Poly.monomial(k), alpha, beta)
+        image = apply(Poly._raw((0,) * k + (1,), 1), alpha, beta)
         if image.den != 1 or image.degree > k:
             raise InconsistentExpansion(
                 f"{kind}: image {image} of {Poly.monomial(k)} is not an integer "
@@ -390,9 +396,13 @@ def expand_operator(kind: str, params: Params) -> DiffOperator:
 # ---------------- eigenvalues and constants ----------------
 
 def eigen_lambda2(n: int, alpha: RationalLike, beta: RationalLike) -> EigenValue:
-    """Eigenvalue n(n+alpha+beta+1) of the second-order operator."""
-    n, a, b = nonneg_int("polynomial index", n), as_rational(alpha), as_rational(beta)
-    return EigenValue(n * (n + a + b + 1))
+    """Eigenvalue n(n+alpha+beta+1) of the second-order operator, summed in
+    ints when alpha and beta are ints; any other value, a bool included,
+    goes through as_rational."""
+    nonneg_int("polynomial index", n)
+    if type(alpha) is not int or type(beta) is not int:
+        alpha, beta = as_rational(alpha), as_rational(beta)
+    return EigenValue(n * (n + alpha + beta + 1))
 
 
 def eigen_high(kind: str, n: int, alpha: int, beta: int) -> EigenValue:

@@ -1,13 +1,16 @@
 """Ring axioms, calculus rules, and canonical form of Poly."""
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genjacobi import kernel
 from genjacobi.algebra import (InvalidParam, NotDivisible, Poly, X2_MINUS_1,
-                               X_MINUS_1, X_PLUS_1, as_rational, endpoint_weight,
-                               format_rational, pochhammer)
+                               X_MINUS_1, X_PLUS_1, as_rational, derive_nums,
+                               endpoint_weight, exact_quotient, format_rational,
+                               pochhammer)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=10)
 polys = st.lists(rationals, max_size=8).map(Poly)
@@ -135,6 +138,74 @@ def test_exact_div_and_failure():
         assert (num * d) / d == num
         with pytest.raises(NotDivisible):
             (num * d + 1).exact_div(d)
+
+
+# ---------------- the integer fast paths against their general formulas ----------------
+
+nonzero_ints = st.integers(min_value=-10**20, max_value=10**20).filter(bool)
+# runs of zeros between nonzero coefficients, as a monomial probe's image has
+runs_of_zeros = st.lists(st.tuples(st.integers(0, 6), st.lists(nonzero_ints, max_size=3)),
+                         max_size=5).map(lambda runs: sum(([0] * z + v for z, v in runs), []))
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs_of_zeros, st.integers(0, 12), st.booleans())
+def test_derive_nums_skipping_zeros_is_the_general_formula(nums, k, as_tuple):
+    got = derive_nums(tuple(nums) if as_tuple else nums, k)
+    assert got == [nums[i] * perm(i, k) for i in range(k, len(nums))]
+    assert all(type(c) is int for c in got)
+
+
+def scaled_quotient(nums, den, d):
+    """exact_quotient with every divisor scaled by lead**m, a monic one too:
+    the general synthetic division the monic path skips, kept as an oracle."""
+    dn = d.nums
+    dd = len(dn) - 1
+    if len(nums) <= dd:
+        raise NotDivisible(f"degree {len(nums) - 1} < divisor degree {dd}")
+    lead = dn[-1]
+    scale = lead ** (len(nums) - dd)
+    r = [n * scale for n in nums]
+    q = [0] * (len(r) - dd)
+    for i in range(len(r) - 1, dd - 1, -1):
+        if r[i]:
+            c = q[i - dd] = r[i] // lead
+            for j in range(dd + 1):
+                r[i - dd + j] -= c * dn[j]
+    if any(r[:dd]):
+        raise NotDivisible(
+            f"remainder {Poly._norm(r[:dd], scale * den)!r} dividing by {d!r}")
+    return [c * d.den for c in q], scale * den
+
+
+small_ints = st.integers(-6, 6)
+monic_divisors = st.one_of(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda pq: endpoint_weight(*pq)),
+    st.lists(small_ints, max_size=3).map(lambda c: Poly(c + [1])),
+    st.lists(rationals, max_size=3).map(lambda c: Poly(c + [Fraction(1, 3)])))
+general_divisors = st.lists(rationals, min_size=1, max_size=4).map(Poly).filter(
+    lambda d: not d.is_zero)
+
+
+def _outcome(divide, nums, den, d):
+    try:
+        return divide(nums, den, d)
+    except NotDivisible as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_ints, max_size=5).map(lambda c: c + [7]), st.integers(1, 30),
+       st.one_of(monic_divisors, general_divisors), st.booleans())
+def test_exact_quotient_matches_the_scaled_division(q, den, d, divisible):
+    # a monic divisor skips the scaling pass and the // lead steps; quotient,
+    # denominator and NotDivisible message are the general division's
+    nums = kernel.conv(q, d.nums) if divisible else q
+    got = _outcome(exact_quotient, nums, den, d)
+    assert got == _outcome(scaled_quotient, nums, den, d)
+    if divisible:
+        quotient, qden = got
+        assert Poly._norm(quotient, qden) == Poly._norm([c * d.den for c in q], den)
 
 
 def test_as_rational_rejects_floats():

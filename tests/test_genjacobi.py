@@ -5,6 +5,7 @@ from itertools import product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genjacobi import genjacobi as gj
 from genjacobi import jacobi
@@ -251,6 +252,25 @@ def test_cached_gen_jacobi_hits_do_not_rehash_the_masses(monkeypatch):
     for n in (4, 4, 4):
         gen_jacobi(n, pr)
     assert calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8),
+       *[st.fractions(min_value=0, max_value=10, max_denominator=9)] * 2)
+def test_params_with_masses_read_equals_a_fresh_one(a, b, M, N):
+    # the masses are built on the first read and kept on the instance, which
+    # changes nothing of its value: equality, hash, pickling
+    pr = Params(a, b, M, N)
+    masses = pr.masses
+    assert masses == (1, M, N, M * N) and all(type(m) is Fraction for m in masses)
+    assert pr.masses is masses
+    for fresh in (Params(a, b, M, N), pickle.loads(pickle.dumps(Params(a, b, M, N)))):
+        for q in (pr, pickle.loads(pickle.dumps(pr))):
+            assert q == fresh and hash(q) == hash(fresh)
+            assert {fresh: "hit"}[q] == "hit"
+            assert q.masses == fresh.masses
+            assert repr(q) == repr(fresh)
+    assert pr != Params(a, b, M, N + 1)
 
 
 def test_params_hash_survives_pickling():

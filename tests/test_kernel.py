@@ -66,3 +66,19 @@ def test_kernels_read_tuples_and_return_new_lists():
         assert (la, lb) == (list(a), list(b))
     assert kernel.conv((1, 2, 3), (4, 5)) == [4, 13, 22, 15]
     assert kernel.add_scaled((4, 5), 2, (1, 2, 3), -1) == [7, 8, -3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ints, max_size=8), ints, st.lists(ints, max_size=8), ints,
+       st.sampled_from(["sa", "sb", "both"]), st.booleans())
+def test_add_scaled_with_a_unit_scale_equals_the_general_sum(a, sa, b, sb, unit, as_tuples):
+    # a unit scale copies its operand instead of multiplying it; the sum, and
+    # the fresh list it comes in, are those of any other scale
+    sa, sb = (1 if unit in ("sa", "both") else sa), (1 if unit in ("sb", "both") else sb)
+    la, lb = (tuple(a), tuple(b)) if as_tuples else (list(a), list(b))
+    res = kernel.add_scaled(la, sa, lb, sb)
+    pad = max(len(a), len(b))
+    want = [sa * x + sb * y for x, y in zip(a + [0] * (pad - len(a)), b + [0] * (pad - len(b)))]
+    assert res == want
+    assert type(res) is list and res is not la and res is not lb
+    assert (list(la), list(lb)) == (a, b)

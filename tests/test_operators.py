@@ -1,4 +1,5 @@
 """Differential operators: elementary, factorized, and expanded forms."""
+import sys
 from fractions import Fraction
 from itertools import product
 from math import factorial, perm
@@ -475,6 +476,44 @@ def test_l2_stencil_matches_the_pencil_form():
     for (a, b), y in product(pairs, ys):
         assert apply_L2(y, a, b) == pencil_L2(y, a, b), (a, b, y)
     assert apply_L2(Poly.zero(), F(5, 2), F(-2, 3)).is_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, st.integers(-3, 8), st.integers(-3, 8), st.integers(0, 20))
+def test_int_parameters_agree_with_fraction_and_text_ones(y, a, b, n):
+    # int alpha and beta stay in ints; a Fraction or a "p/q" string goes
+    # through as_rational; images and eigenvalues agree, Duran's beta = -1 too
+    want, lam = pencil_L2(y, a, b), F(n * (n + a + b + 1))
+    for pa, pb in product((a, F(a), f"{2 * a}/2"), (b, F(b), f"{3 * b}/3")):
+        assert apply_L2(y, pa, pb) == want, (pa, pb)
+        got = eigen_lambda2(n, pa, pb).value
+        assert type(got) is Fraction and got == lam, (pa, pb)
+
+
+def test_int_parameters_never_reach_as_rational(monkeypatch, cold_matrices):
+    # the tiny thm21 run probes L2's columns and its eigenvalues from scratch,
+    # and no apply_L2 or eigen_lambda2 call of it reaches as_rational
+    callers, entered = [], []
+
+    def recording(value, coerce=operators.as_rational):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return coerce(value)
+
+    def entering(name):
+        inner = getattr(operators, name)
+        return lambda *args: entered.append(name) or inner(*args)
+
+    monkeypatch.setattr(operators, "as_rational", recording)
+    for name in ("apply_L2", "eigen_lambda2"):
+        monkeypatch.setattr(operators, name, entering(name))
+    assert run_suite("thm21", **TINY).all_pass
+    assert {"apply_L2", "eigen_lambda2"} <= set(entered)
+    assert not {"apply_L2", "eigen_lambda2"} & set(callers)
+    # a bool is an int to isinstance, but not to the int path: it is refused
+    for call in (lambda: apply_L2(Poly([0, 1]), True, 0), lambda: eigen_lambda2(1, 0, False)):
+        with pytest.raises(InvalidParam):
+            call()
+    assert {"apply_L2", "eigen_lambda2"} <= set(callers)
 
 
 def test_conjugated_matches_the_poly_op_recipe(monkeypatch):
