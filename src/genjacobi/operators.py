@@ -26,20 +26,23 @@ is solved from the same columns.
 Also provided: factorized forms (products of shifted second-order factors),
 an alternative product form for the order-(2*beta+4) operator, expansion of
 any operator into explicit coefficient polynomials per derivative order, and
-the exact eigenvalues of all of them; the higher-order eigenvalues are
-integers, products of integer ranges.  eigen_residual forms every
-eigen-equation's residual (L - lambda) y from the image L y in one integer
-pass with one normalization.  The factorized and product forms run
-one integer pass per factor (_shifted_L2): the image from apply_L2 plus a
-constant shift and exact endpoint-pole divisions, summed over one
-denominator and normalized once.  Each factor calls apply_L2 by its module
-name, so a rebound apply_L2 reaches these independent routes too; their
-chains of Poly operations stay in the tests as oracles.
+the exact eigenvalues of all of them.  For integer alpha and beta every
+elementary eigenvalue is an integer, (n+s)_k (n+t)_k on the block of degree
+n: a product of two integer ranges, whose (s, t, k) is table data.
+eigen_residual forms every eigen-equation's residual (L - lambda) y from the
+image L y in one integer pass with one normalization.  The factorized and
+product forms run one integer pass per factor (_shifted_L2): the image from
+apply_L2 plus a constant shift and exact endpoint-pole divisions, summed
+over one denominator and normalized once.  Each factor calls apply_L2 by its
+module name, so a rebound apply_L2 reaches these independent routes too;
+their chains of Poly operations stay in the tests as oracles.
 
 components() is the one table of the four elementary operators (Theorem 2.1,
-Proposition 2.2): per operator its block of eigenfunctions, eigenvalue,
-order, normalization and factorized form.  The combined operator, its
-eigenvalue, its expansion and every verify suite read their facts from it.
+Proposition 2.2): per operator its block of eigenfunctions, the spectrum
+(s, t, k) of its eigenvalue, its order, normalization and factorized form.
+The combined operator, its eigenvalue, its expansion and every verify suite
+read their facts from it; eigen_lambda2 and eigen_high stay as public
+entry points.
 """
 from __future__ import annotations
 
@@ -170,7 +173,7 @@ def apply_Lfull(y: Poly, alpha: int, beta: int) -> Poly:
                        endpoint_weight(b + 1, a + 1), Poly.one(), X2_MINUS_1)
 
 
-def eigen_residual(image: Poly, lam: Fraction, y: Poly) -> Poly:
+def eigen_residual(image: Poly, lam: int | Fraction, y: Poly) -> Poly:
     """image - lam * y: the residual of the eigen-equation L y = lam y, given
     image = L y.  One integer pass over image.den * y.den * lam.denominator
     and one normalization."""
@@ -203,12 +206,10 @@ def apply_combined(y: Poly, params: Params) -> Poly:
 
 @lru_cache(maxsize=32)
 def _column_list(kind: str, alpha: int, beta: int) -> tuple:
-    """(apply, columns, eigens): the apply_* function of one elementary
-    operator, as the table holds it when the entry is made; the columns it
-    has been probed on, a list _columns extends; and its eigenvalues on the
-    blocks of degree 0, 1, ..., one list that the combined entries of all
-    the mass points of this (alpha, beta) hold and eigen_combined extends."""
-    return next(row.apply for row in components(alpha, beta) if row.kind == kind), [], []
+    """(apply, columns): the apply_* function of one elementary operator, as
+    the table holds it when the entry is made, and the columns it has been
+    probed on, a list _columns extends."""
+    return next(row.apply for row in components(alpha, beta) if row.kind == kind), []
 
 
 def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
@@ -220,7 +221,7 @@ def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
     InconsistentExpansion: it would break the triangular structure
     everything built on the columns relies on.
     """
-    apply, columns, _ = _column_list(kind, alpha, beta)
+    apply, columns = _column_list(kind, alpha, beta)
     for k in range(len(columns), dim):
         image = apply(Poly._raw((0,) * k + (1,), 1), alpha, beta)
         if image.den != 1 or image.degree > k:
@@ -236,17 +237,16 @@ def _columns(kind: str, alpha: int, beta: int, dim: int) -> list:
 @lru_cache(maxsize=16)
 def _combined_entry(params: Params) -> tuple:
     """(den, weights, columns, eigens) of the combined operator: its integer
-    columns over one denominator, as a list _combined_matrix extends; per
-    component with a nonzero mass, its row, its integer weight, mass / norm
-    times den (the masses are Params.masses), and its eigenvalue list from
-    _column_list; and its eigenvalues on gen_jacobi(0), gen_jacobi(1), ...,
-    as a list eigen_combined extends."""
+    columns over one denominator, as a list _combined_matrix extends; a
+    (row, weight) pair per component with a nonzero mass, the weight being
+    the integer mass / norm times den (the masses are Params.masses); and
+    its eigenvalues on gen_jacobi(0), gen_jacobi(1), ..., as a list
+    eigen_combined extends."""
     a, b = params.alpha, params.beta
     scales = [(row, mass / row.norm) for row, mass in zip(components(a, b), params.masses)
               if mass]
     den = lcm(*(s.denominator for _, s in scales))
-    weights = tuple((row, s.numerator * (den // s.denominator), _column_list(row.kind, a, b)[2])
-                    for row, s in scales)
+    weights = tuple((row, s.numerator * (den // s.denominator)) for row, s in scales)
     return den, weights, [], []
 
 
@@ -256,7 +256,7 @@ def _combined_matrix(params: Params, dim: int) -> tuple:
     den, weights, columns, _ = _combined_entry(params)
     if len(columns) < dim:
         parts = [(_columns(row.kind, params.alpha, params.beta, dim), weight)
-                 for row, weight, _ in weights]
+                 for row, weight in weights]
         for k in range(len(columns), dim):
             column = []
             for kind_columns, weight in parts:
@@ -396,18 +396,15 @@ def expand_operator(kind: str, params: Params) -> DiffOperator:
 # ---------------- eigenvalues and constants ----------------
 
 def eigen_lambda2(n: int, alpha: RationalLike, beta: RationalLike) -> EigenValue:
-    """Eigenvalue n(n+alpha+beta+1) of the second-order operator, summed in
-    ints when alpha and beta are ints; any other value, a bool included,
-    goes through as_rational."""
+    """Eigenvalue n(n+alpha+beta+1) of the second-order operator, for any
+    exact rational alpha and beta."""
     nonneg_int("polynomial index", n)
-    if type(alpha) is not int or type(beta) is not int:
-        alpha, beta = as_rational(alpha), as_rational(beta)
-    return EigenValue(n * (n + alpha + beta + 1))
+    return EigenValue(n * (n + as_rational(alpha) + as_rational(beta) + 1))
 
 
 def eigen_high(kind: str, n: int, alpha: int, beta: int) -> EigenValue:
-    """Eigenvalue of a higher-order mass operator, a product of two integer
-    ranges.
+    """Eigenvalue of a higher-order mass operator, read from its components
+    row.
 
     kind "side" is the order-(2*alpha+4) operator paired with poly_R; for
     the mirror operator paired with poly_Q pass swapped parameters.  kind
@@ -416,11 +413,10 @@ def eigen_high(kind: str, n: int, alpha: int, beta: int) -> EigenValue:
     a = nonneg_int("alpha", alpha)
     b = nonneg_int("beta", beta)
     nonneg_int("polynomial index", n)
-    if kind == "side":      # (n)_(alpha+2) (n+beta)_(alpha+2)
-        return EigenValue(prod(range(n, n + a + 2)) * prod(range(n + b, n + b + a + 2)))
-    if kind == "full":      # (n-1)_(alpha+beta+3) (n)_(alpha+beta+3)
-        return EigenValue(prod(range(n - 1, n + a + b + 2)) * prod(range(n, n + a + b + 3)))
-    raise InvalidParam(f"kind must be 'side' or 'full', got {kind!r}")
+    rows = {"side": 2, "full": 3}
+    if kind not in rows:
+        raise InvalidParam(f"kind must be 'side' or 'full', got {kind!r}")
+    return EigenValue(components(a, b)[rows[kind]].eigen(n))
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -441,19 +437,12 @@ def const_c(alpha: int, beta: int) -> Fraction:
 
 def eigen_combined(n: int, params: Params) -> EigenValue:
     """Eigenvalue of the combined operator on gen_jacobi(n, params): its
-    components' eigenvalues with the weights of its matrix, each summed in
-    integers over one denominator.  Each component's eigenvalue is computed
-    once per (alpha, beta), for all its mass points."""
+    components' integer eigenvalues with the integer weights of its matrix,
+    summed over the matrix's denominator."""
     nonneg_int("polynomial index", n)
     den, weights, _, eigens = _combined_entry(params)
     for k in range(len(eigens), n + 1):
-        for row, _, lams in weights:
-            if len(lams) == k:
-                lams.append(row.eigen(k))
-        vden = lcm(*(lams[k].denominator for _, _, lams in weights))
-        total = sum(weight * lams[k].numerator * (vden // lams[k].denominator)
-                    for _, weight, lams in weights)
-        eigens.append(Fraction(total, den * vden))
+        eigens.append(Fraction(sum(weight * row.eigen(k) for row, weight in weights), den))
     return EigenValue(eigens[n])
 
 
@@ -469,12 +458,18 @@ class Component(NamedTuple):
     name: str               # the operator, as case labels name it
     poly: Callable          # poly(n, alpha, beta): the P, Q, R or S block
     apply: Callable         # apply(y, alpha, beta)
-    eigen: Callable         # eigen(n): the eigenvalue on the block of degree n
+    spectrum: tuple         # (s, t, k): the eigenvalue is (n+s)_k (n+t)_k
     order: int
     norm: Fraction          # the combined operator scales it by mass / norm
     factorized: str = ""    # the apply_factorized kind
     factor: Poly = Poly.one()
     where: str = ""         # the factor, as case labels name the block
+
+    def eigen(self, n: int) -> int:
+        """The eigenvalue on the block of degree n, a product of two integer
+        ranges."""
+        s, t, k = self.spectrum
+        return prod(range(n + s, n + s + k)) * prod(range(n + t, n + t + k))
 
     def minus_eigen(self, n: int, a: int, b: int) -> Callable:
         """y -> apply(y) - eigen(n) y, zero on the block of degree n."""
@@ -488,16 +483,13 @@ def components(alpha: int, beta: int) -> tuple:
     attribute takes effect."""
     a, b = alpha, beta
     return (
-        Component("L2", "second-order", jacobi_poly, apply_L2,
-                  lambda n: eigen_lambda2(n, a, b).value, 2, Fraction(1)),
-        Component("Ltilde", "mass(-1)", poly_Q, apply_Ltilde,
-                  lambda n: eigen_high("side", n, b, a).value, 2 * b + 4, const_b(b, a),
-                  "A", X_PLUS_1, "x+1"),
-        Component("Lhat", "mass(+1)", poly_R, apply_Lhat,
-                  lambda n: eigen_high("side", n, a, b).value, 2 * a + 4, const_b(a, b),
-                  "B", X_MINUS_1, "x-1"),
-        Component("Lfull", "two-mass", poly_S, apply_Lfull,
-                  lambda n: eigen_high("full", n, a, b).value, 2 * a + 2 * b + 6,
-                  const_c(a, b), "C", X2_MINUS_1, "both-endpoint"),
+        Component("L2", "second-order", jacobi_poly, apply_L2, (0, a + b + 1, 1), 2,
+                  Fraction(1)),
+        Component("Ltilde", "mass(-1)", poly_Q, apply_Ltilde, (0, a, b + 2), 2 * b + 4,
+                  const_b(b, a), "A", X_PLUS_1, "x+1"),
+        Component("Lhat", "mass(+1)", poly_R, apply_Lhat, (0, b, a + 2), 2 * a + 4,
+                  const_b(a, b), "B", X_MINUS_1, "x-1"),
+        Component("Lfull", "two-mass", poly_S, apply_Lfull, (-1, 0, a + b + 3),
+                  2 * a + 2 * b + 6, const_c(a, b), "C", X2_MINUS_1, "both-endpoint"),
     )
 

@@ -42,8 +42,8 @@ from functools import partial
 from itertools import chain
 from math import lcm
 
-from .algebra import (InvalidParam, Poly, RationalLike, X2_MINUS_1, X_MINUS_1,
-                      X_PLUS_1, endpoint_weight, format_rational, nonneg_int, pochhammer)
+from .algebra import (InvalidParam, Poly, X2_MINUS_1, X_MINUS_1, X_PLUS_1,
+                      endpoint_weight, format_rational, nonneg_int, pochhammer)
 from .genjacobi import Params, coeff_q, gen_jacobi
 from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
                     boundary_closed_forms, gram_matrix, inner_products,
@@ -215,10 +215,10 @@ def verify_prop23(nmax: int, alpha: int, beta: int) -> list:
 
 # ---------------- literal sixth-order equation suite ----------------
 
-def verify_cor24(nmax: int, M: RationalLike, N: RationalLike) -> list:
-    """Literal sixth-order equation for the alpha = beta = 0 polynomials."""
+def verify_cor24(nmax: int, params: Params) -> list:
+    """Literal sixth-order equation for the alpha = beta = 0 polynomials of
+    params, a Params(0, 0, M, N)."""
     nonneg_int("nmax", nmax)
-    params = Params(0, 0, M, N)
     M, N, pstr = params.M, params.N, point_str(params)
     cases = []
     for n in range(nmax + 1):
@@ -432,8 +432,8 @@ _SUITES = {
         + [((a, b), _expansion_cases, (a, b)) for a, b in g.ab]),
     "prop22": lambda g: [((a, b), verify_prop22, (g.nmax, a, b)) for a, b in g.ab],
     "prop23": lambda g: [((a, b), verify_prop23, (g.nmax, a, b)) for a, b in g.ab],
-    "cor24": lambda g: [((0, 0), verify_cor24, (min(g.nmax, 10), M, N))
-                        for M, N in g.masses],
+    "cor24": lambda g: [((0, 0), verify_cor24, (min(g.nmax, 10), p))
+                        for p in g.params if (p.alpha, p.beta) == (0, 0)],
     "cor25": lambda g: [((a, b), verify_cor25, (min(g.nmax, 10), a, b))
                         for a, b in g.ab],
     "duran": lambda g: [((a, b), verify_duran, (2 * b + 8, a, b)) for a, b in g.ab],

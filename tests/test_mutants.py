@@ -21,7 +21,7 @@ import pytest
 from test_caches import _lru_caches
 
 from genjacobi import algebra, cli, genjacobi, inner, jacobi, kernel, operators
-from genjacobi.algebra import X2_MINUS_1, X_MINUS_1, X_PLUS_1, Poly, pochhammer
+from genjacobi.algebra import X2_MINUS_1, X_MINUS_1, X_PLUS_1, Poly
 from genjacobi.operators import EigenValue
 from genjacobi.verify import SUITE_NAMES, run_suite
 
@@ -48,11 +48,12 @@ def _eigen_without_mn(orig):
     return mutant
 
 
-def _side_eigen_shifted(orig):
-    def mutant(kind, n, alpha, beta):
-        if kind == "side":
-            return EigenValue(pochhammer(n, alpha + 1) * pochhammer(n + beta, alpha + 1))
-        return orig(kind, n, alpha, beta)
+def _side_spectra_short(orig):
+    # (n)_(alpha+1) (n+beta)_(alpha+1) for the side eigenvalues, in both rows
+    def mutant(alpha, beta):
+        return tuple(row._replace(spectrum=(*row.spectrum[:2], row.spectrum[2] - 1))
+                     if row.kind in ("Ltilde", "Lhat") else row
+                     for row in orig(alpha, beta))
     return mutant
 
 
@@ -150,7 +151,7 @@ MUTANTS = {
     "poly_S with beta+3 for beta+2": (genjacobi, "BLOCKS", _block_replaced(3, shift=(2, 3))),
     "eigen_combined without the M*N term": (operators, "eigen_combined", _eigen_without_mn),
     "eigen_high side with alpha+1 for alpha+2":
-        (operators, "eigen_high", _side_eigen_shifted),
+        (operators, "components", _side_spectra_short),
     "apply_combined with M and N normalizations swapped":
         (operators, "apply_combined", _combined_swapped),
     "moment vector without the N mass": (inner, "_moment_vector", _moments_without_n),

@@ -127,6 +127,19 @@ def test_eigen_high_equals_the_pochhammer_recipe():
             assert type(got) is Fraction and got == oracle(n, a, b), (kind, n, a, b)
 
 
+def test_component_spectra_equal_the_recipe():
+    # each row's (s, t, k) gives an int eigenvalue: n(n+alpha+beta+1) for L2,
+    # the Pochhammer products for the mass rows (Ltilde is "side" at (beta, alpha))
+    side, full = ORACLE_EIGENS["side"], ORACLE_EIGENS["full"]
+    for a, b in product(range(9), range(9)):
+        recipes = (lambda n: n * (n + a + b + 1), lambda n: side(n, b, a),
+                   lambda n: side(n, a, b), lambda n: full(n, a, b))
+        for row, recipe in zip(components(a, b), recipes):
+            for n in range(41):
+                got = row.eigen(n)
+                assert type(got) is int and got == recipe(n), (row.kind, n, a, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys, rationals, polys)
 def test_eigen_residual_is_image_minus_lam_y(image, lam, y):
@@ -481,8 +494,8 @@ def test_l2_stencil_matches_the_pencil_form():
 @settings(max_examples=100, deadline=None)
 @given(polys, st.integers(-3, 8), st.integers(-3, 8), st.integers(0, 20))
 def test_int_parameters_agree_with_fraction_and_text_ones(y, a, b, n):
-    # int alpha and beta stay in ints; a Fraction or a "p/q" string goes
-    # through as_rational; images and eigenvalues agree, Duran's beta = -1 too
+    # apply_L2 keeps int alpha and beta in ints; a Fraction or a "p/q" string
+    # goes through as_rational; images and eigenvalues agree, Duran's beta = -1 too
     want, lam = pencil_L2(y, a, b), F(n * (n + a + b + 1))
     for pa, pb in product((a, F(a), f"{2 * a}/2"), (b, F(b), f"{3 * b}/3")):
         assert apply_L2(y, pa, pb) == want, (pa, pb)
@@ -491,25 +504,23 @@ def test_int_parameters_agree_with_fraction_and_text_ones(y, a, b, n):
 
 
 def test_int_parameters_never_reach_as_rational(monkeypatch, cold_matrices):
-    # the tiny thm21 run probes L2's columns and its eigenvalues from scratch,
-    # and no apply_L2 or eigen_lambda2 call of it reaches as_rational
+    # the tiny thm21 run probes L2's columns from scratch, and no apply_L2
+    # call of it reaches as_rational
     callers, entered = [], []
 
     def recording(value, coerce=operators.as_rational):
         callers.append(sys._getframe(1).f_code.co_name)
         return coerce(value)
 
-    def entering(name):
-        inner = getattr(operators, name)
-        return lambda *args: entered.append(name) or inner(*args)
+    def entering(*args, inner=operators.apply_L2):
+        entered.append("apply_L2")
+        return inner(*args)
 
     monkeypatch.setattr(operators, "as_rational", recording)
-    for name in ("apply_L2", "eigen_lambda2"):
-        monkeypatch.setattr(operators, name, entering(name))
+    monkeypatch.setattr(operators, "apply_L2", entering)
     assert run_suite("thm21", **TINY).all_pass
-    assert {"apply_L2", "eigen_lambda2"} <= set(entered)
-    assert not {"apply_L2", "eigen_lambda2"} & set(callers)
-    # a bool is an int to isinstance, but not to the int path: it is refused
+    assert "apply_L2" in entered and "apply_L2" not in callers
+    # a bool is an int to isinstance, but not to apply_L2's int path: both refuse it
     for call in (lambda: apply_L2(Poly([0, 1]), True, 0), lambda: eigen_lambda2(1, 0, False)):
         with pytest.raises(InvalidParam):
             call()
@@ -674,26 +685,6 @@ def test_eigen_combined_matches_the_four_term_sum_in_any_order(cold_matrices):
         _combined_entry.cache_clear()
         for pr, n in product(params, order):
             assert eigen_combined(n, pr).value == four_term_eigenvalue(n, pr), (pr, n)
-
-
-def test_component_eigenvalues_are_shared_by_the_mass_points(monkeypatch, cold_matrices):
-    # one (alpha, beta) with alpha != beta, so the two side calls differ
-    calls = []
-
-    def counting(kind, n, alpha, beta, eigen=operators.eigen_high):
-        calls.append((kind, n, alpha, beta))
-        return eigen(kind, n, alpha, beta)
-
-    monkeypatch.setattr(operators, "eigen_high", counting)
-    a, b = 2, 1
-    ms = verify.DEFAULT_MASSES
-    points = [Params(a, b, M, N) for M, N in product(ms, ms)]
-    got = [[eigen_combined(n, pr).value for n in range(16)] for pr in points]
-    want = {(kind, n, x, y) for n in range(16)
-            for kind, x, y in (("side", b, a), ("side", a, b), ("full", a, b))}
-    assert sorted(calls) == sorted(want)
-    monkeypatch.undo()
-    assert got == [[four_term_eigenvalue(n, pr) for n in range(16)] for pr in points]
 
 
 def test_eigen_combined_rejects_a_negative_index(cold_matrices):

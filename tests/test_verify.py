@@ -148,9 +148,9 @@ def test_prop23_passes():
 
 
 def test_cor24_passes():
-    rep = point_report(verify_cor24, 6, 1, 1)
+    rep = point_report(verify_cor24, 6, Params(0, 0, 1, 1))
     assert rep.all_pass
-    rep = point_report(verify_cor24, 6, F(1, 2), F(7, 3))
+    rep = point_report(verify_cor24, 6, Params(0, 0, F(1, 2), F(7, 3)))
     assert rep.all_pass
     labels = [c.label for c in rep.cases]
     assert "normalization constant b at (0,0)" in labels
@@ -417,7 +417,7 @@ _INDEX_ARGS = {
     "eigen_combined n": (lambda v: gj.eigen_combined(v, _P), 0),
     "verify_prop22 nmax": (lambda v: verify_prop22(v, 1, 0), 0),
     "verify_prop23 nmax": (lambda v: verify_prop23(v, 1, 0), 0),
-    "verify_cor24 nmax": (lambda v: verify_cor24(v, 1, 1), 0),
+    "verify_cor24 nmax": (lambda v: verify_cor24(v, Params(0, 0, 1, 1)), 0),
     "verify_cor25 nmax": (lambda v: verify_cor25(v, 1, 0), 0),
     "verify_duran dmax": (lambda v: verify_duran(v, 1, 0), 0),
     "verify_symmetry trials": (lambda v: verify_symmetry(v, 2, _P, 1), 1),
@@ -515,7 +515,7 @@ def test_report_csv_round_trip():
 
 
 def test_report_plain_summary_line():
-    rep = point_report(verify_cor24, 3, 1, 0)
+    rep = point_report(verify_cor24, 3, Params(0, 0, 1, 0))
     text = rep.to_plain()
     assert text.strip().endswith("-> PASS")
     assert "PASS " in text or "PASS\t" in text or "PASS" in text
@@ -645,7 +645,7 @@ def test_thm21_subsumes_cor24_point():
     # special case checked independently by cor24
     pr = Params(0, 0, 1, 1)
     general = thm21_cases(5, pr)
-    special = point_report(verify_cor24, 5, 1, 1)
+    special = point_report(verify_cor24, 5, pr)
     assert all(c.passed for c in general) and special.all_pass
     gen_ns = {c.n for c in general if c.label == "combined eigen-equation"}
     spec_ns = {c.n for c in special.cases if c.n is not None}
