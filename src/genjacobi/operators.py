@@ -20,8 +20,9 @@ a genuine bug, not a rounding issue.
 For integer alpha and beta every one of them maps x^k to an integer
 polynomial of degree <= k.  So each is also kept as a cached upper-triangular
 integer matrix, probed column by column from the functions above: the
-combined operator is applied as one matrix-vector product, and its expansion
-is solved from the same columns.
+combined operator is applied as one matrix-vector product, and each
+coefficient of its expansion is one Newton sum over the same columns, so
+the top term (top_term, which the verify suites read) costs one sum.
 
 Also provided: factorized forms (products of shifted second-order factors),
 an alternative product form for the order-(2*beta+4) operator, expansion of
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from operator import add, sub
+from operator import add
 from typing import Callable, NamedTuple
 
 from . import kernel
@@ -357,18 +358,13 @@ def apply_duran(y: Poly, alpha: int, beta: int) -> Poly:
     return apply_L2(out, a, -1)
 
 
-def expand_operator(kind: str, params: Params) -> DiffOperator:
-    """Recover explicit coefficient polynomials from the operator matrix.
-
-    With L = sum_i c_i(x) d^i/dx^i and L[x^k] = col_k / den, the integer
-    vectors e_i = i! * den * c_i solve the triangular system
-    e_k = col_k - sum_{i<k} C(k, i) * e_i * x^(k-i) for k = 1 .. nominal
-    order.  The result reproduces the operator on every polynomial, which
-    the test suite checks against the direct application paths.
-    """
+def _expansion_columns(kind: str, params: Params) -> tuple:
+    """(order, den, columns): the nominal order of the operator `kind` (the
+    combined operator has the two-mass order) and its integer columns over
+    den, probed on x^0 .. x^order."""
     a, b = params.alpha, params.beta
     rows = {row.kind: row for row in components(a, b)}
-    rows["Combined"] = rows["Lfull"]    # the combined operator has the two-mass order
+    rows["Combined"] = rows["Lfull"]
     if kind not in rows:
         raise InvalidParam(f"kind must be one of {OPERATOR_KINDS}, got {kind!r}")
     order = rows[kind].order
@@ -376,21 +372,53 @@ def expand_operator(kind: str, params: Params) -> DiffOperator:
         den, columns = _combined_matrix(params, order + 1)
     else:
         den, columns = 1, _columns(kind, a, b, order + 1)
-
     if any(columns[0]):
         raise InconsistentExpansion(f"{kind} does not annihilate constants")
-    solved = [()]                   # solved[i] = e_i; e_0 is unused
-    terms = []
-    for k in range(1, order + 1):
-        e_k = list(columns[k]) + [0] * (k + 1 - len(columns[k]))
-        for i in range(1, k):
-            # e_i has i + 1 entries and lands on x^(k-i) .. x^k
-            e_k[k - i:] = map(sub, e_k[k - i:], map(comb(k, i).__mul__, solved[i]))
-        solved.append(e_k)
-        c_k = Poly._norm(list(e_k), factorial(k) * den)
+    return order, den, columns
+
+
+def _coefficient(columns: list, den: int, k: int) -> Poly:
+    """c_k of L = sum_i c_i(x) d^i/dx^i, given L[x^i] = columns[i] / den, by
+    Newton's forward-difference formula
+
+        k! * den * c_k = sum_{i<=k} (-1)^(k-i) C(k, i) * x^(k-i) * columns[i],
+
+    the inverse of L[x^k] = sum_{i<=k} C(k, i) * i! c_i * x^(k-i): one pass
+    over the columns, whatever the other coefficients are."""
+    nums = [0] * (k + 1)
+    for i in range(k + 1):
+        column, lo = columns[i], k - i
+        # column i has at most i + 1 entries and lands on x^(k-i) .. x^k
+        scale = -comb(k, i) if lo & 1 else comb(k, i)
+        nums[lo:lo + len(column)] = map(add, nums[lo:lo + len(column)],
+                                        map(scale.__mul__, column))
+    return Poly._norm(nums, factorial(k) * den)
+
+
+def expand_operator(kind: str, params: Params) -> DiffOperator:
+    """Recover explicit coefficient polynomials from the operator matrix:
+    the nonzero c_k, k = 1 .. nominal order, each by one Newton sum over the
+    columns (_coefficient).  The result reproduces the operator on every
+    polynomial, which the test suite checks against the direct application
+    paths.
+    """
+    order, den, columns = _expansion_columns(kind, params)
+    terms = ((k, _coefficient(columns, den, k)) for k in range(1, order + 1))
+    return DiffOperator(tuple((k, c) for k, c in terms if not c.is_zero))
+
+
+def top_term(kind: str, params: Params) -> tuple:
+    """(k, c_k) of the highest k <= the nominal order with c_k != 0, scanning
+    down from the nominal order with one Newton sum per k: the last term of
+    expand_operator(kind, params), without the terms below it.
+    (0, Poly.zero()) when every coefficient up to the nominal order vanishes.
+    """
+    order, den, columns = _expansion_columns(kind, params)
+    for k in range(order, 0, -1):
+        c_k = _coefficient(columns, den, k)
         if not c_k.is_zero:
-            terms.append((k, c_k))
-    return DiffOperator(tuple(terms))
+            return k, c_k
+    return 0, Poly.zero()
 
 
 # ---------------- eigenvalues and constants ----------------

@@ -51,7 +51,7 @@ from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
 from .jacobi import jacobi_poly
 from .operators import (_image, apply_combined, apply_duran, apply_factorized,
                         components, const_b, const_c, eigen_combined, eigen_residual,
-                        expand_operator)
+                        top_term)
 from .report import Case, VerifyReport, params_str, point_str
 
 DEFAULT_NMAX = 12
@@ -132,17 +132,18 @@ def _thm21_point(nmax: int, params: Params) -> list:
 
 def _expansion_cases(alpha: int, beta: int) -> list:
     """Each elementary operator has its order, with top coefficient
-    (x^2-1)^(order/2)."""
+    (x^2-1)^(order/2); both read from its top term alone.  An operator with
+    no nonzero term fails both, with residuals -order and -(x^2-1)^(order/2)."""
     pstr = params_str(alpha=alpha, beta=beta)
     probe = Params(alpha, beta)
     cases = []
     for row in components(alpha, beta):
-        op = expand_operator(row.kind, probe)
+        order, top = top_term(row.kind, probe)
         half = row.order // 2
         cases.append(Case.check(f"effective order of {row.name} operator", pstr, None,
-                                Fraction(op.effective_order - row.order)))
+                                Fraction(order - row.order)))
         cases.append(Case.check(f"top coefficient of {row.name} operator", pstr, None,
-                                op.terms[-1][1] - endpoint_weight(half, half)))
+                                top - endpoint_weight(half, half)))
     return cases
 
 

@@ -184,6 +184,31 @@ def test_inconsistent_operator_exits_1_with_an_error(capsys, monkeypatch):
             cache.cache_clear()
 
 
+def test_an_operator_with_no_term_fails_its_expansion_cases(capsys, monkeypatch):
+    # an elementary operator that maps every polynomial to 0 has no top term:
+    # its order and top coefficient cases fail with residuals -order and
+    # -(x^2-1)^(order/2), in the report, not in a traceback
+    caches = (operators._column_list, operators._combined_entry)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.delenv("GENJACOBI_THREADS", raising=False)
+    monkeypatch.setattr(operators, "apply_Ltilde", lambda y, a, b: Poly.zero())
+    try:
+        code, out, err = run(capsys, "verify", "--suite", "thm21", *TINY_ARGS,
+                             "--format", "json")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert (code, err) == (1, "")
+    failing = {(c["label"], c["params"]["beta"]): c["residual"]
+               for c in json.loads(out)["cases"]
+               if not c["pass"] and c["params"]["alpha"] == "1" and c["n"] is None}
+    assert failing == {("effective order of mass(-1) operator", "0"): "-4",
+                       ("top coefficient of mass(-1) operator", "0"): "-x^4+2x^2-1",
+                       ("effective order of mass(-1) operator", "1"): "-6",
+                       ("top coefficient of mass(-1) operator", "1"): "-x^6+3x^4-3x^2+1"}
+
+
 def test_exact_arithmetic_failure_exits_1(capsys, monkeypatch):
     # a wrong formula that leaves a remainder in an exact division is a
     # bug in the program, not a usage error

@@ -116,6 +116,14 @@ def _recipe_outer_short(orig):
     return mutant
 
 
+def _newton_unsigned(orig):
+    # column i given the sign (-1)^(k-i), which cancels the sum's own sign
+    def mutant(columns, den, k):
+        return orig([tuple(-c for c in column) if (k - i) & 1 else column
+                     for i, column in enumerate(columns[:k + 1])], den, k)
+    return mutant
+
+
 def _block_replaced(index, **fields):
     """A factory of genjacobi.BLOCKS with row `index` given new fields."""
     def factory(orig):
@@ -176,6 +184,7 @@ MUTANTS = {
     "Taylor shift by +1 for -1": (kernel, "taylor_shift", _shift_by_plus_one),
     "Q row's endpoint factor t+1 for t+2":
         (genjacobi, "BLOCKS", _block_replaced(1, factor=(1, 1))),
+    "Newton sum without the alternating sign": (operators, "_coefficient", _newton_unsigned),
 }
 
 
@@ -261,6 +270,7 @@ PINNED_KILLS = {
     "endpoint_weight with p and q swapped": "FFFFFFFF",
     "Taylor shift by +1 for -1": "FFEFFF.F",
     "Q row's endpoint factor t+1 for t+2": "FFEFFF.F",
+    "Newton sum without the alternating sign": "F.......",
 }
 
 
@@ -455,6 +465,9 @@ FAILING_DIGESTS = {
         "cor25": "6891b9c1192c3ba99db13a4f93f022e4e196d8e7935ad3c2d12178a554917846",
         "duran": "7635167c5de8b5deef10e065b3a33b1aa328bccf940525e513693f391c429d17",
         "orthogonality": "259a69ebf457cfe3b7132ad627aac1bb818ceb6e2110b5f69bb7852c4de8f655",
+    },
+    "Newton sum without the alternating sign": {
+        "thm21": "f1274e2fa44c94fdd86f5e4f205ad83f16165080cad8246ea18ee48aac5c0a9d",
     },
 }
 

@@ -2,7 +2,8 @@
 import sys
 from fractions import Fraction
 from itertools import product
-from math import factorial, perm
+from math import comb, factorial, perm
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,10 @@ from genjacobi.operators import (DiffOperator, EigenValue, InconsistentExpansion
                                  apply_duran, apply_factorized, components, const_b,
                                  const_c, eigen_combined, eigen_high, eigen_lambda2,
                                  eigen_residual,
-                                 expand_operator, FACTORIZED_KINDS, _column_list,
+                                 expand_operator, top_term, FACTORIZED_KINDS,
+                                 OPERATOR_KINDS, _coefficient, _column_list,
                                  _columns, _combined_entry, _combined_matrix,
-                                 _conjugated, _image)
+                                 _conjugated, _expansion_columns, _image)
 from genjacobi.verify import SplitMix64, run_suite
 from test_caches import _lru_caches
 from test_mutants import TINY
@@ -421,6 +423,46 @@ def test_expand_operator_matches_a_poly_probe_solve():
             assert expand_operator(kind, pr).terms == probe_solve(op, orders[kind]), (kind, a, b)
 
 
+def triangular_solve(columns, den, order):
+    """c_1 .. c_order by the integer triangular system the Newton sum
+    replaced, kept as its oracle: e_k = k! * den * c_k solves
+    e_k = columns[k] - sum_{0<i<k} C(k, i) * e_i * x^(k-i)."""
+    solved = [()]                   # solved[i] = e_i; e_0 is unused
+    coeffs = []
+    for k in range(1, order + 1):
+        e_k = list(columns[k]) + [0] * (k + 1 - len(columns[k]))
+        for i in range(1, k):
+            # e_i has i + 1 entries and lands on x^(k-i) .. x^k
+            e_k[k - i:] = map(sub, e_k[k - i:], map(comb(k, i).__mul__, solved[i]))
+        solved.append(e_k)
+        coeffs.append(Poly._norm(list(e_k), factorial(k) * den))
+    return coeffs
+
+
+def test_newton_coefficient_matches_the_triangular_solve():
+    masses = (0, F(1, 3), 2)
+    for a, b in product(range(5), range(5)):
+        points = [("Combined", Params(a, b, M, N)) for M, N in product(masses, repeat=2)]
+        points += [(kind, Params(a, b)) for kind in ELEMENTARY]
+        for kind, pr in points:
+            order, den, columns = _expansion_columns(kind, pr)
+            newton = [_coefficient(columns, den, k) for k in range(1, order + 1)]
+            assert newton == triangular_solve(columns, den, order), (kind, pr)
+
+
+def test_top_term_is_the_last_term_of_the_expansion():
+    for a, b in product(range(9), range(9)):
+        pr = Params(a, b, F(1, 3), 2)
+        for kind in OPERATOR_KINDS:
+            assert top_term(kind, pr) == expand_operator(kind, pr).terms[-1], (kind, a, b)
+
+
+def test_an_operator_with_no_term_has_top_term_zero(monkeypatch, cold_matrices):
+    monkeypatch.setattr(operators, "apply_Ltilde", lambda y, a, b: Poly.zero())
+    assert expand_operator("Ltilde", Params(1, 0)).terms == ()
+    assert top_term("Ltilde", Params(1, 0)) == (0, Poly.zero())
+
+
 def test_one_column_list_per_operator_whatever_the_growth(cold_matrices):
     pr = Params(2, 1, F(1, 3), 2)
 
@@ -445,8 +487,11 @@ def test_expand_operator_probes_only_order_plus_one_columns(monkeypatch, cold_ma
         return apply(y, a, b)
 
     monkeypatch.setattr(operators, "apply_L2", counting)
-    expand_operator("L2", Params(1, 0))
-    assert calls == [Poly.monomial(k) for k in range(3)]
+    for expand in (expand_operator, top_term):
+        _column_list.cache_clear()
+        calls.clear()
+        expand("L2", Params(1, 0))
+        assert calls == [Poly.monomial(k) for k in range(3)], expand
 
 
 @pytest.mark.parametrize("broken", [

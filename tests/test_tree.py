@@ -174,6 +174,18 @@ def test_only_a_run_builds_a_report():
     assert builders == {("verify.py", "run_suite"), ("verify.py", "verify_symmetry")}
 
 
+def test_only_the_cli_reads_the_full_expansion():
+    # the expansion cases read an operator's top term alone; the full
+    # expansion serves operator-table (and the package's export)
+    callers = _defs_holding(lambda node: isinstance(node, ast.Call)
+                            and "top_term" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None)))
+    assert callers == {("verify.py", "_expansion_cases")}
+    readers = {path.name for path in PACKAGE.glob("*.py")
+               if "expand_operator" in _names_read(path)}
+    assert readers == {"cli.py", "__init__.py"}
+
+
 def test_verify_names_no_operator_in_its_own_text():
     # the suites name an operator by its components row, so no label in
     # verify.py restates one of the four names
