@@ -28,10 +28,9 @@ import sys
 from fractions import Fraction
 
 from .algebra import InvalidParam, Poly, as_rational, format_rational
-from .genjacobi import Params, gen_jacobi, poly_Q, poly_R, poly_S
+from .genjacobi import Params, gen_jacobi
 from .inner import gram_matrix
-from .jacobi import jacobi_poly
-from .operators import OPERATOR_KINDS, expand_operator
+from .operators import OPERATOR_KINDS, components, expand_operator
 from .report import point_str, tabular
 from .verify import (DEFAULT_ALPHA_MAX, DEFAULT_BETA_MAX, DEFAULT_MASSES,
                      DEFAULT_NMAX, DEFAULT_SEED, SUITE_NAMES, run_suite)
@@ -68,29 +67,26 @@ def _coeff_strings(p: Poly) -> list:
 
 def cmd_poly(n: int, params: Params, fmt: str) -> str:
     full = gen_jacobi(n, params)
-    components = [
-        ("poly", full),
-        ("base", jacobi_poly(n, params.alpha, params.beta)),
-        ("mass(-1) block", poly_Q(n, params.alpha, params.beta)),
-        ("mass(+1) block", poly_R(n, params.alpha, params.beta)),
-        ("two-mass block", poly_S(n, params.alpha, params.beta)),
-    ]
+    a, b = params.alpha, params.beta
+    base, *others = components(a, b)
+    polys = [("poly", full), ("base", base.poly(n, a, b))]
+    polys += [(f"{row.name} block", row.poly(n, a, b)) for row in others]
     pstr = point_str(params)
     if fmt == "json":
         rec = {"n": n, "params": pstr}
-        for name, p in components:
+        for name, p in polys:
             key = name.replace(" ", "_").replace("(", "").replace(")", "")
             rec[key] = {"text": str(p), "coeffs": _coeff_strings(p)}
         return json.dumps(rec, indent=2)
     if fmt == "csv":
         lines = ["component,polynomial,coeffs"]
-        for name, p in components:
+        for name, p in polys:
             lines.append(f"\"{name}\",\"{p}\",\"{';'.join(_coeff_strings(p))}\"")
         return "\n".join(lines)
     if fmt == "latex":
-        return tabular("ll", [f"{name} & ${poly_latex(p)}$" for name, p in components])
+        return tabular("ll", [f"{name} & ${poly_latex(p)}$" for name, p in polys])
     lines = [str(full)]
-    for name, p in components[1:]:
+    for name, p in polys[1:]:
         lines.append(f"{name}: {p}")
     return "\n".join(lines)
 

@@ -8,12 +8,14 @@ building blocks:
 
 where P_n is the classical Jacobi polynomial and Q_n, R_n, S_n are
 parameter-shifted Jacobi polynomials times the endpoint factors (x+1),
-(x-1), (x^2-1) with explicit rational coefficients.  Q_0, R_0, S_0, and S_1
+(x-1), (x^2-1) with explicit rational scales.  Q_0, R_0, S_0, and S_1
 are zero by convention, which keeps every operation total in n.
 
-BLOCKS declares each block once, as data in t = x - 1: its scale, its
-parameter shift and its endpoint factor t + 2, t or t(t + 2).  _blocks builds
-the four t-vectors of each (n, alpha, beta) from the hypergeometric data of
+blocks(alpha, beta) is the one table of the four blocks, as data in
+t = x - 1: per block its parameter shift, its endpoint factor t + 2, t or
+t(t + 2), and its scale as an integer constant and integer Pochhammer pairs.
+coeff_q, coeff_r and coeff_s read the scales from it.  _blocks builds the
+four t-vectors of each (n, alpha, beta) from the hypergeometric data of
 jacobi._jacobi_hyp, once for every mass point.  gen_jacobi sums them with the
 masses in integers over one denominator and makes one Taylor shift into
 powers of x; poly_Q, poly_R and poly_S are one Taylor shift of one block.
@@ -23,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
-from typing import NamedTuple, Optional
+from math import lcm, prod
+from typing import NamedTuple
 
 from . import jacobi, kernel
 from .algebra import InvalidParam, Poly, as_rational, nonneg_int
@@ -32,7 +34,8 @@ from .algebra import InvalidParam, Poly, as_rational, nonneg_int
 
 @dataclass(frozen=True)
 class Params:
-    """Weight data: integer exponents alpha, beta and masses M, N >= 0."""
+    """Weight data: integer exponents alpha, beta and masses M, N >= 0, with
+    masses = (1, M, N, M*N), the weights of the P, Q, R, S blocks and operators."""
 
     alpha: int = 0
     beta: int = 0
@@ -47,75 +50,75 @@ class Params:
             if value < 0:
                 raise InvalidParam(f"{name} must be >= 0, got {value}")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "masses", (Fraction(1), self.M, self.N, self.M * self.N))
+        # kept, so that a cache keyed by a Params rehashes no mass on a hit
+        object.__setattr__(self, "_hash", hash((self.alpha, self.beta, self.M, self.N)))
 
     def __hash__(self):
-        # hashed once, on the first lookup: the caches keyed by a Params would
-        # otherwise rehash both Fraction masses on every hit
-        if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash((self.alpha, self.beta, self.M, self.N)))
         return self._hash
 
     def swapped(self) -> "Params":
         """Mirror parameters under x -> -x: swap alpha/beta and M/N."""
         return Params(self.beta, self.alpha, self.N, self.M)
 
-    @property
-    def masses(self) -> tuple:
-        """The weights 1, M, N, M*N of the P, Q, R, S blocks and operators,
-        built on the first read, as the hash is."""
-        if "_masses" not in self.__dict__:
-            object.__setattr__(self, "_masses", (Fraction(1), self.M, self.N, self.M * self.N))
-        return self._masses
+
+class Block(NamedTuple):
+    """One building block: scale(n) * factor(t) * P_m^(alpha+da, beta+db) in
+    t = x - 1, with m = n + 1 - len(factor); the zero polynomial for m < 0,
+    so len(factor) - 1 is its least degree.  The scale is the product of
+    (s)_(n+d) over the (s, d) pairs `upper`, over c times that over `lower`."""
+
+    shift: tuple            # the parameter shift (da, db)
+    factor: tuple           # the endpoint factor's coefficients in powers of t
+    c: int = 1
+    upper: tuple = ()
+    lower: tuple = ()
+
+    def scale(self, n: int) -> Fraction:
+        """The scale at degree n, with (s)_m = s(s+1)...(s+m-1) an integer product."""
+        num, den = 1, self.c
+        for s, d in self.upper:
+            num *= prod(range(s, s + n + d))
+        for s, d in self.lower:
+            den *= prod(range(s, s + n + d))
+        return Fraction(num, den)
 
 
-# The block scales are ratios of Pochhammer symbols (c)_k = c(c+1)...(c+k-1)
-# at integer c, so each is one Fraction of two integer products.
+def blocks(alpha: int, beta: int) -> tuple:
+    """The blocks P, Q, R, S at (alpha, beta), built per call; _blocks and the
+    coeff_* read it by its module name, so a rebound blocks takes effect."""
+    a, b = alpha, beta
+    return (
+        Block((0, 0), (1,)),
+        # (a+b+2)_n (b+2)_(n-1) / (2 n! (a+1)_(n-1)), the factor x + 1 = t + 2
+        Block((0, 2), (2, 1), 2, ((a + b + 2, 0), (b + 2, -1)), ((1, 0), (a + 1, -1))),
+        # its mirror, the factor x - 1 = t
+        Block((2, 0), (0, 1), 2, ((a + b + 2, 0), (a + 2, -1)), ((1, 0), (b + 1, -1))),
+        # (a+b+2)_n (a+b+2)_(n+1) / (4 (a+1)(b+1) (n-1)! n!), x^2 - 1 = t(t + 2)
+        Block((2, 2), (0, 2, 1), 4 * (a + 1) * (b + 1), ((a + b + 2, 0), (a + b + 2, 1)),
+              ((1, -1), (1, 0))),
+    )
+
 
 def coeff_q(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x+1)-block, defined for n >= 1:
     (alpha+beta+2)_n (beta+2)_(n-1) / (2 n! (alpha+1)_(n-1))."""
     nonneg_int("coeff_q index", n, 1)
-    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return Fraction(prod(range(a + b + 2, a + b + 2 + n)) * prod(range(b + 2, b + n + 1)),
-                    2 * factorial(n) * prod(range(a + 1, a + n)))
+    return blocks(nonneg_int("alpha", alpha), nonneg_int("beta", beta))[1].scale(n)
 
 
 def coeff_r(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x-1)-block, defined for n >= 1:
     (alpha+beta+2)_n (alpha+2)_(n-1) / (2 n! (beta+1)_(n-1))."""
     nonneg_int("coeff_r index", n, 1)
-    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return Fraction(prod(range(a + b + 2, a + b + 2 + n)) * prod(range(a + 2, a + n + 1)),
-                    2 * factorial(n) * prod(range(b + 1, b + n)))
+    return blocks(nonneg_int("alpha", alpha), nonneg_int("beta", beta))[2].scale(n)
 
 
 def coeff_s(n: int, alpha: int, beta: int) -> Fraction:
     """Scale factor of the (x^2-1)-block, defined for n >= 2:
     (alpha+beta+2)_n (alpha+beta+2)_(n+1) / (4 (alpha+1)(beta+1) (n-1)! n!)."""
     nonneg_int("coeff_s index", n, 2)
-    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    rising = prod(range(a + b + 2, a + b + 2 + n))
-    return Fraction(rising * rising * (a + b + 2 + n),
-                    4 * (a + 1) * (b + 1) * factorial(n - 1) * factorial(n))
-
-
-class Block(NamedTuple):
-    """One building block: scale(n, alpha, beta) * factor(t) * P_m^(alpha+da, beta+db)
-    in t = x - 1, with m = n + 1 - len(factor); the zero polynomial for m < 0."""
-
-    scale: Optional[str]    # name of the scale function in this module, or None for 1
-    shift: tuple            # the parameter shift (da, db)
-    factor: tuple           # the endpoint factor's coefficients in powers of t
-
-
-# P, Q, R, S.  The scales are looked up by name on each build, so a function
-# rebound on the module is the one that runs.
-BLOCKS = (
-    Block(None, (0, 0), (1,)),
-    Block("coeff_q", (0, 2), (2, 1)),       # x + 1 = t + 2
-    Block("coeff_r", (2, 0), (0, 1)),       # x - 1 = t
-    Block("coeff_s", (2, 2), (0, 2, 1)),    # x^2 - 1 = t(t + 2)
-)
+    return blocks(nonneg_int("alpha", alpha), nonneg_int("beta", beta))[3].scale(n)
 
 
 # the grid runner visits one (alpha, beta) at a time, and 64 entries hold all
@@ -126,24 +129,25 @@ def _blocks(n: int, alpha: int, beta: int) -> tuple:
     """(nums, den) of P_n, Q_n, R_n, S_n at (alpha, beta), each block
     sum nums[k] t^k / den with t = x - 1; built once for every mass point."""
     out = []
-    for block in BLOCKS:
+    for block in blocks(alpha, beta):
         m = n + 1 - len(block.factor)
         if m < 0:
             out.append(((), 1))
             continue
         da, db = block.shift
         nums, den = jacobi._jacobi_hyp(m, alpha + da, beta + db)
-        if block.scale:
-            scale = globals()[block.scale](n, alpha, beta)
+        if block.factor != (1,) or block.c != 1 or block.upper or block.lower:
+            # every row but P's, whose factor and scale are 1
+            scale = block.scale(n)
             num = scale.numerator
-            nums = tuple(c * num for c in kernel.conv(block.factor, nums))
+            nums = tuple([c * num for c in kernel.conv(block.factor, nums)])
             den *= scale.denominator
         out.append((nums, den))
     return tuple(out)
 
 
 def _block_poly(index: int, n: int, alpha: int, beta: int) -> Poly:
-    """Block `index` of BLOCKS at (n, alpha, beta), shifted into powers of x."""
+    """Block `index` of blocks(alpha, beta) at n, shifted into powers of x."""
     nums, den = _blocks(nonneg_int("polynomial index", n), nonneg_int("alpha", alpha),
                         nonneg_int("beta", beta))[index]
     return Poly._norm(kernel.taylor_shift(nums), den)

@@ -2,7 +2,7 @@
 import pickle
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,7 +56,7 @@ def test_coeff_domain_errors():
 
 
 # the scales as products and quotients of Pochhammer Fractions, the recipe
-# the integer ratios in src replaced
+# the integer rows of genjacobi.blocks replaced; P's scale is 1
 ORACLE_SCALES = {
     coeff_q: (1, lambda n, a, b: pochhammer(a + b + 2, n) * pochhammer(b + 2, n - 1)
               / (2 * factorial(n) * pochhammer(a + 1, n - 1))),
@@ -68,10 +68,24 @@ ORACLE_SCALES = {
 
 
 def test_coeff_equals_the_pochhammer_recipe():
-    for coeff, (least, oracle) in ORACLE_SCALES.items():
-        for n, a, b in product(range(least, 21), range(7), range(7)):
-            got = coeff(n, a, b)
-            assert type(got) is Fraction and got == oracle(n, a, b), (coeff.__name__, n, a, b)
+    # every row of blocks(a, b) from its least degree to 40: its scale is the
+    # recipe's Fraction, and scale(n+1)/scale(n) is the quotient of the linear
+    # factors n + s + d over its upper and lower pairs, each of them positive
+    oracles = [(0, lambda n, a, b: F(1)), *ORACLE_SCALES.values()]
+    coeffs = [None, *ORACLE_SCALES]
+    for a, b in product(range(9), range(9)):
+        for row, (least, oracle), coeff in zip(gj.blocks(a, b), oracles, coeffs):
+            assert least == len(row.factor) - 1 and row.c > 0, (row, a, b)
+            for n in range(least, 41):
+                got = row.scale(n)
+                assert type(got) is Fraction and got == oracle(n, a, b), (row, n, a, b)
+                if coeff is not None:
+                    assert coeff(n, a, b) == got
+                upper = [n + s + d for s, d in row.upper]
+                lower = [n + s + d for s, d in row.lower]
+                assert min(upper + lower, default=1) > 0, (row, n, a, b)
+                if n < 40:
+                    assert row.scale(n + 1) / got == F(prod(upper), prod(lower))
 
 
 def test_block_anchors():
@@ -235,8 +249,8 @@ def test_params_swapped():
 
 
 def test_cached_gen_jacobi_hits_do_not_rehash_the_masses(monkeypatch):
-    # the gen_jacobi cache is keyed by Params; after the first lookup its hash
-    # is the instance's own, so a hit hashes no Fraction
+    # the gen_jacobi cache is keyed by Params, whose hash is made once, at
+    # construction, so a hit hashes no Fraction
     calls = []
     fraction_hash = Fraction.__hash__
 
@@ -244,10 +258,11 @@ def test_cached_gen_jacobi_hits_do_not_rehash_the_masses(monkeypatch):
         calls.append(self)
         return fraction_hash(self)
 
-    pr = Params(1, 2, F(1, 3), F(2, 7))
     monkeypatch.setattr(Fraction, "__hash__", counting)
+    pr = Params(1, 2, F(1, 3), F(2, 7))
+    assert calls, "the construction hashes the masses"
+    calls.clear()
     gen_jacobi(4, pr)
-    assert calls, "the first lookup hashes the masses"
     calls.clear()
     for n in (4, 4, 4):
         gen_jacobi(n, pr)
@@ -258,8 +273,8 @@ def test_cached_gen_jacobi_hits_do_not_rehash_the_masses(monkeypatch):
 @given(st.integers(0, 8), st.integers(0, 8),
        *[st.fractions(min_value=0, max_value=10, max_denominator=9)] * 2)
 def test_params_with_masses_read_equals_a_fresh_one(a, b, M, N):
-    # the masses are built on the first read and kept on the instance, which
-    # changes nothing of its value: equality, hash, pickling
+    # the masses and the hash are built at construction and kept on the
+    # instance, which changes nothing of its value: equality, hash, pickling
     pr = Params(a, b, M, N)
     masses = pr.masses
     assert masses == (1, M, N, M * N) and all(type(m) is Fraction for m in masses)
@@ -274,7 +289,7 @@ def test_params_with_masses_read_equals_a_fresh_one(a, b, M, N):
 
 
 def test_params_hash_survives_pickling():
-    # a pool worker gets its Params pickled, with the hash kept or not yet made
+    # a pool worker gets its Params pickled, the hash made at construction with it
     fresh = pickle.loads(pickle.dumps(Params(1, 2, F(1, 3), F(2, 7))))
     pr = Params(1, 2, F(1, 3), F(2, 7))
     hash(pr)

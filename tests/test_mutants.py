@@ -124,12 +124,21 @@ def _newton_unsigned(orig):
     return mutant
 
 
-def _block_replaced(index, **fields):
-    """A factory of genjacobi.BLOCKS with row `index` given new fields."""
+def _block_replaced(index, change):
+    """A factory of genjacobi.blocks with row `index` (P, Q, R, S) replaced by
+    change(row, alpha, beta)."""
     def factory(orig):
-        return tuple(row._replace(**fields) if i == index else row
-                     for i, row in enumerate(orig))
+        def mutant(alpha, beta):
+            return tuple(change(row, alpha, beta) if i == index else row
+                         for i, row in enumerate(orig(alpha, beta)))
+        return mutant
     return factory
+
+
+def _scale_doubled(index):
+    """The mutant that doubles the scale of row `index` by halving its c."""
+    return (genjacobi, "blocks",
+            _block_replaced(index, lambda row, a, b: row._replace(c=row.c // 2)))
 
 
 def _component_replaced(kind, change):
@@ -150,13 +159,14 @@ MUTANTS = {
         (operators, "apply_L2", lambda f: lambda y, a, b: f(y, b, a)),
     "const_b off by one": (operators, "const_b", lambda f: lambda a, b: f(a, b) + 1),
     "const_c off by one": (operators, "const_c", lambda f: lambda a, b: f(a, b) + 1),
-    "coeff_q doubled": (genjacobi, "coeff_q", lambda f: lambda n, a, b: 2 * f(n, a, b)),
-    "coeff_r doubled": (genjacobi, "coeff_r", lambda f: lambda n, a, b: 2 * f(n, a, b)),
-    "coeff_s doubled": (genjacobi, "coeff_s", lambda f: lambda n, a, b: 2 * f(n, a, b)),
+    "coeff_q doubled": _scale_doubled(1),
+    "coeff_r doubled": _scale_doubled(2),
+    "coeff_s doubled": _scale_doubled(3),
     # factorial(n - 2) for factorial(n - 1) in the denominator: equal at n = 2
-    "coeff_s with factorial(n-2)":
-        (genjacobi, "coeff_s", lambda f: lambda n, a, b: (n - 1) * f(n, a, b)),
-    "poly_S with beta+3 for beta+2": (genjacobi, "BLOCKS", _block_replaced(3, shift=(2, 3))),
+    "coeff_s with factorial(n-2)": (genjacobi, "blocks", _block_replaced(
+        3, lambda row, a, b: row._replace(lower=((1, -2), (1, 0))))),
+    "poly_S with beta+3 for beta+2": (genjacobi, "blocks", _block_replaced(
+        3, lambda row, a, b: row._replace(shift=(2, 3)))),
     "eigen_combined without the M*N term": (operators, "eigen_combined", _eigen_without_mn),
     "eigen_high side with alpha+1 for alpha+2":
         (operators, "components", _side_spectra_short),
@@ -182,8 +192,10 @@ MUTANTS = {
     "endpoint_weight with p and q swapped":
         (algebra, "endpoint_weight", lambda f: lambda p, q: f(q, p)),
     "Taylor shift by +1 for -1": (kernel, "taylor_shift", _shift_by_plus_one),
-    "Q row's endpoint factor t+1 for t+2":
-        (genjacobi, "BLOCKS", _block_replaced(1, factor=(1, 1))),
+    "Q row's endpoint factor t+1 for t+2": (genjacobi, "blocks", _block_replaced(
+        1, lambda row, a, b: row._replace(factor=(1, 1)))),
+    "Q row's upper (beta+1)_(n-1) for (beta+2)_(n-1)": (genjacobi, "blocks", _block_replaced(
+        1, lambda row, a, b: row._replace(upper=((a + b + 2, 0), (b + 1, -1))))),
     "Newton sum without the alternating sign": (operators, "_coefficient", _newton_unsigned),
 }
 
@@ -270,6 +282,7 @@ PINNED_KILLS = {
     "endpoint_weight with p and q swapped": "FFFFFFFF",
     "Taylor shift by +1 for -1": "FFEFFF.F",
     "Q row's endpoint factor t+1 for t+2": "FFEFFF.F",
+    "Q row's upper (beta+1)_(n-1) for (beta+2)_(n-1)": "F..FFF.F",
     "Newton sum without the alternating sign": "F.......",
 }
 
@@ -465,6 +478,13 @@ FAILING_DIGESTS = {
         "cor25": "6891b9c1192c3ba99db13a4f93f022e4e196d8e7935ad3c2d12178a554917846",
         "duran": "7635167c5de8b5deef10e065b3a33b1aa328bccf940525e513693f391c429d17",
         "orthogonality": "259a69ebf457cfe3b7132ad627aac1bb818ceb6e2110b5f69bb7852c4de8f655",
+    },
+    "Q row's upper (beta+1)_(n-1) for (beta+2)_(n-1)": {
+        "thm21": "e1c14ee9808823625d8185aa8efc375c2a4ad043c183e43e487f626e36af2404",
+        "cor24": "7cc7a108575e7b9c8c5542b5b0af3c9bac177124c696df645191f00836b89364",
+        "cor25": "869223e68f9b67ac0b5a57e525d37368e8503ae34f1dd426c2d8f227fe7e1a0b",
+        "duran": "70f8f0a334a1071b49459e77493458079ba9de4b7c53301ba715e5940852b3dd",
+        "orthogonality": "6b2ea2caafba95821acf135a91b846c2ab296babbab3266fd2dab222ba7402b7",
     },
     "Newton sum without the alternating sign": {
         "thm21": "f1274e2fa44c94fdd86f5e4f205ad83f16165080cad8246ea18ee48aac5c0a9d",
