@@ -6,10 +6,14 @@ weight, built from the monomial integrals.  The mass-augmented scalar
 product is stated once, by its moment vector h_k = mu_k + M (-1)^k + N, and
 computed once, by one Hankel product (inner_products), which the weight
 integral, the scalar product (a plain Fraction) and the Gram matrices all
-read.  The four symmetric bilinear forms that mirror the operators dot their
-integrands with the moments of their own weights; the module also gives the
-closed-form endpoint values of the operators, which the symmetry suite
-checks, and the combined operator's symmetry defect.
+read.  The four symmetric bilinear forms that mirror the operators are one
+table (forms), each a Hankel product of its integrands' integer vectors with
+the moments of its own weight.  The module also gives the closed-form
+endpoint values of the operators; the paper's four pairings
+<L_k f, g> = B_k(f, g) + boundary and those endpoint values as integer
+defect matrices on a monomial basis, built once per (alpha, beta)
+(pairing_defects), which the symmetry suite contracts with each random pair;
+and the combined operator's symmetry defect.
 """
 from __future__ import annotations
 
@@ -18,11 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
+from typing import NamedTuple
 
-from . import kernel
+from . import kernel, operators
 from .algebra import Poly, derive_nums, endpoint_weight, nonneg_int, pochhammer
 from .genjacobi import Params, gen_jacobi
-from .operators import apply_combined, const_b, const_c
+from .operators import apply_combined, components, const_b, const_c
 
 
 def integrate(f: Poly) -> Fraction:
@@ -116,20 +121,38 @@ def weighted_integral(f: Poly, alpha: int, beta: int) -> Fraction:
 
 # ---------------- symmetric bilinear forms ----------------
 
-def _form(f: Poly, g: Poly, v: Poly, k: int, weight: tuple, alpha: int,
-          beta: int) -> Fraction:
-    """Integral of (v f)^(k) (v g)^(k) w over [-1, 1], divided by h_norm,
-    with w = weight_poly(*weight): the integer vector (v f)^(k) (v g)^(k),
-    never normalized, dotted with the weight's moments."""
-    df = derive_nums(kernel.conv(v.nums, f.nums), k) if f.nums else []
-    dg = derive_nums(kernel.conv(v.nums, g.nums), k) if g.nums else []
-    if not (df and dg):
-        return Fraction(0)
-    nums = kernel.conv(df, dg)
-    moments, den = _weight_moments(*weight, -(-len(nums) // 16) * 16)
-    h = h_norm(alpha, beta)
-    return Fraction(sum(map(mul, nums, moments)) * h.denominator,
-                    den * v.den ** 2 * f.den * g.den * h.numerator)
+def forms(alpha: int, beta: int) -> tuple:
+    """(v, k, weight) of the four symmetric bilinear forms at (alpha, beta),
+    in the order of the components rows they mirror: the form of a row is the
+    integral of (v f)^(k) (v g)^(k) weight_poly(*weight) over [-1, 1],
+    divided by h_norm(alpha, beta).  Built per call, so a rebound module
+    attribute takes effect."""
+    a, b = alpha, beta
+    return ((Poly.one(), 1, (a + 1, b + 1)),
+            (endpoint_weight(0, b + 1), b + 2, (a + b + 2, 0)),
+            (endpoint_weight(a + 1, 0), a + 2, (0, a + b + 2)),
+            (endpoint_weight(a + 1, b + 1), a + b + 3, (b + 1, a + 1)))
+
+
+def _form(fs, gs, row: int, alpha: int, beta: int) -> tuple:
+    """(F, D) with F[i][j] / (D fs[i].den gs[j].den) the form of row `row` of
+    forms(alpha, beta) on fs[i] and gs[j]: each integer vector (v g)^(k)
+    meets the weight's moments in one Hankel product, and every (v f)^(k) is
+    dotted with it, in integers and never normalized."""
+    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
+    v, k, weight = forms(a, b)[row]
+    dfs = [derive_nums(kernel.conv(f.nums, v.nums), k) if f.nums else [] for f in fs]
+    dgs = [derive_nums(kernel.conv(g.nums, v.nums), k) if g.nums else [] for g in gs]
+    rows = max(map(len, dfs), default=0)
+    size = rows + max(map(len, dgs), default=0) - 1
+    moments, den = _weight_moments(*weight, -(-size // 16) * 16)
+    h = h_norm(a, b)
+    gram = [[0] * len(gs) for _ in fs]
+    for j, dg in enumerate(dgs):
+        wg = [sum(map(mul, dg, moments[p:])) * h.denominator for p in range(rows)]
+        for i, df in enumerate(dfs):
+            gram[i][j] = sum(map(mul, df, wg))
+    return gram, den * v.den ** 2 * h.numerator
 
 
 @lru_cache(maxsize=256)
@@ -148,26 +171,26 @@ def _weight_moments(p: int, q: int, size: int) -> tuple:
 def bilinear_U(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the second-order operator: integral of f'g' against
     the weight with both exponents raised by one."""
-    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return _form(f, g, Poly.one(), 1, (a + 1, b + 1), a, b)
+    [[value]], den = _form((f,), (g,), 0, alpha, beta)
+    return Fraction(value, den * f.den * g.den)
 
 
 def bilinear_Vt(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the mass operator at x = -1."""
-    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return _form(f, g, endpoint_weight(0, b + 1), b + 2, (a + b + 2, 0), a, b)
+    [[value]], den = _form((f,), (g,), 1, alpha, beta)
+    return Fraction(value, den * f.den * g.den)
 
 
 def bilinear_V(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the mass operator at x = +1."""
-    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return _form(f, g, endpoint_weight(a + 1, 0), a + 2, (0, a + b + 2), a, b)
+    [[value]], den = _form((f,), (g,), 2, alpha, beta)
+    return Fraction(value, den * f.den * g.den)
 
 
 def bilinear_W(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
     """Form mirroring the two-mass operator."""
-    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    return _form(f, g, endpoint_weight(a + 1, b + 1), a + b + 3, (b + 1, a + 1), a, b)
+    [[value]], den = _form((f,), (g,), 3, alpha, beta)
+    return Fraction(value, den * f.den * g.den)
 
 
 # ---------------- boundary behaviour ----------------
@@ -235,6 +258,97 @@ def mass_constant_identity(alpha: int, beta: int) -> tuple:
     via_pos = const_c(a, b) / const_b(a, b) * 2 * pochhammer(b + 1, a + 2) * factorial(a + 2)
     via_neg = const_c(a, b) / const_b(b, a) * 2 * pochhammer(a + 1, b + 2) * factorial(b + 2)
     return direct, via_pos, via_neg
+
+
+# ---------------- the pairings on a monomial basis ----------------
+
+class PairingDefects(NamedTuple):
+    """The four pairings <L_k f, g> = B_k(f, g) + boundary_k(f, g) and the
+    eight endpoint values of one (alpha, beta), as defects on the monomials
+    x^0 .. x^(dim-1), kept by their nonzero rows only.  Each is bilinear (the
+    endpoint values linear) and free of the masses, so a pair (f, g) of
+    degree < dim is scored by contracting them."""
+
+    pairings: tuple     # per components row, (D, ((i, Z[i]), ...)): Z[i][j] / D
+    ends: tuple         # (D, ((i, E[i]), ...)): E[i] / D, BoundaryValues order
+
+    def pairing_residuals(self, f: Poly, g: Poly) -> list:
+        """<L_k f, g> - B_k(f, g) - boundary_k(f, g) per components row k:
+        f . (Z g) over D f.den g.den, in integers."""
+        fn, gn = f.nums, g.nums
+        return [Fraction(sum(fn[i] * sum(map(mul, row, gn)) for i, row in rows
+                             if i < len(fn)), den * f.den * g.den)
+                for den, rows in self.pairings]
+
+    def endpoint_defect(self, f: Poly):
+        """The sum of squares of the eight endpoint values of the operators on
+        f minus their closed forms; the int 0 when all eight agree."""
+        den, rows = self.ends
+        sums = [0] * 8
+        for i, row in rows:
+            if i < len(f.nums):
+                sums = [s + f.nums[i] * e for s, e in zip(sums, row)]
+        if not any(sums):
+            return 0
+        return Fraction(sum(s * s for s in sums), (den * f.den) ** 2)
+
+
+@lru_cache(maxsize=16)
+def pairing_defects(alpha: int, beta: int, dim: int) -> PairingDefects:
+    """The PairingDefects of (alpha, beta) on x^0 .. x^(dim-1), with no
+    nonzero row when the pairings and closed forms hold.
+
+    Z_k[i][j] = <L_k x^i, x^j> - B_k(x^i, x^j) - boundary_k(x^i, x^j), from
+    the operators' integer columns (operators._columns), the plain products
+    of inner_products at Params(alpha, beta), the forms' Gram matrices
+    (_form) and the closed-form endpoint values (boundary_closed_forms) with
+    the components' norms.  E[i] is the eight values (L_k x^i)(-1), (L_k
+    x^i)(1) minus boundary_closed_forms(x^i).  One (alpha, beta) of the
+    default grid has 16 mass points, whose symmetry points run together and
+    share one entry."""
+    a, b = alpha, beta
+    table = components(a, b)
+    basis = [Poly._raw((0,) * i + (1,), 1) for i in range(dim)]
+    images = [[Poly._raw(column, 1) for column in operators._columns(row.kind, a, b, dim)[:dim]]
+              for row in table]
+    plain = Params(a, b)
+    # products[j][k * dim + i] = <L_k x^i, x^j>, one Hankel product per x^j
+    products = [inner_products([image for op in images for image in op], x, plain)
+                for x in basis]
+    wants = [boundary_closed_forms(x, a, b) for x in basis]
+    _, b_ba, b_ab, c_ab = (row.norm for row in table)
+    # per x^i and row k, (neg, pos) with boundary_k(x^i, g) = neg g(-1) + pos g(1):
+    # the endpoint values of the lower-order operators, in closed form
+    boundaries = [((0, 0), (-b_ba * want.l2_neg1, 0), (0, -b_ab * want.l2_pos1),
+                   (-c_ab * want.lhat_neg1 / b_ab, -c_ab * want.ltilde_pos1 / b_ba))
+                  for want in wants]
+    pairings = []
+    for k in range(len(table)):
+        gram, gden = _form(basis, basis, k, a, b)
+        products_k = [[column[k * dim + i] for column in products] for i in range(dim)]
+        ends = [pairs[k] for pairs in boundaries]
+        den = lcm(gden, *(p.denominator for row in products_k for p in row),
+                  *(e.denominator for pair in ends for e in pair))
+        scale = den // gden
+        rows = []
+        for i, (products_i, gram_i, pair) in enumerate(zip(products_k, gram, ends)):
+            neg, pos = (e.numerator * (den // e.denominator) for e in pair)
+            defects = tuple(p.numerator * (den // p.denominator) - form * scale
+                            - (pos - neg if j & 1 else pos + neg)
+                            for j, (p, form) in enumerate(zip(products_i, gram_i)))
+            if any(defects):
+                rows.append((i, defects))
+        pairings.append((den, tuple(rows)))
+    diffs = []
+    for i, want in enumerate(wants):
+        got = [op[i].eval(x) for op in images for x in (-1, 1)]
+        wanted = list(vars(want).values())
+        if got != wanted:
+            diffs.append((i, [gv - wv for gv, wv in zip(got, wanted)]))
+    den = lcm(*(d.denominator for _, row in diffs for d in row))
+    ends = tuple((i, tuple(d.numerator * (den // d.denominator) for d in row))
+                 for i, row in diffs)
+    return PairingDefects(tuple(pairings), (den, ends))
 
 
 def symmetry_defect(f: Poly, g: Poly, params: Params) -> Fraction:

@@ -276,15 +276,6 @@ def _matvec(columns: list, nums: tuple) -> list:
     return out
 
 
-def _image(kind: str, y: Poly, alpha: int, beta: int) -> Poly:
-    """y under the elementary operator `kind`, through its cached columns;
-    equal to the apply_* function of that kind."""
-    if y.is_zero:
-        return y
-    columns = _columns(kind, alpha, beta, len(y.nums))
-    return Poly._norm(_matvec(columns, y.nums), y.den)
-
-
 def _shifted_L2(y: Poly, a: int, b: int, shift: int, poles: tuple = ()) -> Poly:
     """apply_L2(y, a, b) + shift * y + sum(weight * (y / pole)) over the
     (weight, pole) pairs: one factor of the factorized and product forms.
@@ -482,7 +473,7 @@ class Component(NamedTuple):
     normalization; and its factorized form (Proposition 2.3), which acts on
     multiples of the block's endpoint factor."""
 
-    kind: str               # its kind in expand_operator and _image
+    kind: str               # its kind in expand_operator and _columns
     name: str               # the operator, as case labels name it
     poly: Callable          # poly(n, alpha, beta): the P, Q, R or S block
     apply: Callable         # apply(y, alpha, beta)

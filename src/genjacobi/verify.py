@@ -15,7 +15,9 @@ orthogonality) are stable CLI-facing names:
 - cor25: the five mixed cross identities between blocks.
 - duran: the alternative product form of the operator of the mass at x = -1.
 - symmetry: the operator-vs-bilinear-form pairings, boundary closed forms,
-  and the symmetry defect of the combined operator on random inputs.
+  and the symmetry defect of the combined operator on random inputs; the
+  pairings and closed forms, free of the masses, contract each random pair
+  with the integer defect matrices of its (alpha, beta), built once.
 - orthogonality: Gram off-diagonals, diagonal positivity, eigenvalue
   monotonicity, and the eigenvalue-gap orthogonality chain.
 
@@ -45,11 +47,9 @@ from math import lcm
 from .algebra import (InvalidParam, Poly, X2_MINUS_1, X_MINUS_1, X_PLUS_1,
                       endpoint_weight, format_rational, nonneg_int, pochhammer)
 from .genjacobi import Params, coeff_q, gen_jacobi
-from .inner import (bilinear_U, bilinear_V, bilinear_Vt, bilinear_W,
-                    boundary_closed_forms, gram_matrix, inner_products,
-                    mass_constant_identity, symmetry_defect)
+from .inner import gram_matrix, mass_constant_identity, pairing_defects, symmetry_defect
 from .jacobi import jacobi_poly
-from .operators import (_image, apply_combined, apply_duran, apply_factorized,
+from .operators import (apply_combined, apply_duran, apply_factorized,
                         components, const_b, const_c, eigen_combined, eigen_residual,
                         top_term)
 from .report import Case, VerifyReport, params_str, point_str
@@ -306,46 +306,26 @@ def _symmetry_point(trials: int, degmax: int, params: Params, seed: int) -> list
     """The cases of one symmetry grid point: for each of `trials` random pairs
     (f, g) of degree <= degmax drawn from seed, the combined operator's
     symmetry defect, the four form pairings and the boundary closed forms;
-    then the two routes to the mass normalization constant."""
+    then the two routes to the mass normalization constant.  The pairings and
+    closed forms are free of the masses: each pair contracts the defect
+    matrices of its (alpha, beta), built once (inner.pairing_defects)."""
     nonneg_int("trials", trials, 1)
     nonneg_int("degmax", degmax)
     a, b = params.alpha, params.beta
     pstr = point_str(params)
     rng = SplitMix64(seed)
-    # one components table and one mass-free Params per point, not per pair
     table = components(a, b)
-    plain = Params(a, b)
-    _, b_ba, b_ab, c_ab = (row.norm for row in table)
+    defects = pairing_defects(a, b, degmax + 1)
     cases = []
     for n in range(trials):
         f = random_poly(rng, degmax)
         g = random_poly(rng, degmax)
-        images = [_image(row.kind, f, a, b) for row in table]
-        want = boundary_closed_forms(f, a, b)
-        g_neg, g_pos = g.eval(-1), g.eval(1)
         cases.append(Case.check("combined operator symmetry defect", pstr, n,
                                 symmetry_defect(f, g, params)))
-        # (symmetric form, boundary term) of the images of f, in the order of
-        # the components rows that name them; the boundary terms are endpoint
-        # values of the lower-order operators, in closed form.  The images are
-        # scored against g through one Hankel product of the plain moment vector.
-        pairings = (
-            (bilinear_U, 0),
-            (bilinear_Vt, -b_ba * want.l2_neg1 * g_neg),
-            (bilinear_V, -b_ab * want.l2_pos1 * g_pos),
-            (bilinear_W,
-             -c_ab * (want.lhat_neg1 * g_neg / b_ab + want.ltilde_pos1 * g_pos / b_ba)),
-        )
-        products = inner_products(images, g, plain)
-        for row, (form, boundary), product in zip(table, pairings, products):
-            cases.append(Case.check(f"{row.name} form pairing", pstr, n,
-                                    product - form(f, g, a, b) - boundary))
-        # the eight endpoint values in BoundaryValues field order, compared for
-        # equality first: the sum of squares is built only to render a mismatch
-        got = [image.eval(x) for image in images for x in (-1, 1)]
-        wanted = list(vars(want).values())
-        defect = 0 if got == wanted else sum((gv - wv) ** 2 for gv, wv in zip(got, wanted))
-        cases.append(Case.check("boundary closed forms (8 values)", pstr, n, defect))
+        for row, residual in zip(table, defects.pairing_residuals(f, g)):
+            cases.append(Case.check(f"{row.name} form pairing", pstr, n, residual))
+        cases.append(Case.check("boundary closed forms (8 values)", pstr, n,
+                                defects.endpoint_defect(f)))
     direct, via_pos, via_neg = mass_constant_identity(a, b)
     cases.append(Case.check("mass normalization constant identity (+1 route)", pstr,
                             None, direct - via_pos))

@@ -4,6 +4,7 @@ import pkgutil
 
 import genjacobi
 from genjacobi import inner
+from genjacobi.verify import run_suite
 
 
 def _lru_caches():
@@ -20,7 +21,7 @@ def test_every_lru_cache_has_a_finite_maxsize():
     caches = _lru_caches()
     assert {"jacobi._jacobi_hyp", "genjacobi._gen_jacobi_cached", "genjacobi._blocks",
             "algebra.pochhammer", "inner.h_norm", "inner._moment_block",
-            "inner._weight_moments",
+            "inner._weight_moments", "inner.pairing_defects",
             "operators._column_list", "operators._combined_entry",
             "algebra.endpoint_weight"} <= set(caches)
     for name, cache in caches.items():
@@ -32,3 +33,11 @@ def test_the_moment_vector_has_one_cached_route():
     # the steps under a miss of those caches keep no cache of their own
     for func in (inner._normalized_moments, inner.weight_poly, inner._monomial_integrals):
         assert not hasattr(func, "cache_info"), func.__name__
+
+
+def test_one_symmetry_run_builds_each_pairing_entry_once():
+    # the 16 mass points of one (alpha, beta) run together and share its
+    # defect matrices, so the default grid builds each of its 16 pairs once
+    inner.pairing_defects.cache_clear()
+    assert run_suite("symmetry", threads=1).all_pass
+    assert inner.pairing_defects.cache_info().misses == 16

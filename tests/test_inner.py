@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genjacobi import inner, kernel, verify
+from genjacobi import inner, kernel, operators, verify
 from genjacobi.algebra import (InvalidParam, Poly, X_MINUS_1, X_PLUS_1, derive_nums,
                                endpoint_weight, pochhammer)
 from genjacobi.genjacobi import Params, gen_jacobi
@@ -18,8 +18,9 @@ from genjacobi.inner import (BoundaryValues, bilinear_U,
                              weight_poly, weighted_integral)
 from genjacobi.jacobi import jacobi_poly
 from genjacobi.operators import (apply_L2, apply_Lfull, apply_Lhat,
-                                 apply_Ltilde, const_b, const_c)
+                                 apply_Ltilde, components, const_b, const_c)
 from genjacobi.verify import SplitMix64, random_poly
+from test_mutants import _clear_caches
 
 F = Fraction
 
@@ -430,24 +431,29 @@ def test_inner_products_match_one_product_per_image():
     assert inner_products([Poly.zero()] * 2, Poly.one(), Params()) == [0, 0]
 
 
-def test_one_moment_lookup_per_pair_and_no_convolution_with_a_weight(monkeypatch):
+def test_pairings_read_the_moment_vector_once_per_monomial_and_no_convolution_with_a_weight(
+        monkeypatch):
     a, b = 2, 1
     rng = SplitMix64(9)
     f, g = _poly_of_degree(rng, 9), _poly_of_degree(rng, 7)
-    # the four pairings of one pair read the moment vector once
+    # the pairings of (2, 1) on x^0 .. x^9 read the moment vector once per x^j
+    # as they are built, and a pair, at any mass, reads it no more
     lookups = []
     moment_vector = inner._moment_vector
     monkeypatch.setattr(inner, "_moment_vector",
                         lambda p, size: lookups.append(size) or moment_vector(p, size))
     monkeypatch.setattr(verify, "symmetry_defect", lambda f, g, params: F(0))
-    # one symmetry point of one trial, its pair drawn as this f and g
-    draws = iter((f, g))
+    # two symmetry points of one trial each, their pairs drawn as f, g and g, f
+    draws = iter((f, g, g, f))
     monkeypatch.setattr(verify, "random_poly", lambda rng, degmax: next(draws))
-    cases = verify._symmetry_point(1, 9, Params(a, b, 1, F(1, 3)), 0)
-    assert all(c.passed for c in cases)
-    assert {c.n for c in cases} == {0, None}
-    assert len(lookups) == 1
-    # a form convolves (v f)^(k) with (v g)^(k) and nothing with its weight
+    inner.pairing_defects.cache_clear()
+    for params in (Params(a, b, 1, F(1, 3)), Params(a, b, 2, 0)):
+        cases = verify._symmetry_point(1, 9, params, 0)
+        assert all(c.passed for c in cases)
+        assert {c.n for c in cases} == {0, None}
+    assert len(lookups) == 10
+    inner.pairing_defects.cache_clear()
+    # a form convolves v with f and with g, and nothing with its weight
     calls = []
     conv = kernel.conv
     monkeypatch.setattr(kernel, "conv", lambda x, y: calls.append((x, y)) or conv(x, y))
@@ -455,5 +461,61 @@ def test_one_moment_lookup_per_pair_and_no_convolution_with_a_weight(monkeypatch
         want = _form_by_poly_ops(f, g, v, k, w, a, b)
         calls.clear()
         assert form(f, g, a, b) == want
-        assert len(calls) == 3, form.__name__
+        assert len(calls) == 2, form.__name__
         assert all(list(w.nums) not in (list(x), list(y)) for x, y in calls), form.__name__
+
+
+def _pairings_per_pair(f: Poly, g: Poly, a: int, b: int) -> tuple:
+    """(the four pairing residuals, the endpoint defect) of one pair, by the
+    route the symmetry suite took per pair before the defect matrices: the
+    plain products of the images of f with g, minus each form, minus each
+    boundary term; and the images' endpoint values against the closed forms."""
+    table = components(a, b)
+    images = [row.apply(f, a, b) for row in table]
+    want = boundary_closed_forms(f, a, b)
+    g_neg, g_pos = g.eval(-1), g.eval(1)
+    _, b_ba, b_ab, c_ab = (row.norm for row in table)
+    boundaries = (0, -b_ba * want.l2_neg1 * g_neg, -b_ab * want.l2_pos1 * g_pos,
+                  -c_ab * (want.lhat_neg1 * g_neg / b_ab + want.ltilde_pos1 * g_pos / b_ba))
+    products = inner_products(images, g, Params(a, b))
+    residuals = [product - form(f, g, a, b) - boundary for product, form, boundary
+                 in zip(products, (bilinear_U, bilinear_Vt, bilinear_V, bilinear_W), boundaries)]
+    got = [image.eval(x) for image in images for x in (-1, 1)]
+    wanted = list(vars(want).values())
+    defect = 0 if got == wanted else sum((gv - wv) ** 2 for gv, wv in zip(got, wanted))
+    return residuals, defect
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+def test_pairing_contractions_match_the_per_pair_route(monkeypatch, scale):
+    # with the mass(-1) operator doubled its pairing and endpoint value fail,
+    # and the contractions must give the per-pair route's nonzero residuals too
+    apply = operators.apply_Ltilde
+    if scale != 1:
+        monkeypatch.setattr(operators, "apply_Ltilde", lambda y, a, b: scale * apply(y, a, b))
+    _clear_caches()
+    try:
+        rng = SplitMix64(31)
+        failed = set()
+        for a, b in product(range(4), range(4)):
+            degmax = 2 * a + 2 * b + 8
+            defects = inner.pairing_defects(a, b, degmax + 1)
+            for _ in range(3):
+                f, g = random_poly(rng, degmax), random_poly(rng, degmax)
+                residuals, defect = _pairings_per_pair(f, g, a, b)
+                assert defects.pairing_residuals(f, g) == residuals, (a, b, f, g)
+                got = defects.endpoint_defect(f)
+                assert (got, type(got)) == (defect, type(defect)), (a, b, f)
+                failed.update(k for k, r in enumerate(residuals + [defect]) if r)
+        assert failed == (set() if scale == 1 else {1, 4})
+    finally:
+        _clear_caches()
+
+
+def test_pairings_and_endpoint_values_hold_on_the_monomial_basis():
+    # each pairing is bilinear and each endpoint value linear, so zero defects
+    # on x^0 .. x^degmax prove them for every pair the suite can draw
+    for a, b in product(range(4), range(4)):
+        defects = inner.pairing_defects(a, b, 2 * a + 2 * b + 9)
+        assert [rows for _, rows in defects.pairings] == [()] * 4, (a, b)
+        assert defects.ends == (1, ()), (a, b)

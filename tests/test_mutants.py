@@ -88,6 +88,14 @@ def _moments_shifted(orig):
     return mutant
 
 
+def _two_mass_form_short(orig):
+    # the two-mass form with derivative order a+b+2 for a+b+3
+    def mutant(alpha, beta):
+        *rows, (v, k, weight) = orig(alpha, beta)
+        return (*rows, (v, k - 1, weight))
+    return mutant
+
+
 def _hyp_doubled_at_one(orig):
     def mutant(n, gamma, delta):
         nums, den = orig(n, gamma, delta)
@@ -197,6 +205,7 @@ MUTANTS = {
     "Q row's upper (beta+1)_(n-1) for (beta+2)_(n-1)": (genjacobi, "blocks", _block_replaced(
         1, lambda row, a, b: row._replace(upper=((a + b + 2, 0), (b + 1, -1))))),
     "Newton sum without the alternating sign": (operators, "_coefficient", _newton_unsigned),
+    "two-mass form with order a+b+2": (inner, "forms", _two_mass_form_short),
 }
 
 
@@ -284,6 +293,7 @@ PINNED_KILLS = {
     "Q row's endpoint factor t+1 for t+2": "FFEFFF.F",
     "Q row's upper (beta+1)_(n-1) for (beta+2)_(n-1)": "F..FFF.F",
     "Newton sum without the alternating sign": "F.......",
+    "two-mass form with order a+b+2": "......F.",
 }
 
 
@@ -326,6 +336,8 @@ SYMMETRY_FAILING_DIGESTS = {
         "3f6251addf6c0475bbf47bb5c83a776a4d4f71ff7fceb42d3ed24e26a6f74420",
     "endpoint_weight with p and q swapped":
         "1e87754330774079d24a07e287379d002906da1889d0312d4a97c31cef1139f7",
+    "two-mass form with order a+b+2":
+        "eebb2ea43161b5fa0954e5a39fdd5c2a1c44dfb5d8bc7749f43ef1544cd948d6",
 }
 
 

@@ -22,7 +22,7 @@ from genjacobi.operators import (DiffOperator, EigenValue, InconsistentExpansion
                                  expand_operator, top_term, FACTORIZED_KINDS,
                                  OPERATOR_KINDS, _coefficient, _column_list,
                                  _columns, _combined_entry, _combined_matrix,
-                                 _conjugated, _expansion_columns, _image)
+                                 _conjugated, _expansion_columns, _matvec)
 from genjacobi.verify import SplitMix64, run_suite
 from test_caches import _lru_caches
 from test_mutants import TINY
@@ -391,6 +391,14 @@ def cold_matrices():
     yield
     _column_list.cache_clear()
     _combined_entry.cache_clear()
+
+
+def _image(kind: str, y: Poly, alpha: int, beta: int) -> Poly:
+    """y under the elementary operator `kind`, through its cached columns."""
+    if y.is_zero:
+        return y
+    columns = _columns(kind, alpha, beta, len(y.nums))
+    return Poly._norm(_matvec(columns, y.nums), y.den)
 
 
 def test_columns_match_direct_application_at_edge_degrees():

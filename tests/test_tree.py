@@ -352,6 +352,10 @@ UNREACHED = {
     "algebra.Poly.exact_div": TRACER,
     "inner.weighted_integral": TRACER,
     "inner.integrate": TRACER,
+    "inner.bilinear_U": TRACER,
+    "inner.bilinear_V": TRACER,
+    "inner.bilinear_Vt": TRACER,
+    "inner.bilinear_W": TRACER,
     "genjacobi.coeff_r": TRACER,
     "genjacobi.coeff_s": TRACER,
     "cli.entry": SCRIPT,
