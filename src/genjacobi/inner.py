@@ -6,10 +6,10 @@ weight, built from the monomial integrals.  The mass-augmented scalar
 product is stated once, by its moment vector h_k = mu_k + M (-1)^k + N, and
 computed once, by one Hankel product (inner_products), which the weight
 integral, the scalar product (a plain Fraction) and the Gram matrices all
-read.  The four symmetric bilinear forms that mirror the operators are one
-table (forms), each a Hankel product of its integrands' integer vectors with
-the moments of its own weight.  The module also gives the closed-form
-endpoint values of the operators; the paper's four pairings
+read.  The four bilinear forms that mirror the operators (forms) and their
+closed-form endpoint values read operators.divergence_forms; each form is a
+Hankel product of its integrands' integer vectors with the moments of its
+own weight.  The paper's four pairings
 <L_k f, g> = B_k(f, g) + boundary and those endpoint values as integer
 defect matrices on a monomial basis, built once per (alpha, beta)
 (pairing_defects), which the symmetry suite contracts with each random pair;
@@ -25,9 +25,9 @@ from operator import mul
 from typing import NamedTuple
 
 from . import kernel, operators
-from .algebra import Poly, derive_nums, endpoint_weight, nonneg_int, pochhammer
+from .algebra import InvalidParam, Poly, derive_nums, endpoint_weight, nonneg_int
 from .genjacobi import Params, gen_jacobi
-from .operators import apply_combined, components, const_b, const_c
+from .operators import apply_combined, components, const_b, const_c, divergence_forms
 
 
 def integrate(f: Poly) -> Fraction:
@@ -123,15 +123,11 @@ def weighted_integral(f: Poly, alpha: int, beta: int) -> Fraction:
 
 def forms(alpha: int, beta: int) -> tuple:
     """(v, k, weight) of the four symmetric bilinear forms at (alpha, beta),
-    in the order of the components rows they mirror: the form of a row is the
+    the rows of divergence_forms cut to (v, k, w): the form of a row is the
     integral of (v f)^(k) (v g)^(k) weight_poly(*weight) over [-1, 1],
     divided by h_norm(alpha, beta).  Built per call, so a rebound module
     attribute takes effect."""
-    a, b = alpha, beta
-    return ((Poly.one(), 1, (a + 1, b + 1)),
-            (endpoint_weight(0, b + 1), b + 2, (a + b + 2, 0)),
-            (endpoint_weight(a + 1, 0), a + 2, (0, a + b + 2)),
-            (endpoint_weight(a + 1, b + 1), a + b + 3, (b + 1, a + 1)))
+    return tuple(row[:3] for row in divergence_forms(alpha, beta))
 
 
 def _form(fs, gs, row: int, alpha: int, beta: int) -> tuple:
@@ -139,14 +135,13 @@ def _form(fs, gs, row: int, alpha: int, beta: int) -> tuple:
     forms(alpha, beta) on fs[i] and gs[j]: each integer vector (v g)^(k)
     meets the weight's moments in one Hankel product, and every (v f)^(k) is
     dotted with it, in integers and never normalized."""
-    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
-    v, k, weight = forms(a, b)[row]
+    v, k, weight = forms(alpha, beta)[row]
     dfs = [derive_nums(kernel.conv(f.nums, v.nums), k) if f.nums else [] for f in fs]
     dgs = [derive_nums(kernel.conv(g.nums, v.nums), k) if g.nums else [] for g in gs]
     rows = max(map(len, dfs), default=0)
     size = rows + max(map(len, dgs), default=0) - 1
     moments, den = _weight_moments(*weight, -(-size // 16) * 16)
-    h = h_norm(a, b)
+    h = h_norm(alpha, beta)
     gram = [[0] * len(gs) for _ in fs]
     for j, dg in enumerate(dgs):
         wg = [sum(map(mul, dg, moments[p:])) * h.denominator for p in range(rows)]
@@ -210,53 +205,30 @@ class BoundaryValues:
 
 
 def boundary_closed_forms(f: Poly, alpha: int, beta: int) -> BoundaryValues:
-    """Predicted endpoint values without applying any operator.
-
-    The second-order operator reduces to a first-derivative multiple at each
-    endpoint; the mass operator for one endpoint vanishes there and has a
-    weighted-derivative value at the opposite endpoint; the two-mass
-    operator vanishes at both.
-    """
-    a = nonneg_int("alpha", alpha)
-    b = nonneg_int("beta", beta)
-    nums, den = f.nums, f.den
-
-    def value(x: int, c, d: list, vden: int = 1) -> Fraction:
-        # c times sum d_i x^i / (vden den) at x = -1 or +1: one Fraction
-        total = sum(d) if x == 1 else sum(d[::2]) - sum(d[1::2])
-        return Fraction(c.numerator * total, c.denominator * vden * den)
-
-    def weighted(v: Poly, k: int) -> list:
-        # (v f)^(k), as integers over v.den * den
-        return derive_nums(kernel.conv(v.nums, nums), k) if nums else []
-
-    df = derive_nums(nums, 1)
-    vt, vh = endpoint_weight(0, b + 1), endpoint_weight(a + 1, 0)
-    zero = Fraction(0)
-    return BoundaryValues(
-        l2_neg1=value(-1, -2 * (b + 1), df),
-        l2_pos1=value(1, 2 * (a + 1), df),
-        ltilde_neg1=zero,
-        ltilde_pos1=value(1, 2 * pochhammer(a + 1, b + 2), weighted(vt, b + 2), vt.den),
-        lhat_neg1=value(-1, -2 * pochhammer(b + 1, a + 2), weighted(vh, a + 2), vh.den),
-        lhat_pos1=zero,
-        lfull_neg1=zero,
-        lfull_pos1=zero,
-    )
+    """Predicted endpoint values without applying any operator: per row of
+    divergence_forms, c(x0) ((v f)^(k))(x0) at x0 = -1 and +1 with c its
+    endpoint constants; a row whose constants are both 0 forms no derivative."""
+    values = []
+    for v, k, _, _, _, ends in divergence_forms(alpha, beta):
+        # (v f)^(k), as integers over v.den * f.den, summed at x = -1 and +1
+        d = derive_nums(kernel.conv(v.nums, f.nums), k) if f.nums and any(ends) else []
+        totals = (sum(d[::2]) - sum(d[1::2]), sum(d))
+        values += [Fraction(c.numerator * total, c.denominator * v.den * f.den)
+                   for c, total in zip(ends, totals)]
+    return BoundaryValues(*values)
 
 
 def mass_constant_identity(alpha: int, beta: int) -> tuple:
-    """Three routes to the same constant tying the masses to the forms.
-
-    Returns (direct, via_pos1_normalization, via_neg1_normalization); all
-    three must be equal.
+    """Three routes to the same constant tying the masses to the forms, all
+    equal: (direct, via_pos1_normalization, via_neg1_normalization), the last
+    two through the side operators' endpoint constants.
     """
-    a = nonneg_int("alpha", alpha)
-    b = nonneg_int("beta", beta)
+    _, (_, c_pos), (c_neg, _), _ = (row.ends for row in divergence_forms(alpha, beta))
+    a, b = alpha, beta
     direct = (Fraction(2 ** (a + b + 2)) * factorial(a + 1) * factorial(b + 1)
               * factorial(a + b + 3) / h_norm(a, b))
-    via_pos = const_c(a, b) / const_b(a, b) * 2 * pochhammer(b + 1, a + 2) * factorial(a + 2)
-    via_neg = const_c(a, b) / const_b(b, a) * 2 * pochhammer(a + 1, b + 2) * factorial(b + 2)
+    via_pos = const_c(a, b) / const_b(a, b) * -c_neg * factorial(a + 2)
+    via_neg = const_c(a, b) / const_b(b, a) * c_pos * factorial(b + 2)
     return direct, via_pos, via_neg
 
 
@@ -267,27 +239,34 @@ class PairingDefects(NamedTuple):
     eight endpoint values of one (alpha, beta), as defects on the monomials
     x^0 .. x^(dim-1), kept by their nonzero rows only.  Each is bilinear (the
     endpoint values linear) and free of the masses, so a pair (f, g) of
-    degree < dim is scored by contracting them."""
+    degree < dim is scored by contracting them (a higher degree raises
+    InvalidParam)."""
 
+    dim: int
     pairings: tuple     # per components row, (D, ((i, Z[i]), ...)): Z[i][j] / D
     ends: tuple         # (D, ((i, E[i]), ...)): E[i] / D, BoundaryValues order
+
+    def _coefficients(self, f: Poly) -> tuple:
+        """f's coefficients of x^0 .. x^(dim-1); InvalidParam if f has degree >= dim."""
+        if len(f.nums) > self.dim:
+            raise InvalidParam(f"degree {f.degree} is not below the basis size {self.dim}")
+        return f.nums + (0,) * (self.dim - len(f.nums))
 
     def pairing_residuals(self, f: Poly, g: Poly) -> list:
         """<L_k f, g> - B_k(f, g) - boundary_k(f, g) per components row k:
         f . (Z g) over D f.den g.den, in integers."""
-        fn, gn = f.nums, g.nums
-        return [Fraction(sum(fn[i] * sum(map(mul, row, gn)) for i, row in rows
-                             if i < len(fn)), den * f.den * g.den)
-                for den, rows in self.pairings]
+        fn, gn = self._coefficients(f), self._coefficients(g)
+        return [Fraction(sum(fn[i] * sum(map(mul, row, gn)) for i, row in rows),
+                         den * f.den * g.den) for den, rows in self.pairings]
 
     def endpoint_defect(self, f: Poly):
         """The sum of squares of the eight endpoint values of the operators on
         f minus their closed forms; the int 0 when all eight agree."""
+        fn = self._coefficients(f)
         den, rows = self.ends
         sums = [0] * 8
         for i, row in rows:
-            if i < len(f.nums):
-                sums = [s + f.nums[i] * e for s, e in zip(sums, row)]
+            sums = [s + fn[i] * e for s, e in zip(sums, row)]
         if not any(sums):
             return 0
         return Fraction(sum(s * s for s in sums), (den * f.den) ** 2)
@@ -348,7 +327,7 @@ def pairing_defects(alpha: int, beta: int, dim: int) -> PairingDefects:
     den = lcm(*(d.denominator for _, row in diffs for d in row))
     ends = tuple((i, tuple(d.numerator * (den // d.denominator) for d in row))
                  for i, row in diffs)
-    return PairingDefects(tuple(pairings), (den, ends))
+    return PairingDefects(dim, tuple(pairings), (den, ends))
 
 
 def symmetry_defect(f: Poly, g: Poly, params: Params) -> Fraction:

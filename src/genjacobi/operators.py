@@ -7,15 +7,13 @@ Four elementary operators act on polynomials, all in exact arithmetic:
 - an order-(2*alpha+4) mirror operator tied to the point mass at x = +1,
 - an order-(2*alpha+2*beta+6) operator tied to the product of both masses.
 
-Each higher-order operator is a conjugated repeated derivative, and
-_conjugated writes that recipe once: multiply by an endpoint-power weight,
-differentiate k times, multiply by a second weight, differentiate k times
-again, strip a known endpoint factor by exact division, and multiply by an
-endpoint factor, all on integer vectors with one normalization at the end.
-The divergence form of the second-order operator, which the tests hold as
-an oracle of apply_L2, is the same recipe with k = 1.  The division is
-exact for every polynomial input; a failure raises NotDivisible and signals
-a genuine bug, not a rounding issue.
+Each operator's divergence form, factor * D^k[w * D^k[v * y]] / strip, and
+its endpoint constants are one row of one table, divergence_forms(), which
+the higher-order operators, inner's bilinear forms and closed endpoint
+values read; the second-order row (k = 1) is the tests' oracle of apply_L2.
+_conjugated writes the recipe once, on integer vectors with one
+normalization at the end; its division is exact for every polynomial input,
+and a failure raises NotDivisible and signals a genuine bug.
 
 For integer alpha and beta every one of them maps x^k to an integer
 polynomial of degree <= k.  So each is also kept as a cached upper-triangular
@@ -145,33 +143,54 @@ def _conjugated(y: Poly, v: Poly, k: int, w: Poly, strip: Poly, factor: Poly) ->
     return Poly._norm(kernel.conv(factor.nums, nums), den * factor.den)
 
 
+class DivergenceForm(NamedTuple):
+    """L y = factor * D^k[w * D^k[v * y]] / strip, with endpoint constants."""
+
+    v: Poly
+    k: int
+    w: tuple                # (p, q): the middle weight (x-1)^p (x+1)^q
+    strip: Poly
+    factor: Poly
+    ends: tuple             # (c(-1), c(+1)): (L y)(x0) = c(x0) ((v y)^(k))(x0)
+
+
+@lru_cache(maxsize=32, typed=True)
+def divergence_forms(alpha: int, beta: int) -> tuple:
+    """The components rows' divergence forms at (alpha, beta), in their order.
+    The two-mass w swaps its v's exponents, (x-1)^(beta+1) (x+1)^(alpha+1):
+    deliberate and load-bearing, as matched ones fail the eigen-equations."""
+    a, b = nonneg_int("alpha", alpha), nonneg_int("beta", beta)
+    return (
+        DivergenceForm(Poly.one(), 1, (a + 1, b + 1), endpoint_weight(a, b), Poly.one(),
+                       (-2 * (b + 1), 2 * (a + 1))),
+        DivergenceForm(endpoint_weight(0, b + 1), b + 2, (a + b + 2, 0),
+                       endpoint_weight(a, 0), X_PLUS_1, (0, 2 * pochhammer(a + 1, b + 2))),
+        DivergenceForm(endpoint_weight(a + 1, 0), a + 2, (0, a + b + 2),
+                       endpoint_weight(0, b), X_MINUS_1, (-2 * pochhammer(b + 1, a + 2), 0)),
+        DivergenceForm(endpoint_weight(a + 1, b + 1), a + b + 3, (b + 1, a + 1), Poly.one(),
+                       X2_MINUS_1, (0, 0)),
+    )
+
+
+def _apply_form(row: int, y: Poly, alpha: int, beta: int) -> Poly:
+    """Row `row` of divergence_forms(alpha, beta) applied to y."""
+    v, k, w, strip, factor, _ = divergence_forms(alpha, beta)[row]
+    return _conjugated(y, v, k, endpoint_weight(*w), strip, factor)
+
+
 def apply_Ltilde(y: Poly, alpha: int, beta: int) -> Poly:
     """Order-(2*beta+4) operator for the point mass at x = -1."""
-    a = nonneg_int("alpha", alpha)
-    b = nonneg_int("beta", beta)
-    return _conjugated(y, endpoint_weight(0, b + 1), b + 2, endpoint_weight(a + b + 2, 0),
-                       endpoint_weight(a, 0), X_PLUS_1)
+    return _apply_form(1, y, alpha, beta)
 
 
 def apply_Lhat(y: Poly, alpha: int, beta: int) -> Poly:
     """Order-(2*alpha+4) operator for the point mass at x = +1."""
-    a = nonneg_int("alpha", alpha)
-    b = nonneg_int("beta", beta)
-    return _conjugated(y, endpoint_weight(a + 1, 0), a + 2, endpoint_weight(0, a + b + 2),
-                       endpoint_weight(0, b), X_MINUS_1)
+    return _apply_form(2, y, alpha, beta)
 
 
 def apply_Lfull(y: Poly, alpha: int, beta: int) -> Poly:
-    """Order-(2*alpha+2*beta+6) operator for the product of both masses.
-
-    The middle weight swaps the endpoint exponents relative to the inner
-    one: (x-1)^(beta+1) (x+1)^(alpha+1).  That swap is deliberate and
-    load-bearing; with matched exponents the eigen-equations fail.
-    """
-    a = nonneg_int("alpha", alpha)
-    b = nonneg_int("beta", beta)
-    return _conjugated(y, endpoint_weight(a + 1, b + 1), a + b + 3,
-                       endpoint_weight(b + 1, a + 1), Poly.one(), X2_MINUS_1)
+    """Order-(2*alpha+2*beta+6) operator for the product of both masses."""
+    return _apply_form(3, y, alpha, beta)
 
 
 def eigen_residual(image: Poly, lam: int | Fraction, y: Poly) -> Poly:
@@ -480,8 +499,8 @@ class Component(NamedTuple):
     spectrum: tuple         # (s, t, k): the eigenvalue is (n+s)_k (n+t)_k
     order: int
     norm: Fraction          # the combined operator scales it by mass / norm
+    factor: Poly            # its divergence form's factor, the block's endpoint factor
     factorized: str = ""    # the apply_factorized kind
-    factor: Poly = Poly.one()
     where: str = ""         # the factor, as case labels name the block
 
     def eigen(self, n: int) -> int:
@@ -498,17 +517,17 @@ class Component(NamedTuple):
 
 def components(alpha: int, beta: int) -> tuple:
     """The components P, Q, R, S at (alpha, beta): the second-order, mass(-1),
-    mass(+1) and two-mass operators.  Built per call, so a rebound module
-    attribute takes effect."""
+    mass(+1) and two-mass operators, with divergence_forms' factors.  Built
+    per call, so a rebound module attribute takes effect."""
     a, b = alpha, beta
+    f2, ft, fh, ff = (row.factor for row in divergence_forms(a, b))
     return (
         Component("L2", "second-order", jacobi_poly, apply_L2, (0, a + b + 1, 1), 2,
-                  Fraction(1)),
+                  Fraction(1), f2),
         Component("Ltilde", "mass(-1)", poly_Q, apply_Ltilde, (0, a, b + 2), 2 * b + 4,
-                  const_b(b, a), "A", X_PLUS_1, "x+1"),
+                  const_b(b, a), ft, "A", "x+1"),
         Component("Lhat", "mass(+1)", poly_R, apply_Lhat, (0, b, a + 2), 2 * a + 4,
-                  const_b(a, b), "B", X_MINUS_1, "x-1"),
+                  const_b(a, b), fh, "B", "x-1"),
         Component("Lfull", "two-mass", poly_S, apply_Lfull, (-1, 0, a + b + 3),
-                  2 * a + 2 * b + 6, const_c(a, b), "C", X2_MINUS_1, "both-endpoint"),
+                  2 * a + 2 * b + 6, const_c(a, b), ff, "C", "both-endpoint"),
     )
-

@@ -23,7 +23,7 @@ def test_every_lru_cache_has_a_finite_maxsize():
             "algebra.pochhammer", "inner.h_norm", "inner._moment_block",
             "inner._weight_moments", "inner.pairing_defects",
             "operators._column_list", "operators._combined_entry",
-            "algebra.endpoint_weight"} <= set(caches)
+            "operators.divergence_forms", "algebra.endpoint_weight"} <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] is not None, name
 

@@ -519,3 +519,17 @@ def test_pairings_and_endpoint_values_hold_on_the_monomial_basis():
         defects = inner.pairing_defects(a, b, 2 * a + 2 * b + 9)
         assert [rows for _, rows in defects.pairings] == [()] * 4, (a, b)
         assert defects.ends == (1, ()), (a, b)
+
+
+def test_pairing_defects_refuse_a_polynomial_past_their_basis():
+    # the matrices hold nothing of a coefficient at degree >= dim, so a pair
+    # that has one would be scored without it, at 0 however wrong its pairings
+    defects = inner.pairing_defects(1, 1, 4)
+    low, top, past = Poly([1, 1]), Poly.monomial(3), Poly.monomial(4)
+    assert defects.pairing_residuals(low, top) == [0] * 4
+    assert defects.endpoint_defect(top) == 0
+    for f, g in ((past, low), (low, past)):
+        with pytest.raises(InvalidParam, match="degree 4 is not below the basis size 4"):
+            defects.pairing_residuals(f, g)
+    with pytest.raises(InvalidParam, match="degree 4"):
+        defects.endpoint_defect(past)

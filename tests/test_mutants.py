@@ -160,6 +160,17 @@ def _component_replaced(kind, change):
     return factory
 
 
+def _divergence_form_replaced(index, change):
+    """A factory of operators.divergence_forms with row `index` (L2, Ltilde,
+    Lhat, Lfull) replaced by change(row)."""
+    def factory(orig):
+        def mutant(alpha, beta):
+            return tuple(change(row) if i == index else row
+                         for i, row in enumerate(orig(alpha, beta)))
+        return mutant
+    return factory
+
+
 # name -> (module that defines the function or table, attribute, factory(original))
 MUTANTS = {
     "apply_Lfull with matched exponents": (operators, "apply_Lfull", _lfull_matched),
@@ -206,6 +217,11 @@ MUTANTS = {
         1, lambda row, a, b: row._replace(upper=((a + b + 2, 0), (b + 1, -1))))),
     "Newton sum without the alternating sign": (operators, "_coefficient", _newton_unsigned),
     "two-mass form with order a+b+2": (inner, "forms", _two_mass_form_short),
+    "divergence_forms with Ltilde's k one short": (operators, "divergence_forms",
+        _divergence_form_replaced(1, lambda row: row._replace(k=row.k - 1))),
+    "divergence_forms with Lhat's -1 endpoint constant doubled": (
+        operators, "divergence_forms", _divergence_form_replaced(
+            2, lambda row: row._replace(ends=(2 * row.ends[0], row.ends[1])))),
 }
 
 
@@ -294,6 +310,8 @@ PINNED_KILLS = {
     "Q row's upper (beta+1)_(n-1) for (beta+2)_(n-1)": "F..FFF.F",
     "Newton sum without the alternating sign": "F.......",
     "two-mass form with order a+b+2": "......F.",
+    "divergence_forms with Ltilde's k one short": "EFF.FFE.",
+    "divergence_forms with Lhat's -1 endpoint constant doubled": "......F.",
 }
 
 
@@ -338,6 +356,8 @@ SYMMETRY_FAILING_DIGESTS = {
         "1e87754330774079d24a07e287379d002906da1889d0312d4a97c31cef1139f7",
     "two-mass form with order a+b+2":
         "eebb2ea43161b5fa0954e5a39fdd5c2a1c44dfb5d8bc7749f43ef1544cd948d6",
+    "divergence_forms with Lhat's -1 endpoint constant doubled":
+        "6ed939410202064c240a42d949c0f3afd94191b2b6cd7cd93a9bb3af9b83b786",
 }
 
 
@@ -500,6 +520,12 @@ FAILING_DIGESTS = {
     },
     "Newton sum without the alternating sign": {
         "thm21": "f1274e2fa44c94fdd86f5e4f205ad83f16165080cad8246ea18ee48aac5c0a9d",
+    },
+    "divergence_forms with Ltilde's k one short": {
+        "prop22": "20ad967d26d9d8e30c17259f66b9d39e4e380bc94ca8006b73daeab90c41935d",
+        "prop23": "6c92d3f34b90ec0dac308dad91377be64b16d21260d1f1fdcf1519b0fded7163",
+        "cor25": "16c5dda0b9efaefa8f60598cb36f935d1053f97c204634c16e6f22620e41b979",
+        "duran": "54db80a881d81ff2af840429d6777eef5367b9df54a8d8c862d02a90ad42f21b",
     },
 }
 

@@ -48,22 +48,27 @@ def test_l2_eigen_equation_rational_params():
 
 
 def apply_L2_conjugated(y, alpha, beta):
-    """apply_L2 through the divergence form, an independent oracle:
+    """apply_L2 through its divergence form, the L2 row of
+    operators.divergence_forms, an independent oracle of the stencil:
     (x-1)^(-alpha) (x+1)^(-beta) * d/dx[(x-1)^(alpha+1) (x+1)^(beta+1) y'],
     the conjugated recipe with k = 1 and an exact division; integer
-    parameters only.  operators._conjugated is read at call time, so a test
-    that rebinds it reaches this path too."""
-    a = nonneg_int("alpha", alpha)
-    b = nonneg_int("beta", beta)
-    return operators._conjugated(y, Poly.one(), 1, endpoint_weight(a + 1, b + 1),
-                                 endpoint_weight(a, b), Poly.one())
+    parameters only.  The table and operators._conjugated are read at call
+    time, so a test that rebinds either reaches this path too."""
+    v, k, w, strip, factor, _ = operators.divergence_forms(alpha, beta)[0]
+    return operators._conjugated(y, v, k, endpoint_weight(*w), strip, factor)
 
 
 def test_l2_conjugated_agrees():
+    # the L2 row whole: its recipe gives the stencil's image, and its endpoint
+    # constants the image's values at -1 and +1
     for a, b in product(range(3), range(3)):
+        v, k, _, _, _, ends = operators.divergence_forms(a, b)[0]
         for n in range(7):
             p = jacobi_poly(n, a, b)
-            assert apply_L2_conjugated(p, a, b) == apply_L2(p, a, b)
+            image = apply_L2(p, a, b)
+            assert apply_L2_conjugated(p, a, b) == image
+            assert [image.eval(x) for x in (-1, 1)] == [
+                c * (v * p).derive(k).eval(x) for x, c in zip((-1, 1), ends)], (a, b, n)
 
 
 def test_ltilde_lhat_anchors():

@@ -155,6 +155,25 @@ def test_only_inner_products_reads_the_moment_vector():
     assert callers == {("inner.py", "inner_products")}
 
 
+def _calling(name: str):
+    """A match for _defs_holding: a call of `name`, bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_only_the_divergence_forms_spell_an_operators_data():
+    # each operator's v, k, w, strip, factor and endpoint constants are one row
+    # of operators.divergence_forms; the operators run it through one helper,
+    # and inner's forms and closed endpoint values read the rows, so an
+    # endpoint weight or constant spelled elsewhere would be a second copy
+    weights = _defs_holding(_calling("endpoint_weight"))
+    assert {d for d in weights if d[0] == "operators.py"} == {
+        ("operators.py", "divergence_forms"), ("operators.py", "_apply_form")}
+    assert {d for d in weights if d[0] == "inner.py"} == {("inner.py", "weight_poly")}
+    assert _defs_holding(_calling("_conjugated")) == {("operators.py", "_apply_form")}
+    assert not {d for d in _defs_holding(_calling("pochhammer")) if d[0] == "inner.py"}
+
+
 def test_only_report_point_str_labels_a_mass_point():
     # every mass point's label is read from the Params it ran with; a second
     # spelling of its four keys could state other values than those that ran
