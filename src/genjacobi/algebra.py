@@ -311,10 +311,6 @@ class Poly:
             x = as_rational(x)      # a float or bool is refused, even at x = 1 or -1
         if self.is_zero:
             return Fraction(0)
-        if x == 1:
-            return Fraction(sum(self.nums), self.den)
-        if x == -1:
-            return Fraction(sum(self.nums[::2]) - sum(self.nums[1::2]), self.den)
         p, q = x.numerator, x.denominator
         acc, qq = 0, 1
         for c in reversed(self.nums):

@@ -1,15 +1,16 @@
 """Exact weighted inner products with endpoint point masses.
 
 Every integral here is an exact polynomial integral over [-1, 1], with no
-quadrature and no tolerance, and comes from one route: the moments of a
-weight, built from the monomial integrals.  The mass-augmented scalar
-product is stated once, by its moment vector h_k = mu_k + M (-1)^k + N, and
-computed once, by one Hankel product (inner_products), which the weight
-integral, the scalar product (a plain Fraction) and the Gram matrices all
-read.  The four bilinear forms that mirror the operators (forms) and their
-closed-form endpoint values read operators.divergence_forms; each form is a
-Hankel product of its integrands' integer vectors with the moments of its
-own weight.  The paper's four pairings
+quadrature and no tolerance, and takes one Hankel step (_hankel): H g with
+H[p][q] = m_(p+q) for an integer vector g and a moment list m.  A weight's
+moments are that step on the weight's coefficients and the monomial
+integrals.  The mass-augmented scalar product is stated once, by its moment
+vector h_k = mu_k + M (-1)^k + N, and computed once, as an integer Gram
+(inner_products), which the weight integral, the scalar product (a plain
+Fraction), the Gram matrices and the pairings all read.  The four bilinear
+forms that mirror the operators (forms) and their closed-form endpoint
+values read operators.divergence_forms; each form is an integer Gram of its
+integrands against the moments of its own weight.  The paper's four pairings
 <L_k f, g> = B_k(f, g) + boundary and those endpoint values as integer
 defect matrices on a monomial basis, built once per (alpha, beta)
 (pairing_defects), which the symmetry suite contracts with each random pair;
@@ -31,15 +32,21 @@ from .operators import apply_combined, components, const_b, const_c, divergence_
 
 
 def integrate(f: Poly) -> Fraction:
-    """Integral of f over [-1, 1]: odd monomials drop, x^k gives 2/(k+1)."""
+    """Integral of f over [-1, 1]: x^k gives 2/(k+1) at even k and 0 at odd k."""
     weights, wden = _monomial_integrals(len(f.nums))
-    return Fraction(sum(map(mul, f.nums[::2], weights)), wden * f.den)
+    return Fraction(sum(map(mul, f.nums, weights)), wden * f.den)
 
 
 def _monomial_integrals(length: int) -> tuple:
-    """(w, L) with w[j] / L the integral of x^(2j), for every even 2j < length."""
+    """(w, L) with w[k] / L the integral of x^k over [-1, 1], for k < length."""
     den = lcm(*range(1, length + 1, 2))
-    return tuple(2 * den // (k + 1) for k in range(0, length, 2)), den
+    return tuple(0 if k & 1 else 2 * den // (k + 1) for k in range(length)), den
+
+
+def _hankel(g, moments, rows: int) -> list:
+    """H g in `rows` rows, H[p][q] = moments[p + q], for an integer vector g:
+    the one Hankel step behind every integral here."""
+    return [sum(map(mul, g, moments[p:])) for p in range(rows)]
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -96,22 +103,20 @@ def _moment_block(params: Params, size: int) -> tuple:
 def inner_product(f: Poly, g: Poly, params: Params) -> Fraction:
     """Weighted product of f and g plus M f(-1)g(-1) and N f(1)g(1), that is
     the sum over k of (fg)_k h_k with h the moment vector."""
-    return inner_products((f,), g, params)[0]
+    [[value]], den = inner_products((f,), (g,), params)
+    return Fraction(value, den * f.den * g.den)
 
 
-def inner_products(fs, g: Poly, params: Params) -> list:
-    """[inner_product(f, g, params) for f in fs], through one Hankel product:
-    (f, g) is f . (H g) with H[i][j] = h_(i+j), so every f is scored against
-    the one vector H g, built in as many rows as the longest f has entries."""
-    rows = max((len(f.nums) for f in fs), default=0)
-    if not (rows and g.nums):
-        return [Fraction(0)] * len(fs)
-    gn = g.nums
-    h, den = _moment_vector(params, rows + len(gn) - 1)
-    hg = [sum(map(mul, gn, h[k:])) for k in range(rows)]
-    den *= g.den
-    return [Fraction(sum(map(mul, f.nums, hg)), den * f.den) if f.nums else Fraction(0)
-            for f in fs]
+def inner_products(fs, gs, params: Params) -> tuple:
+    """(P, D) with P[i][j] / (D fs[i].den gs[j].den) = inner_product(fs[i],
+    gs[j], params), in integers: (f, g) is f . (H g) with H[p][q] = h_(p+q),
+    so each g meets H once, in as many rows as the longest f has entries,
+    and every f is dotted with each H g."""
+    fns, gns = [f.nums for f in fs], [g.nums for g in gs]
+    rows = max(map(len, fns), default=0)
+    h, den = _moment_vector(params, rows + max(map(len, gns), default=0) - 1)
+    hgs = [_hankel(gn, h, rows) for gn in gns]
+    return [[sum(map(mul, fn, hg)) for hg in hgs] for fn in fns], den
 
 
 def weighted_integral(f: Poly, alpha: int, beta: int) -> Fraction:
@@ -132,9 +137,9 @@ def forms(alpha: int, beta: int) -> tuple:
 
 def _form(fs, gs, row: int, alpha: int, beta: int) -> tuple:
     """(F, D) with F[i][j] / (D fs[i].den gs[j].den) the form of row `row` of
-    forms(alpha, beta) on fs[i] and gs[j]: each integer vector (v g)^(k)
-    meets the weight's moments in one Hankel product, and every (v f)^(k) is
-    dotted with it, in integers and never normalized."""
+    forms(alpha, beta) on fs[i] and gs[j], inner_products' shape: each
+    integer vector (v g)^(k) meets the weight's moments in one Hankel step,
+    and every (v f)^(k) is dotted with it, in integers and never normalized."""
     v, k, weight = forms(alpha, beta)[row]
     dfs = [derive_nums(kernel.conv(f.nums, v.nums), k) if f.nums else [] for f in fs]
     dgs = [derive_nums(kernel.conv(g.nums, v.nums), k) if g.nums else [] for g in gs]
@@ -142,25 +147,20 @@ def _form(fs, gs, row: int, alpha: int, beta: int) -> tuple:
     size = rows + max(map(len, dgs), default=0) - 1
     moments, den = _weight_moments(*weight, -(-size // 16) * 16)
     h = h_norm(alpha, beta)
-    gram = [[0] * len(gs) for _ in fs]
-    for j, dg in enumerate(dgs):
-        wg = [sum(map(mul, dg, moments[p:])) * h.denominator for p in range(rows)]
-        for i, df in enumerate(dfs):
-            gram[i][j] = sum(map(mul, df, wg))
-    return gram, den * v.den ** 2 * h.numerator
+    wgs = [_hankel(dg, moments, rows) for dg in dgs]
+    return ([[sum(map(mul, df, wg)) * h.denominator for wg in wgs] for df in dfs],
+            den * v.den ** 2 * h.numerator)
 
 
 @lru_cache(maxsize=256)
 def _weight_moments(p: int, q: int, size: int) -> tuple:
     """(m, D) with m[k] / D the integral of x^k weight_poly(p, q) over [-1, 1]
-    for k < size, from the monomial integrals alone: the one route to every
-    weight integral, the forms' and the moment vector's."""
+    for k < size: the Hankel step on the weight's coefficients and the
+    monomial integrals, the one route to every weight integral, the forms'
+    and the moment vector's."""
     w = weight_poly(p, q)
     ints, den = _monomial_integrals(size + len(w.nums) - 1)
-    # x^k w integrates to the sum over j of w_j times the integral of x^(k+j)
-    moments = tuple(sum(c * ints[(k + j) >> 1] for j, c in enumerate(w.nums)
-                        if not (k + j) & 1) for k in range(size))
-    return moments, den * w.den
+    return tuple(_hankel(w.nums, ints, size)), den * w.den
 
 
 def bilinear_U(f: Poly, g: Poly, alpha: int, beta: int) -> Fraction:
@@ -278,8 +278,8 @@ def pairing_defects(alpha: int, beta: int, dim: int) -> PairingDefects:
     nonzero row when the pairings and closed forms hold.
 
     Z_k[i][j] = <L_k x^i, x^j> - B_k(x^i, x^j) - boundary_k(x^i, x^j), from
-    the operators' integer columns (operators._columns), the plain products
-    of inner_products at Params(alpha, beta), the forms' Gram matrices
+    the operators' integer columns (operators._columns), the integer Gram
+    of one inner_products call at Params(alpha, beta), the forms' Gram matrices
     (_form) and the closed-form endpoint values (boundary_closed_forms) with
     the components' norms.  E[i] is the eight values (L_k x^i)(-1), (L_k
     x^i)(1) minus boundary_closed_forms(x^i).  One (alpha, beta) of the
@@ -290,10 +290,9 @@ def pairing_defects(alpha: int, beta: int, dim: int) -> PairingDefects:
     basis = [Poly._raw((0,) * i + (1,), 1) for i in range(dim)]
     images = [[Poly._raw(column, 1) for column in operators._columns(row.kind, a, b, dim)[:dim]]
               for row in table]
-    plain = Params(a, b)
-    # products[j][k * dim + i] = <L_k x^i, x^j>, one Hankel product per x^j
-    products = [inner_products([image for op in images for image in op], x, plain)
-                for x in basis]
+    # products[k * dim + i][j] / pden = <L_k x^i, x^j>, one Hankel step per x^j
+    products, pden = inner_products([image for op in images for image in op], basis,
+                                    Params(a, b))
     wants = [boundary_closed_forms(x, a, b) for x in basis]
     _, b_ba, b_ab, c_ab = (row.norm for row in table)
     # per x^i and row k, (neg, pos) with boundary_k(x^i, g) = neg g(-1) + pos g(1):
@@ -304,17 +303,14 @@ def pairing_defects(alpha: int, beta: int, dim: int) -> PairingDefects:
     pairings = []
     for k in range(len(table)):
         gram, gden = _form(basis, basis, k, a, b)
-        products_k = [[column[k * dim + i] for column in products] for i in range(dim)]
         ends = [pairs[k] for pairs in boundaries]
-        den = lcm(gden, *(p.denominator for row in products_k for p in row),
-                  *(e.denominator for pair in ends for e in pair))
-        scale = den // gden
+        den = lcm(gden, pden, *(e.denominator for pair in ends for e in pair))
+        scale, pscale = den // gden, den // pden
         rows = []
-        for i, (products_i, gram_i, pair) in enumerate(zip(products_k, gram, ends)):
+        for i, (gram_i, pair) in enumerate(zip(gram, ends)):
             neg, pos = (e.numerator * (den // e.denominator) for e in pair)
-            defects = tuple(p.numerator * (den // p.denominator) - form * scale
-                            - (pos - neg if j & 1 else pos + neg)
-                            for j, (p, form) in enumerate(zip(products_i, gram_i)))
+            defects = tuple(p * pscale - form * scale - (pos - neg if j & 1 else pos + neg)
+                            for j, (p, form) in enumerate(zip(products[k * dim + i], gram_i)))
             if any(defects):
                 rows.append((i, defects))
         pairings.append((den, tuple(rows)))
@@ -345,6 +341,7 @@ def gram_matrix(nmax: int, params: Params) -> list:
     polys = [gen_jacobi(n, params) for n in range(nmax + 1)]
     gram = [[None] * (nmax + 1) for _ in polys]
     for j, g in enumerate(polys):
-        for i, entry in enumerate(inner_products(polys[:j + 1], g, params)):
-            gram[i][j] = gram[j][i] = entry
+        column, den = inner_products(polys[:j + 1], (g,), params)
+        for i, ([entry], f) in enumerate(zip(column, polys)):
+            gram[i][j] = gram[j][i] = Fraction(entry, den * f.den * g.den)
     return gram

@@ -334,8 +334,8 @@ def test_gram_matrix_validation():
 # ---- the routes the integer passes replaced, kept verbatim as their oracles ----
 
 def _integral_by_conv(nums, den: int) -> Fraction:
-    weights, wden = inner._monomial_integrals(len(nums))
-    return Fraction(sum(map(mul, nums[::2], weights)), wden * den)
+    # the sum of 2 c_k / (k + 1) over even k, by its own arithmetic
+    return sum((F(2 * c, k + 1) for k, c in enumerate(nums) if k % 2 == 0), F(0)) / den
 
 
 def _form_by_conv(f: Poly, g: Poly, v: Poly, k: int, w: Poly, alpha: int, beta: int) -> Fraction:
@@ -418,26 +418,42 @@ def test_boundary_closed_forms_match_poly_ops():
 
 
 def test_inner_products_match_one_product_per_image():
-    images = _oracle_inputs(7)
-    gs = [Poly.zero(), Poly.one(), Poly([F(5, 2)])] + images[-2:]
+    # inner_products is the integer Gram of fs against gs, zero polynomials
+    # and empty lists included: P[i][j] / (D fs[i].den gs[j].den)
+    fs = _oracle_inputs(7)
+    gs = [Poly.zero(), Poly.one(), Poly([F(5, 2)])] + fs[-2:]
     for a, b in _AB4:
         for M, N in ((0, 0), (F(1, 3), F(2, 7)), (F(7, 4), 0), (0, F(5, 2))):
             p = Params(a, b, M, N)
-            for g in gs:
-                want = [_inner_product_by_conv(f, g, p) for f in images]
-                assert inner_products(images, g, p) == want, (p, g)
-                assert [inner_product(f, g, p) for f in images] == want, (p, g)
-    assert inner_products([], Poly.one(), Params()) == []
-    assert inner_products([Poly.zero()] * 2, Poly.one(), Params()) == [0, 0]
+            want = [[_inner_product_by_conv(f, g, p) for g in gs] for f in fs]
+            gram, den = inner_products(fs, gs, p)
+            assert [[F(x, den * f.den * g.den) for g, x in zip(gs, row)]
+                    for f, row in zip(fs, gram)] == want, p
+            assert [[inner_product(f, g, p) for g in gs] for f in fs] == want, p
+    assert inner_products([], gs, Params())[0] == []
+    assert inner_products(fs, [], Params())[0] == [[]] * len(fs)
+    assert inner_products([Poly.zero()] * 2, [Poly.one(), Poly.zero()], Params())[0] == [
+        [0, 0], [0, 0]]
 
 
-def test_pairings_read_the_moment_vector_once_per_monomial_and_no_convolution_with_a_weight(
+def test_inner_products_read_one_shot_iterables_whole():
+    # each iterable is read once, so generators give the Gram that lists give
+    fs, gs = [Poly.one(), Poly([0, 1]), Poly([F(1, 2), 0, 3])], [Poly.one(), Poly([2, F(1, 3)])]
+    p = Params(1, 1, F(1, 2), 3)
+    gram = inner_products(fs, gs, p)
+    assert len(gram[0]) == 3 and all(len(row) == 2 for row in gram[0])
+    assert inner_products((f for f in fs), (g for g in gs), p) == gram
+    assert inner_products(iter(fs), gs, p) == inner_products(fs, iter(gs), p) == gram
+
+
+def test_pairings_read_the_moment_vector_once_per_build_and_convolve_no_weight(
         monkeypatch):
     a, b = 2, 1
     rng = SplitMix64(9)
     f, g = _poly_of_degree(rng, 9), _poly_of_degree(rng, 7)
-    # the pairings of (2, 1) on x^0 .. x^9 read the moment vector once per x^j
-    # as they are built, and a pair, at any mass, reads it no more
+    # the pairings of (2, 1) on x^0 .. x^9 read the moment vector once, in one
+    # inner_products call, as they are built, and a pair, at any mass, reads
+    # it no more
     lookups = []
     moment_vector = inner._moment_vector
     monkeypatch.setattr(inner, "_moment_vector",
@@ -451,7 +467,7 @@ def test_pairings_read_the_moment_vector_once_per_monomial_and_no_convolution_wi
         cases = verify._symmetry_point(1, 9, params, 0)
         assert all(c.passed for c in cases)
         assert {c.n for c in cases} == {0, None}
-    assert len(lookups) == 10
+    assert len(lookups) == 1
     inner.pairing_defects.cache_clear()
     # a form convolves v with f and with g, and nothing with its weight
     calls = []
@@ -477,7 +493,7 @@ def _pairings_per_pair(f: Poly, g: Poly, a: int, b: int) -> tuple:
     _, b_ba, b_ab, c_ab = (row.norm for row in table)
     boundaries = (0, -b_ba * want.l2_neg1 * g_neg, -b_ab * want.l2_pos1 * g_pos,
                   -c_ab * (want.lhat_neg1 * g_neg / b_ab + want.ltilde_pos1 * g_pos / b_ba))
-    products = inner_products(images, g, Params(a, b))
+    products = [inner_product(image, g, Params(a, b)) for image in images]
     residuals = [product - form(f, g, a, b) - boundary for product, form, boundary
                  in zip(products, (bilinear_U, bilinear_Vt, bilinear_V, bilinear_W), boundaries)]
     got = [image.eval(x) for image in images for x in (-1, 1)]

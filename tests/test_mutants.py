@@ -88,6 +88,12 @@ def _moments_shifted(orig):
     return mutant
 
 
+def _hankel_shifted(orig):
+    def mutant(g, moments, rows):
+        return orig(g, moments[1:], rows)
+    return mutant
+
+
 def _two_mass_form_short(orig):
     # the two-mass form with derivative order a+b+2 for a+b+3
     def mutant(alpha, beta):
@@ -222,6 +228,7 @@ MUTANTS = {
     "divergence_forms with Lhat's -1 endpoint constant doubled": (
         operators, "divergence_forms", _divergence_form_replaced(
             2, lambda row: row._replace(ends=(2 * row.ends[0], row.ends[1])))),
+    "Hankel step with the moments shifted by one": (inner, "_hankel", _hankel_shifted),
 }
 
 
@@ -312,6 +319,7 @@ PINNED_KILLS = {
     "two-mass form with order a+b+2": "......F.",
     "divergence_forms with Ltilde's k one short": "EFF.FFE.",
     "divergence_forms with Lhat's -1 endpoint constant doubled": "......F.",
+    "Hankel step with the moments shifted by one": "......FF",
 }
 
 
@@ -358,6 +366,8 @@ SYMMETRY_FAILING_DIGESTS = {
         "eebb2ea43161b5fa0954e5a39fdd5c2a1c44dfb5d8bc7749f43ef1544cd948d6",
     "divergence_forms with Lhat's -1 endpoint constant doubled":
         "6ed939410202064c240a42d949c0f3afd94191b2b6cd7cd93a9bb3af9b83b786",
+    "Hankel step with the moments shifted by one":
+        "1215ba927753a117aeb51664e0500cc763b6ada25b8dcbd68642d1f21e5d0dd1",
 }
 
 
@@ -526,6 +536,9 @@ FAILING_DIGESTS = {
         "prop23": "6c92d3f34b90ec0dac308dad91377be64b16d21260d1f1fdcf1519b0fded7163",
         "cor25": "16c5dda0b9efaefa8f60598cb36f935d1053f97c204634c16e6f22620e41b979",
         "duran": "54db80a881d81ff2af840429d6777eef5367b9df54a8d8c862d02a90ad42f21b",
+    },
+    "Hankel step with the moments shifted by one": {
+        "orthogonality": "95f97b3e9fc1892635872266f40588cb5cee1a1bf2561bb51f30a29bfd4093fb",
     },
 }
 

@@ -155,6 +155,18 @@ def test_only_inner_products_reads_the_moment_vector():
     assert callers == {("inner.py", "inner_products")}
 
 
+def test_only_inner_hankel_takes_a_hankel_step():
+    # H g with H[p][q] = m_(p+q) is a map over the shifted moments m[p:]; the
+    # weight moments, the scalar product and the forms all take it through
+    # inner._hankel, so a second such map would be a second copy of the step
+    def maps_a_tail(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map"
+                and any(isinstance(arg, ast.Subscript) and isinstance(arg.slice, ast.Slice)
+                        and arg.slice.lower is not None and arg.slice.upper is None
+                        for arg in node.args))
+    assert _defs_holding(maps_a_tail) == {("inner.py", "_hankel")}
+
+
 def _calling(name: str):
     """A match for _defs_holding: a call of `name`, bare or as an attribute."""
     return lambda node: isinstance(node, ast.Call) and name in (
