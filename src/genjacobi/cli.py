@@ -15,15 +15,19 @@ all of them.  Every LaTeX table, these and verify's, is report.tabular.
 All formats (plain, json, csv, latex) render every number as an exact
 rational "p/q" (or "p"; "\\frac{p}{q}" in LaTeX) and every polynomial
 through the one term walk, Poly.render; decimals are rejected on input and
-never produced on output.  Exit codes: 0 success / all identities pass,
-1 verification failure or an exact-arithmetic failure (an ArithmeticError
-such as NotDivisible or InconsistentExpansion, which means a bug), 2 usage
-or validation error.
+never produced on output.  Every command writes its output through _write,
+verify's JSON report in the pieces of VerifyReport.json_pieces, so the
+whole report never exists as one string.  Exit codes: 0 success / all
+identities pass, 1 verification failure, an exact-arithmetic failure (an
+ArithmeticError such as NotDivisible or InconsistentExpansion, which means
+a bug) or an output that stdout refuses (a closed pipe, a full disk: one
+line on stderr, no traceback), 2 usage or validation error.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -181,6 +185,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(pieces) -> int:
+    """Write the pieces and a newline to stdout: 0, or 1 with one line on
+    stderr when stdout refuses them."""
+    try:
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        # as the Python docs advise for a broken pipe: what is left in the
+        # buffer goes to os.devnull, so the flush at exit meets no error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -188,16 +211,18 @@ def main(argv=None) -> int:
         if args.command in COMMANDS:
             cmd, _, flag, _ = COMMANDS[args.command]
             params = Params(args.alpha, args.beta, args.bigm, args.bign)
-            print(cmd(getattr(args, flag), params, args.format))
-            return 0
+            return _write((cmd(getattr(args, flag), params, args.format),))
         # verify
         report = run_suite(
             args.suite, nmax=args.nmax, alpha_max=args.alpha_max,
             beta_max=args.beta_max, seed=args.seed,
             masses_m=DEFAULT_MASSES if args.bigm is None else (args.bigm,),
             masses_n=DEFAULT_MASSES if args.bign is None else (args.bign,))
-        print(report.render(args.format))
-        return 0 if report.all_pass else 1
+        if args.format == "json":
+            pieces = report.json_pieces()
+        else:
+            pieces = (report.render(args.format),)
+        return _write(pieces) or (0 if report.all_pass else 1)
     except (InvalidParam, ArithmeticError) as exc:
         # bad input is a usage error; exact arithmetic that fails is a bug
         print(f"error: {exc}", file=sys.stderr)

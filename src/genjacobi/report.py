@@ -18,7 +18,7 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
 from .algebra import Poly, format_rational
 
@@ -89,6 +89,11 @@ def _case_tail(case: Case) -> str:
 # the tail of every passing case whose residual is "0", most of a report
 _PASS_TAIL = _case_tail(Case("", {}, None, "0", True))
 
+# cases per piece of VerifyReport.json_pieces, about 0.5 MB of text on the
+# default grid (233 bytes a case); a piece and its UTF-8 copy are the writer's
+# whole memory, and there 4096 cases a piece peaked 2 MB higher
+JSON_BATCH = 2048
+
 
 def tabular(spec: str, rows: list) -> str:
     """A LaTeX tabular, one line per row; each row is LaTeX without its \\\\."""
@@ -128,15 +133,18 @@ class VerifyReport:
         skipped = sum(1 for c in self.cases if c.skipped)
         return passed, len(self.cases) - passed - skipped, skipped
 
-    def to_json(self) -> str:
+    def json_pieces(self) -> Iterator[str]:
         """The report as json.dumps(record, indent=2) writes it, byte for
-        byte, where the record holds "suite", "grid", "seed", "cases" and
-        "all_pass", and each case "label", "params", "n", "residual" and
-        "pass"; a skipped case has "pass" null, then "skipped" true and its
-        "reason".  The tests build that record and compare.
+        byte, in pieces that join to that text: the first holds the report's
+        head and its first JSON_BATCH cases, each next one the next JSON_BATCH
+        (the last of them the rest), and one more the close.  The record
+        holds "suite", "grid", "seed", "cases" and "all_pass", and each case
+        "label", "params", "n", "residual" and "pass"; a skipped case has
+        "pass" null, then "skipped" true and its "reason".  The tests build
+        that record and compare.
 
         Written directly with the C string encoder (json.dumps with an
-        indent runs the pure-Python encoder) as one join of pieces, each
+        indent runs the pure-Python encoder), each piece one join of parts
         rendered once per call: a case's head up to its params, per distinct
         label; its params block up to n, per mapping (the report holds every
         case alive meanwhile, so no id is reused); n up to the residual, per
@@ -149,27 +157,36 @@ class VerifyReport:
                  f'  "seed": {seed},\n'
                  f'  "cases": [']
         heads, blocks, nums = {}, {}, {}
-        for case in self.cases:
-            label, params, n, residual, passed, skipped, _ = case
-            head = heads.get(label)
-            if head is None:
-                head = heads[label] = (f',\n    {{\n      "label": {_json_str(label)},\n'
-                                       f'      "params": ')
-            block = blocks.get(id(params))
-            if block is None:
-                block = blocks[id(params)] = f'{_json_strings(params, 6)},\n      "n": '
-            num = nums.get(n)
-            if num is None:
-                num = nums[n] = (f'{"null" if n is None else int.__repr__(n)},\n'
-                                 f'      "residual": ')
-            passing = passed and not skipped and residual == "0"
-            parts += (head, block, num, _PASS_TAIL if passing else _case_tail(case))
-        if self.cases:
-            # each head opens with the separator; the first case drops its comma
-            parts[1] = parts[1][1:]
+        cases = self.cases
+        for start in range(0, len(cases), JSON_BATCH):
+            for case in cases[start:start + JSON_BATCH]:
+                label, params, n, residual, passed, skipped, _ = case
+                head = heads.get(label)
+                if head is None:
+                    head = heads[label] = (f',\n    {{\n      "label": {_json_str(label)},\n'
+                                           f'      "params": ')
+                block = blocks.get(id(params))
+                if block is None:
+                    block = blocks[id(params)] = f'{_json_strings(params, 6)},\n      "n": '
+                num = nums.get(n)
+                if num is None:
+                    num = nums[n] = (f'{"null" if n is None else int.__repr__(n)},\n'
+                                     f'      "residual": ')
+                passing = passed and not skipped and residual == "0"
+                parts += (head, block, num, _PASS_TAIL if passing else _case_tail(case))
+            if not start:
+                # each head opens with the separator; the first case drops its comma
+                parts[1] = parts[1][1:]
+            yield "".join(parts)
+            parts = []
+        if cases:
             parts.append("\n  ")
         parts.append(f'],\n  "all_pass": {"true" if self.all_pass else "false"}\n}}')
-        return "".join(parts)
+        yield "".join(parts)
+
+    def to_json(self) -> str:
+        """The report as one string, the join of json_pieces."""
+        return "".join(self.json_pieces())
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -3,7 +3,7 @@ import importlib
 import pkgutil
 
 import genjacobi
-from genjacobi import inner
+from genjacobi import genjacobi as gj, inner, jacobi
 from genjacobi.verify import run_suite
 
 
@@ -41,3 +41,16 @@ def test_one_symmetry_run_builds_each_pairing_entry_once():
     inner.pairing_defects.cache_clear()
     assert run_suite("symmetry", threads=1).all_pass
     assert inner.pairing_defects.cache_info().misses == 16
+
+
+def test_the_cache_bounds_keep_every_reuse_of_a_default_run():
+    # counts of a serial default-grid run from cold caches, the same with
+    # gen_jacobi's cache unbounded: a bound that drops an entry one (alpha,
+    # beta) group still reads adds misses here
+    for cache in _lru_caches().values():
+        cache.cache_clear()
+    assert run_suite("all", threads=1).all_pass
+    gen_jacobi = gj._gen_jacobi_cached.cache_info()
+    jacobi_hyp = jacobi._jacobi_hyp.cache_info()
+    assert (gen_jacobi.hits, gen_jacobi.misses) == (3344, 3328)
+    assert (jacobi_hyp.hits, jacobi_hyp.misses) == (2067, 445)

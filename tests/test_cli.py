@@ -19,6 +19,7 @@ from genjacobi import operators
 from genjacobi.cli import (COMMANDS, build_parser, latex_rational, main, poly_latex,
                            rational_flag)
 from genjacobi.algebra import Poly
+from genjacobi.report import VerifyReport
 from genjacobi.verify import _thread_count
 from test_algebra import render_polys
 from test_mutants import TINY_ARGS, mutated
@@ -272,6 +273,51 @@ def test_default_grid_report_bytes_are_pinned(capsys, monkeypatch):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e1ce52c019ad02ed0d9119903e70d4caa9820661b440ba37f85aee7b4e9fbc0c")
+
+
+def test_verify_json_is_written_in_pieces(capsys, monkeypatch):
+    # the CLI writes json_pieces one by one and never builds the whole report
+    def refuse(self):
+        raise AssertionError("the CLI built the whole report")
+    monkeypatch.setattr(VerifyReport, "to_json", refuse)
+    monkeypatch.setenv("GENJACOBI_THREADS", "1")
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--nmax", "2",
+                       "--alpha-max", "1", "--beta-max", "1", "--bigm", "1",
+                       "--bign", "1", "--format", "json", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1865cc289c27d8cae23faf5c9fdfdb62f4c61020f83472d993d457df4ea61274")
+
+
+def _verify_into(stdout):
+    """Exit code and stderr of a tiny thm21 JSON run whose stdout is `stdout`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(genjacobi.__file__).parents[1]),
+               GENJACOBI_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "genjacobi", "verify", "--suite", "thm21", *TINY_ARGS,
+         "--format", "json"],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_exits_1_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        code, err = _verify_into(full)
+    assert code == 1
+    assert err.splitlines() == ["error: cannot write the report: [Errno 28] "
+                                "No space left on device"]
+
+
+def test_a_closed_pipe_exits_1_with_one_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)          # closed before the first write
+    try:
+        code, err = _verify_into(write_end)
+    finally:
+        os.close(write_end)
+    assert code == 1
+    assert err.splitlines() == ["error: cannot write the report: [Errno 32] Broken pipe"]
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "2x", " 2",

@@ -1,14 +1,16 @@
 """Cases hold their params; the direct JSON writer is byte-identical to
-json.dumps(indent=2)."""
+json.dumps(indent=2), whole and in its pieces."""
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genjacobi import report as report_module
 from genjacobi.algebra import InvalidParam, Poly
-from genjacobi.report import Case, VerifyReport, params_str
+from genjacobi.report import JSON_BATCH, Case, VerifyReport, params_str
 from genjacobi.verify import run_suite
 
 
@@ -43,6 +45,26 @@ def dumped(report):
     return json.dumps(report_record(report), indent=2)
 
 
+# the line that opens a case; a label's own newlines are escaped, and a
+# params key sits two spaces deeper
+_CASE_LINE = '\n      "label": '
+
+
+def assert_writes_json_dumps(report):
+    """to_json, and json_pieces with its batch patched to 1, 2, 3 and left as
+    it is, each write dumped(report); every piece of cases holds one batch
+    but the last, which holds the rest, and a last piece closes the report."""
+    text = dumped(report)
+    assert report.to_json() == text
+    n = len(report.cases)
+    for batch in (1, 2, 3, JSON_BATCH):
+        with mock.patch.object(report_module, "JSON_BATCH", batch):
+            pieces = list(report.json_pieces())
+        assert "".join(pieces) == text, batch
+        expected = [min(batch, n - start) for start in range(0, n, batch)] + [0]
+        assert [piece.count(_CASE_LINE) for piece in pieces] == expected, batch
+
+
 # to_json renders each params mapping once per call, keyed by identity
 _SHARED, _EQUAL = {"alpha": "1", "M": "1/3"}, {"alpha": "1", "M": "1/3"}
 
@@ -70,7 +92,7 @@ _SHARED, _EQUAL = {"alpha": "1", "M": "1/3"}, {"alpha": "1", "M": "1/3"}
     ]),
 ])
 def test_to_json_matches_json_dumps(report):
-    assert report.to_json() == dumped(report)
+    assert_writes_json_dumps(report)
 
 
 _text = st.text(max_size=6)          # any code point: non-ASCII, quotes, controls
@@ -107,14 +129,14 @@ def _reports(draw):
 @settings(max_examples=300)
 @given(_reports())
 def test_to_json_matches_json_dumps_on_any_mix_of_cases(report):
-    assert report.to_json() == dumped(report)
+    assert_writes_json_dumps(report)
 
 
 def test_to_json_matches_json_dumps_on_a_merged_suite_run():
     report = run_suite("all", nmax=2, alpha_max=1, beta_max=1,
                        masses_m=(0, 1), masses_n=(Fraction(1, 3),), threads=1)
     assert any(c.skipped for c in report.cases)
-    assert report.to_json() == dumped(report)
+    assert_writes_json_dumps(report)
 
 
 def test_cases_hold_the_given_params_and_records_are_fresh():

@@ -390,6 +390,8 @@ UNREACHED = {
     "genjacobi.coeff_r": TRACER,
     "genjacobi.coeff_s": TRACER,
     "cli.entry": SCRIPT,
+    "report.VerifyReport.to_json": "the report as one string, for render and library "
+                                   "callers; the CLI writes json_pieces one by one",
     "algebra.Poly.__setattr__": "the immutability guard",
     "algebra.Poly.__eq__": "the value protocol",
     "algebra.Poly.__hash__": "the value protocol",
